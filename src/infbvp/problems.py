@@ -27,14 +27,27 @@ __all__ = [
 class BvpProblem:
     """First-order system on [0, inf) with boundary function g(u0, u_inf).
 
-    f(x, u) maps a finite coordinate and a d-vector to a d-vector; the
-    scheme never calls it at x = inf. g consumes the first and last node
-    values. df_du gives the d x d state Jacobian of f; dg is a pair of
-    constant d x d matrices (the built-in boundary functions are affine).
-    Problems without derivatives fall back to the finite-difference
-    Jacobian mode. reports maps scalar names to extractors over a solve
-    result. initial_iterate is evaluated at every node coordinate,
-    including x = inf, so it must return finite values there.
+    f, df_du and initial_iterate are evaluated on the whole grid at once,
+    with the solution components first:
+
+    - f(x, u) takes finite coordinates x of shape (M,) and states u of
+      shape (d, M) and returns (d, M); the scheme calls it once per
+      residual, on the N interval midpoints, and never at x = inf.
+    - df_du(x, u) gives the state Jacobian of f as (d, d, M), or as a
+      constant (d, d) matrix.
+    - initial_iterate(x) is called once on the (N+1,) node coordinates,
+      including x = inf, so it must be finite there; it returns
+      (d, N+1), or a constant (d,) vector.
+
+    Written with u[i] for component i, the same f also accepts a single
+    point: x a float and u of shape (d,). Such functions must work
+    elementwise: a reduction over u, such as np.linalg.norm(u), mixes the
+    M points and silently gives a wrong answer. g stays pointwise: it
+    consumes the first and last node values, each of shape (d,). dg is a
+    pair of constant d x d matrices (the built-in boundary functions are
+    affine). Problems without derivatives fall back to the
+    finite-difference Jacobian mode. reports maps scalar names to
+    extractors over a solve result.
     """
 
     name: str
@@ -47,8 +60,8 @@ class BvpProblem:
     reports: dict[str, Callable] = field(default_factory=dict)
 
 
-def _guard_coordinate(x: float) -> None:
-    if not np.isfinite(x):
+def _guard_coordinate(x) -> None:
+    if not np.all(np.isfinite(x)):
         raise ValueError("right-hand side evaluated at a non-finite coordinate")
 
 
@@ -71,11 +84,10 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
         return np.array([u[1], u[2], -u[0] * u[2] - P * (1.0 - u[1] * u[1])])
 
     def df_du(x, u):
-        return np.array([
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [-u[2], 2.0 * P * u[1], -u[0]],
-        ])
+        out = np.zeros((3, 3) + np.shape(u)[1:])
+        out[0, 1] = out[1, 2] = 1.0
+        out[2] = -u[2], 2.0 * P * u[1], -u[0]
+        return out
 
     def g(u0, u_inf):
         return np.array([u0[0], u0[1], u_inf[1] - 1.0])
@@ -115,7 +127,7 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
         return np.array([u[1], u[2], u[3], -P1 * (1.0 - np.exp(-P2 * u[0]))])
 
     def df_du(x, u):
-        out = np.zeros((4, 4))
+        out = np.zeros((4, 4) + np.shape(u)[1:])
         out[0, 1] = out[1, 2] = out[2, 3] = 1.0
         out[3, 0] = -P1 * P2 * np.exp(-P2 * u[0])
         return out
@@ -141,12 +153,14 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
 
 
 def initial_field(problem: BvpProblem, grid) -> np.ndarray:
-    """Evaluate the problem's default initial iterate at every node."""
-    rows = [np.asarray(problem.initial_iterate(float(x)), dtype=float) for x in grid.nodes]
-    values = np.vstack(rows)
-    if values.shape != (grid.N + 1, problem.d):
+    """Evaluate the problem's default initial iterate on all nodes in one
+    call; returns the field of shape (N+1, d)."""
+    d, M = problem.d, grid.N + 1
+    values = np.asarray(problem.initial_iterate(grid.nodes), dtype=float)
+    if values.shape not in ((d,), (d, M)):
         raise ValueError(f"initial iterate produced shape {values.shape}, "
-                         f"expected ({grid.N + 1}, {problem.d})")
+                         f"expected ({d}, {M}) or ({d},)")
+    values = np.broadcast_to(values.T, (M, d)).copy()
     if not np.all(np.isfinite(values)):
         raise ValueError("initial iterate must be finite at every node")
     return values

@@ -10,6 +10,11 @@ function g(U_0, U_N) supplies the final d equations. Residual entries are
 ordered interval-major with the boundary block last. No formula ever reads
 the infinite coordinate x_N: midpoints and stencil coefficients come from
 fractional nodes only.
+
+The field U has shape (N+1, d). The problem is evaluated on the whole
+grid at once: f(x_mid, u) receives the (N,) midpoint coordinates and the
+midpoint states components first, u of shape (d, N), and returns (d, N);
+df_du returns (d, d, N) or a constant (d, d).
 """
 
 from __future__ import annotations
@@ -80,13 +85,17 @@ def _check_field(problem, grid: QuasiUniformGrid, U) -> np.ndarray:
     return U
 
 
-def _eval_f(problem, x: float, u: np.ndarray, n: int) -> np.ndarray:
-    fx = np.asarray(problem.f(x, u), dtype=float)
-    if fx.shape != (problem.d,):
-        raise ValueError(f"f returned shape {fx.shape}, expected ({problem.d},)")
-    if not np.all(np.isfinite(fx)):
+def _eval_f(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
+    """f at every midpoint in one call; u_mid is (N, d), so is the result."""
+    expected = u_mid.T.shape
+    fx = np.asarray(problem.f(x_mid, u_mid.T), dtype=float)
+    if fx.shape != expected:
+        raise ValueError(f"f returned shape {fx.shape}, expected {expected}")
+    bad = ~np.all(np.isfinite(fx), axis=0)
+    if bad.any():
+        n = int(np.argmax(bad))
         raise EvaluationError(f"non-finite right-hand side on interval {n}", where=n)
-    return fx
+    return fx.T
 
 
 def _eval_g(problem, u0: np.ndarray, u_inf: np.ndarray) -> np.ndarray:
@@ -98,18 +107,24 @@ def _eval_g(problem, u0: np.ndarray, u_inf: np.ndarray) -> np.ndarray:
     return gv
 
 
-def assemble_residual(problem, grid: QuasiUniformGrid, U, continuation: bool = True) -> np.ndarray:
-    """Residual of the discrete system at the field U, length d*(N+1)."""
+def _midpoints(problem, grid: QuasiUniformGrid, U, continuation: bool):
+    """Stencil arrays and the midpoint states u_mid of shape (N, d)."""
     U = _check_field(problem, grid, U)
-    N, d = grid.N, problem.d
     a, b, c_w, x_mid = grid.stencil_arrays(continuation)
-    res = np.empty((N + 1) * d)
-    for n in range(N):
-        u_mid = c_w[n] * U[n] + b[n] * U[n + 1]
-        fx = _eval_f(problem, float(x_mid[n]), u_mid, n)
-        res[n * d:(n + 1) * d] = U[n + 1] - U[n] - a[n] * fx
-    res[N * d:] = _eval_g(problem, U[0], U[N])
-    return res
+    u_mid = c_w[:, None] * U[:-1] + b[:, None] * U[1:]
+    return U, a, b, c_w, x_mid, u_mid
+
+
+def assemble_residual(problem, grid: QuasiUniformGrid, U, continuation: bool = True) -> np.ndarray:
+    """Residual of the discrete system at the field U, length d*(N+1).
+
+    problem.f is called once, on all N midpoints.
+    """
+    U, a, _, _, x_mid, u_mid = _midpoints(problem, grid, U, continuation)
+    res = np.empty_like(U)
+    res[:-1] = U[1:] - U[:-1] - a[:, None] * _eval_f(problem, x_mid, u_mid)
+    res[-1] = _eval_g(problem, U[0], U[-1])
+    return res.ravel()
 
 
 @dataclass(eq=False)
@@ -174,51 +189,65 @@ def _fd_columns(residual_at, u_base: np.ndarray, base: np.ndarray) -> np.ndarray
     return cols
 
 
+def _df_du_fd(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
+    """Forward-difference df/du at every midpoint, (N, d, d), from d+1
+    batched f calls; column j steps u_j by sqrt(eps)*(1 + |u_j|)."""
+    N, d = u_mid.shape
+    base = _eval_f(problem, x_mid, u_mid)
+    steps = _SQRT_EPS * (1.0 + np.abs(u_mid))
+    F = np.empty((N, d, d))
+    for j in range(d):
+        u_pert = u_mid.copy()
+        u_pert[:, j] += steps[:, j]
+        F[:, :, j] = (_eval_f(problem, x_mid, u_pert) - base) / steps[:, j, None]
+    return F
+
+
+def _df_du_analytic(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
+    """problem.df_du at every midpoint in one call, as a C-contiguous
+    (N, d, d) array; a constant (d, d) answer is broadcast."""
+    N, d = u_mid.shape
+    F = np.asarray(problem.df_du(x_mid, u_mid.T), dtype=float)
+    if F.shape not in ((d, d), (d, d, N)):
+        raise ValueError(f"df_du returned shape {F.shape}, expected ({d}, {d}, {N}) or ({d}, {d})")
+    # Transposed, (d, d, N) and (d, d) both broadcast to (N, d, d). The
+    # copy into C order matters: strided blocks make the bordered solve
+    # round differently, and its unstable elimination turns 1-ulp
+    # differences into different iteration counts on the alg map.
+    return np.ascontiguousarray(np.broadcast_to(F.T, (N, d, d)).transpose(0, 2, 1))
+
+
 def assemble_jacobian(problem, grid: QuasiUniformGrid, U, mode: str = "analytic",
                       continuation: bool = True) -> StructuredJacobian:
     """Jacobian of assemble_residual at U.
 
-    mode "analytic" uses the problem's closed-form derivatives df_du and
-    dg; mode "fd" differentiates the residual blocks by forward
-    differences and works for any problem.
+    Both modes build the (N, d, d) interval blocks from one formula,
+    dU_n = -I - a*c_w*F and dU_next = I - a*b*F, with F = df/du at the
+    N midpoints. Mode "analytic" takes F from one call of the problem's
+    df_du and the boundary blocks from its dg. Mode "fd" works for any
+    problem: it approximates only df/du, by forward differences over d+1
+    batched f calls, and differentiates g the same way.
     """
     if mode not in ("analytic", "fd"):
         raise ValueError(f"unknown jacobian mode {mode!r}")
-    U = _check_field(problem, grid, U)
-    N, d = grid.N, problem.d
-    a, b, c_w, x_mid = grid.stencil_arrays(continuation)
-    dU_n = np.empty((N, d, d))
-    dU_next = np.empty((N, d, d))
+    if mode == "analytic" and (problem.df_du is None or problem.dg is None):
+        raise MissingDerivativeError(
+            f"problem '{problem.name}' carries no analytic derivatives; use mode='fd'")
+    U, a, b, c_w, x_mid, u_mid = _midpoints(problem, grid, U, continuation)
+    N, d = u_mid.shape
 
     if mode == "analytic":
-        if problem.df_du is None or problem.dg is None:
-            raise MissingDerivativeError(
-                f"problem '{problem.name}' carries no analytic derivatives; use mode='fd'")
-        eye = np.eye(d)
-        for n in range(N):
-            u_mid = c_w[n] * U[n] + b[n] * U[n + 1]
-            F = np.asarray(problem.df_du(float(x_mid[n]), u_mid), dtype=float)
-            if F.shape != (d, d):
-                raise ValueError(f"df_du returned shape {F.shape}, expected ({d}, {d})")
-            dU_n[n] = -eye - (a[n] * c_w[n]) * F
-            dU_next[n] = eye - (a[n] * b[n]) * F
-        dg_0 = np.asarray(problem.dg[0], dtype=float)
-        dg_N = np.asarray(problem.dg[1], dtype=float)
+        F = _df_du_analytic(problem, x_mid, u_mid)
+        dg_0 = np.array(problem.dg[0], dtype=float)
+        dg_N = np.array(problem.dg[1], dtype=float)
         if dg_0.shape != (d, d) or dg_N.shape != (d, d):
             raise ValueError("dg must be a pair of d x d matrices")
-        return StructuredJacobian(dU_n=dU_n, dU_next=dU_next, dg_0=dg_0.copy(), dg_N=dg_N.copy())
-
-    for n in range(N):
-        x = float(x_mid[n])
-
-        def block(u_n, u_next, n=n, x=x):
-            u_mid = c_w[n] * u_n + b[n] * u_next
-            return u_next - u_n - a[n] * _eval_f(problem, x, u_mid, n)
-
-        base = block(U[n], U[n + 1])
-        dU_n[n] = _fd_columns(lambda u: block(u, U[n + 1]), U[n].copy(), base)
-        dU_next[n] = _fd_columns(lambda u: block(U[n], u), U[n + 1].copy(), base)
-    g_base = _eval_g(problem, U[0], U[N])
-    dg_0 = _fd_columns(lambda u: _eval_g(problem, u, U[N]), U[0].copy(), g_base)
-    dg_N = _fd_columns(lambda u: _eval_g(problem, U[0], u), U[N].copy(), g_base)
+    else:
+        F = _df_du_fd(problem, x_mid, u_mid)
+        g_base = _eval_g(problem, U[0], U[N])
+        dg_0 = _fd_columns(lambda u: _eval_g(problem, u, U[N]), U[0].copy(), g_base)
+        dg_N = _fd_columns(lambda u: _eval_g(problem, U[0], u), U[N].copy(), g_base)
+    eye = np.eye(d)
+    dU_n = -eye - (a * c_w)[:, None, None] * F
+    dU_next = eye - (a * b)[:, None, None] * F
     return StructuredJacobian(dU_n=dU_n, dU_next=dU_next, dg_0=dg_0, dg_N=dg_N)

@@ -52,7 +52,8 @@ def nonlinear_decay_problem():
         return np.array([u0[0] - 1.0, u_inf[0]])
 
     def df_du(x, u):
-        return np.array([[0.0, 1.0], [2.0 * u[0], 0.0]])
+        zero, one = np.zeros_like(u[0]), np.ones_like(u[0])
+        return np.array([[zero, one], [2.0 * u[0], zero]])
 
     dg = (np.array([[1.0, 0.0], [0.0, 0.0]]),
           np.array([[0.0, 0.0], [1.0, 0.0]]))

@@ -2,18 +2,25 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import infbvp
 from infbvp import observed_order
 
 EXE = [sys.executable, "-m", "infbvp"]
+# The child interpreter imports the same infbvp as this process, which
+# may come from the source tree rather than an installed copy.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(Path(infbvp.__file__).parent.parent), os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(*args):
-    return subprocess.run(EXE + list(args), capture_output=True, text=True)
+    return subprocess.run(EXE + list(args), capture_output=True, text=True, env=ENV)
 
 
 def parse_csv(text):

@@ -1,9 +1,12 @@
 """Residual and Jacobian assembly for the midpoint scheme."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import toy_linear_problem
+from conftest import nonlinear_decay_problem, toy_linear_problem
 from infbvp import (
     BvpProblem,
     EvaluationError,
@@ -60,7 +63,7 @@ def test_midpoint_derivative_difference_quotient():
 def test_residual_zero_for_trivial_problem():
     problem = BvpProblem(
         name="constant", d=1,
-        f=lambda x, u: np.zeros(1),
+        f=lambda x, u: np.zeros_like(u),
         g=lambda u0, u_inf: u0 - u_inf,
         initial_iterate=lambda x: np.zeros(1))
     grid = build_grid(GridMap("log", 1.0), 6)
@@ -134,7 +137,7 @@ def test_infinite_node_coordinate_is_never_read():
 def test_evaluation_error_carries_interval_index():
     problem = BvpProblem(
         name="blows-up", d=1,
-        f=lambda x, u: np.array([np.inf if x > 1.0 else 0.0]),
+        f=lambda x, u: np.where(x > 1.0, np.inf, 0.0)[None],
         g=lambda u0, u_inf: u0,
         initial_iterate=lambda x: np.zeros(1))
     grid = build_grid(GridMap("alg", 1.0), 4)
@@ -147,7 +150,7 @@ def test_evaluation_error_carries_interval_index():
 def test_evaluation_error_flags_boundary_block():
     problem = BvpProblem(
         name="bad-boundary", d=1,
-        f=lambda x, u: np.zeros(1),
+        f=lambda x, u: np.zeros_like(u),
         g=lambda u0, u_inf: np.array([np.nan]),
         initial_iterate=lambda x: np.zeros(1))
     grid = build_grid(GridMap("alg", 1.0), 4)
@@ -180,17 +183,44 @@ def test_wrong_f_shape_is_reported():
 
 
 def test_analytic_jacobian_matches_finite_differences():
-    problem = falkner_skan()
-    grid = build_grid(GridMap("log", 5.0), 20)
+    # pile adds an exp term; the alg map stretches the last interval most
+    for problem in (falkner_skan(), pile()):
+        for kind in ("log", "alg"):
+            grid = build_grid(GridMap(kind, 5.0), 20)
+            field = initial_field(problem, grid)
+            analytic = assemble_jacobian(problem, grid, field, "analytic")
+            numeric = assemble_jacobian(problem, grid, field, "fd")
+            for exact, approx in (
+                    (analytic.dU_n, numeric.dU_n),
+                    (analytic.dU_next, numeric.dU_next),
+                    (analytic.dg_0, numeric.dg_0),
+                    (analytic.dg_N, numeric.dg_N)):
+                assert np.all(np.abs(exact - approx) <= 1e-6 * (1.0 + np.abs(exact)))
+
+
+def test_problem_is_evaluated_once_per_grid():
+    # f, df_du and initial_iterate each see the whole grid in one call
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    base = nonlinear_decay_problem()
+    problem = dataclasses.replace(
+        base, f=counted("f", base.f), df_du=counted("df_du", base.df_du),
+        initial_iterate=counted("initial_iterate", base.initial_iterate))
+    grid = build_grid(GridMap("log", 4.0), 16)
     field = initial_field(problem, grid)
-    analytic = assemble_jacobian(problem, grid, field, "analytic")
-    numeric = assemble_jacobian(problem, grid, field, "fd")
-    for exact, approx in (
-            (analytic.dU_n, numeric.dU_n),
-            (analytic.dU_next, numeric.dU_next),
-            (analytic.dg_0, numeric.dg_0),
-            (analytic.dg_N, numeric.dg_N)):
-        assert np.all(np.abs(exact - approx) <= 1e-6 * (1.0 + np.abs(exact)))
+    assert calls == {"initial_iterate": 1}
+    assemble_residual(problem, grid, field)
+    assert calls == {"initial_iterate": 1, "f": 1}
+    assemble_jacobian(problem, grid, field, "fd")
+    assert calls == {"initial_iterate": 1, "f": 1 + problem.d + 1}
+    assemble_jacobian(problem, grid, field, "analytic")
+    assert calls == {"initial_iterate": 1, "f": 1 + problem.d + 1, "df_du": 1}
 
 
 def test_jacobian_of_linear_problem_is_state_independent():
