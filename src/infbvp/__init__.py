@@ -17,7 +17,6 @@ from .grids import (
     build_grid,
 )
 from .newton import (
-    DENSE_SIZE_LIMIT,
     SingularSystemError,
     SolveResult,
     SolverConfig,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BvpProblem",
-    "DENSE_SIZE_LIMIT",
     "EvaluationError",
     "ExtrapolationTable",
     "GridMap",

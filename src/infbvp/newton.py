@@ -2,11 +2,20 @@
 
 Full steps, no damping: the update solves J * delta = -residual and is
 applied as-is, and the iteration stops once the mean absolute correction
-over all d*(N+1) unknowns drops to the tolerance. The linear stage
-exploits the block bidiagonal-plus-border structure: a forward
-elimination expresses every correction block through the first one, and
-the boundary equations close a single d x d system. A dense LU with
-partial pivoting is kept as a cross-check oracle for moderate sizes.
+over all d*(N+1) unknowns drops to the tolerance.
+
+The linear stage exploits the block structure: N interval block rows,
+each coupling two neighbouring nodes, closed by one boundary block row
+that couples node 0 and the node at infinity. It is solved by the
+structured-QR cyclic reduction of Wright, "Stable parallel algorithms for
+two-point boundary value problems" (SIAM J. Sci. Stat. Comput. 13, 1992).
+Each level pairs adjacent block rows and removes the node they share
+with one orthogonal transform per pair, batched over all pairs, until a
+single row couples node 0 and node N; the boundary row closes it as a
+2d x 2d system, and back-substitution recovers the removed nodes level
+by level. Orthogonal transforms keep the growing modes of the
+linearization from being amplified, which condensation onto delta_0
+(discrete shooting) does not.
 """
 
 from __future__ import annotations
@@ -26,10 +35,9 @@ __all__ = [
     "SolveResult",
     "linear_solve",
     "newton_solve",
-    "DENSE_SIZE_LIMIT",
 ]
 
-DENSE_SIZE_LIMIT = 10_000
+_EPS = float(np.finfo(float).eps)
 
 
 class SingularSystemError(RuntimeError):
@@ -50,7 +58,6 @@ class SolverConfig:
     max_iter: int = 50
     jacobian_mode: str | None = None
     continuation: bool = True
-    linear_solver: str = "bordered"
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
@@ -59,8 +66,6 @@ class SolverConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.jacobian_mode not in (None, "analytic", "fd"):
             raise ValueError(f"unknown jacobian mode {self.jacobian_mode!r}")
-        if self.linear_solver not in ("bordered", "dense"):
-            raise ValueError(f"unknown linear solver {self.linear_solver!r}")
 
 
 @dataclass(eq=False)
@@ -79,55 +84,62 @@ class SolveResult:
     increments: list[float] = field(default_factory=list)
 
 
-def linear_solve(jacobian: StructuredJacobian, rhs, method: str = "bordered") -> np.ndarray:
+def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     """Solve jacobian @ delta = rhs; returns the correction field (N+1, d).
 
-    "bordered" runs the block forward elimination in O(d^3 N);
-    "dense" assembles the full matrix and LU-factorizes it with partial
-    pivoting (allowed up to d*(N+1) = 10_000 unknowns).
+    Structured-QR cyclic reduction: ceil(log2 N) batched levels and
+    O(d^3 N) work. Raises SingularSystemError, naming the node, when a
+    pair block or the end system is rank-deficient.
     """
     d, N = jacobian.d, jacobian.N
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != ((N + 1) * d,):
         raise ValueError(f"rhs length {rhs.shape} does not match system size {(N + 1) * d}")
 
-    if method == "dense":
-        if jacobian.size > DENSE_SIZE_LIMIT:
-            raise ValueError(f"dense mode limited to {DENSE_SIZE_LIMIT} unknowns, "
-                             f"got {jacobian.size}; use the bordered solver")
-        try:
-            flat = np.linalg.solve(jacobian.to_dense(), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"dense factorization failed: {exc}") from exc
-        return flat.reshape(N + 1, d)
-    if method != "bordered":
-        raise ValueError(f"unknown linear solver {method!r}")
+    # Row k of a level reads left[k] @ x[nodes[k]] + right[k] @ x[nodes[k+1]] = r[k].
+    # Rows 2k and 2k+1 share node nodes[2k+1]; an orthogonal Q^T of the
+    # pair zeroes that node's column in the bottom d rows, which become
+    # the next level's row, and keeps the top d rows to recover it.
+    nodes = np.arange(N + 1)
+    left, right = jacobian.dU_n, jacobian.dU_next
+    r = rhs[: N * d].reshape(N, d)
+    levels = []
+    while len(r) > 1:
+        p = len(r) // 2
+        coupling = np.concatenate((right[: 2 * p: 2], left[1: 2 * p: 2]), axis=1)
+        Q, R = np.linalg.qr(coupling, mode="complete")
+        # A pivot at roundoff of its column's norm leaves the shared node
+        # undetermined. Non-finite blocks are not flagged: their NaNs
+        # reach delta, which newton_solve reports as a diverged iterate.
+        pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        scale = np.linalg.norm(coupling, axis=1)
+        rank_deficient = ((pivots <= (2 * d * _EPS) * scale) & np.isfinite(scale)).any(axis=1)
+        if rank_deficient.any():
+            node = int(nodes[2 * int(np.argmax(rank_deficient)) + 1])
+            raise SingularSystemError(f"cyclic reduction hit a rank-deficient pair block at node {node}")
+        Qt = Q.transpose(0, 2, 1)
+        q_left = Qt[:, :, :d] @ left[: 2 * p: 2]
+        q_right = Qt[:, :, d:] @ right[1: 2 * p: 2]
+        q_rhs = (Qt @ r[: 2 * p].reshape(p, 2 * d, 1))[..., 0]
+        levels.append((nodes, R[:, :d], q_left[:, :d], q_right[:, :d], q_rhs[:, :d]))
+        left = np.concatenate((q_left[:, d:], left[2 * p:]))
+        right = np.concatenate((q_right[:, d:], right[2 * p:]))
+        r = np.concatenate((q_rhs[:, d:], r[2 * p:]))
+        nodes = np.concatenate((nodes[: 2 * p + 1: 2], nodes[2 * p + 1:]))
 
-    # Express delta_n = shift[n] + prop[n] @ delta_0 by eliminating the
-    # interval rows front to back, then close with the boundary row.
-    blocks = rhs[: N * d].reshape(N, d)
-    shift = np.empty((N + 1, d))
-    prop = np.empty((N + 1, d, d))
-    shift[0] = 0.0
-    prop[0] = np.eye(d)
-    stacked = np.empty((d, d + 1))
-    for n in range(N):
-        stacked[:, 0] = blocks[n] - jacobian.dU_n[n] @ shift[n]
-        stacked[:, 1:] = -jacobian.dU_n[n] @ prop[n]
-        try:
-            eliminated = np.linalg.solve(jacobian.dU_next[n], stacked)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"forward elimination hit a singular block on interval {n}") from exc
-        shift[n + 1] = eliminated[:, 0]
-        prop[n + 1] = eliminated[:, 1:]
-    closure = jacobian.dg_0 + jacobian.dg_N @ prop[N]
-    closure_rhs = rhs[N * d:] - jacobian.dg_N @ shift[N]
+    end_system = np.block([[left[0], right[0]], [jacobian.dg_0, jacobian.dg_N]])
     try:
-        delta_0 = np.linalg.solve(closure, closure_rhs)
+        ends = np.linalg.solve(end_system, np.concatenate((r[0], rhs[N * d:])))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("boundary closure system is singular") from exc
-    return shift + prop @ delta_0
+        raise SingularSystemError(f"end system on nodes 0 and {N} is singular") from exc
+    delta = np.empty((N + 1, d))
+    delta[0], delta[N] = ends[:d], ends[d:]
+    for nodes, R, top_left, top_right, top_rhs in reversed(levels):
+        p = len(R)
+        known = (top_rhs[..., None] - top_left @ delta[nodes[: 2 * p: 2], :, None]
+                 - top_right @ delta[nodes[2: 2 * p + 1: 2], :, None])
+        delta[nodes[1: 2 * p: 2]] = np.linalg.solve(R, known)[..., 0]
+    return delta
 
 
 def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
@@ -163,7 +175,7 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         residual = assemble_residual(problem, grid, U, config.continuation)
         jacobian = assemble_jacobian(problem, grid, U, mode, config.continuation)
         try:
-            delta = linear_solve(jacobian, -residual, config.linear_solver)
+            delta = linear_solve(jacobian, -residual)
         except SingularSystemError as exc:
             raise SingularSystemError(f"iteration {iteration}: {exc}") from exc
         if not np.all(np.isfinite(delta)):

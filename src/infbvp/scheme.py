@@ -152,29 +152,6 @@ class StructuredJacobian:
     def size(self) -> int:
         return (self.N + 1) * self.d
 
-    def to_dense(self) -> np.ndarray:
-        d, N = self.d, self.N
-        full = np.zeros((self.size, self.size))
-        for n in range(N):
-            rows = slice(n * d, (n + 1) * d)
-            full[rows, n * d:(n + 1) * d] = self.dU_n[n]
-            full[rows, (n + 1) * d:(n + 2) * d] = self.dU_next[n]
-        full[N * d:, :d] = self.dg_0
-        full[N * d:, N * d:] = self.dg_N
-        return full
-
-    def matvec(self, delta: np.ndarray) -> np.ndarray:
-        """Apply the Jacobian to a correction field of shape (N+1, d)."""
-        delta = np.asarray(delta, dtype=float)
-        d, N = self.d, self.N
-        if delta.shape != (N + 1, d):
-            raise ValueError(f"correction shape {delta.shape} does not match ({N + 1}, {d})")
-        out = np.empty((N + 1) * d)
-        for n in range(N):
-            out[n * d:(n + 1) * d] = self.dU_n[n] @ delta[n] + self.dU_next[n] @ delta[n + 1]
-        out[N * d:] = self.dg_0 @ delta[0] + self.dg_N @ delta[N]
-        return out
-
 
 def _fd_columns(residual_at, u_base: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Forward-difference derivative of residual_at(u) w.r.t. each entry
@@ -204,17 +181,14 @@ def _df_du_fd(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
 
 
 def _df_du_analytic(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
-    """problem.df_du at every midpoint in one call, as a C-contiguous
-    (N, d, d) array; a constant (d, d) answer is broadcast."""
+    """problem.df_du at every midpoint in one call, as an (N, d, d)
+    view; a constant (d, d) answer is broadcast."""
     N, d = u_mid.shape
     F = np.asarray(problem.df_du(x_mid, u_mid.T), dtype=float)
     if F.shape not in ((d, d), (d, d, N)):
         raise ValueError(f"df_du returned shape {F.shape}, expected ({d}, {d}, {N}) or ({d}, {d})")
-    # Transposed, (d, d, N) and (d, d) both broadcast to (N, d, d). The
-    # copy into C order matters: strided blocks make the bordered solve
-    # round differently, and its unstable elimination turns 1-ulp
-    # differences into different iteration counts on the alg map.
-    return np.ascontiguousarray(np.broadcast_to(F.T, (N, d, d)).transpose(0, 2, 1))
+    # Transposed, (d, d, N) and (d, d) both broadcast to (N, d, d).
+    return np.broadcast_to(F.T, (N, d, d)).transpose(0, 2, 1)
 
 
 def assemble_jacobian(problem, grid: QuasiUniformGrid, U, mode: str = "analytic",

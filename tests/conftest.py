@@ -1,8 +1,9 @@
-"""Shared manufactured problems with known exact solutions.
+"""Shared manufactured problems with known exact solutions, and the dense
+oracle of the structured Jacobian.
 
-Both problems decay to their limit exponentially, so they exercise the
-semi-infinite grids the way the built-in benchmarks do while keeping an
-analytic answer to compare against.
+Both decay problems approach their limit exponentially, so they exercise
+the semi-infinite grids the way the built-in benchmarks do while keeping
+an analytic answer to compare against.
 """
 
 import numpy as np
@@ -84,3 +85,28 @@ def toy_linear_problem():
                       df_du=lambda x, u: np.array([[-1.0]]),
                       dg=(np.array([[1.0]]), np.array([[0.0]])),
                       reports={"u0": lambda result: float(result.solution[0, 0])})
+
+
+def dense_jacobian(jac):
+    """The d*(N+1) square matrix of a StructuredJacobian: interval block
+    row n holds dU_n[n] and dU_next[n] in block columns n and n+1, the
+    boundary row holds dg_0 and dg_N in block columns 0 and N."""
+    d, N = jac.d, jac.N
+    full = np.zeros((jac.size, jac.size))
+    for n in range(N):
+        rows = slice(n * d, (n + 1) * d)
+        full[rows, n * d:(n + 1) * d] = jac.dU_n[n]
+        full[rows, (n + 1) * d:(n + 2) * d] = jac.dU_next[n]
+    full[N * d:, :d] = jac.dg_0
+    full[N * d:, N * d:] = jac.dg_N
+    return full
+
+
+def block_product(jac, delta):
+    """jac @ delta.ravel() for a correction field delta of shape (N+1, d),
+    one block row at a time."""
+    out = np.empty_like(delta)
+    out[:-1] = (np.einsum("nij,nj->ni", jac.dU_n, delta[:-1])
+                + np.einsum("nij,nj->ni", jac.dU_next, delta[1:]))
+    out[-1] = jac.dg_0 @ delta[0] + jac.dg_N @ delta[-1]
+    return out.ravel()

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import exact_decay_field, nonlinear_decay_problem
+from conftest import dense_jacobian, exact_decay_field, nonlinear_decay_problem
 from infbvp import (
     GridMap,
     SolverConfig,
@@ -55,6 +55,8 @@ PILE_PRINTED_N1280 = (1.421544, -0.808148)
 END_VALUE_GRIDS = (20, 40)
 
 LOG_MAP = GridMap("log", 5.0)
+ALG_MAP = GridMap("alg", 5.0)
+ALG_PILE_GRIDS = (160, 1280)
 
 
 def _verdict(number, ok, detail):
@@ -230,8 +232,8 @@ def test_criterion_7_property_battery():
         grid = build_grid(LOG_MAP, 12)
         for _ in range(3):
             field = rng.normal(scale=0.8, size=(13, problem.d))
-            analytic = assemble_jacobian(problem, grid, field, "analytic").to_dense()
-            numeric = assemble_jacobian(problem, grid, field, "fd").to_dense()
+            analytic = dense_jacobian(assemble_jacobian(problem, grid, field, "analytic"))
+            numeric = dense_jacobian(assemble_jacobian(problem, grid, field, "fd"))
             rel = (np.linalg.norm(analytic - numeric, "fro")
                    / np.linalg.norm(analytic, "fro"))
             checks.append(rel <= 1e-5)
@@ -280,3 +282,20 @@ def test_criterion_8_manufactured_convergence():
     _verdict(8, ok, f"report scalar decays at order {scalar_slope:.3f}, "
                     f"midpoint-equation defect at order {residual_slope:.3f} "
                     f"(both required within 2 +/- 0.2)")
+
+
+def test_criterion_9_pile_on_the_algebraic_map():
+    # the stronger stretching of the alg map grows the linearization's
+    # modes far faster over one interval than the log map does; a stable
+    # linear solve still lands on the same answer
+    u0, du0 = 1.421544, -0.8081479
+    details = []
+    ok = True
+    for n in ALG_PILE_GRIDS:
+        result = newton_solve(pile(P1=1.0, P2=0.5, P3=0.5), build_grid(ALG_MAP, n))
+        limit = max(40.0 / n**2, 1e-6)
+        errors = (abs(result.solution[0, 0] - u0), abs(result.solution[0, 1] - du0))
+        ok = ok and result.converged and result.iterations <= 8 and max(errors) <= limit
+        details.append(f"N={n} {result.iterations} iterations, errors "
+                       f"{errors[0]:.1e} / {errors[1]:.1e} (limit {limit:.1e})")
+    _verdict(9, ok, "pile on the alg map: " + "; ".join(details))

@@ -78,6 +78,23 @@ def test_solve_writes_node_table_and_summary():
     assert int(summary["iterations"]) <= 8
 
 
+def test_solving_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter that
+    # solves through the library and through the CLI must not pull scipy in
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import infbvp",
+        "from infbvp import GridMap, build_grid, cli, newton_solve, pile",
+        "assert newton_solve(pile(), build_grid(GridMap('log', 5.0), 40)).converged",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['solve', '--problem', 'falkner-skan', '--N', '40']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_solve_json_document():
     proc = run_cli("solve", "--problem", "falkner-skan", "--N", "20",
                    "--format", "json")

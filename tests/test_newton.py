@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import linear_decay_problem, toy_linear_problem
+from conftest import block_product, dense_jacobian, linear_decay_problem, toy_linear_problem
 from infbvp import (
-    DENSE_SIZE_LIMIT,
     BvpProblem,
     GridMap,
     SingularSystemError,
     SolverConfig,
     StructuredJacobian,
     assemble_jacobian,
+    assemble_residual,
     build_grid,
     falkner_skan,
     initial_field,
@@ -19,6 +19,7 @@ from infbvp import (
     newton_solve,
     pile,
 )
+from infbvp import newton
 
 
 def test_linear_system_converges_in_one_correction():
@@ -50,56 +51,101 @@ def test_increments_shrink_quadratically():
         assert fine <= 100.0 * coarse * coarse
 
 
-def test_bordered_and_dense_solvers_agree():
+def dense_linear_solve(jac, rhs):
+    """Oracle for linear_solve: LU with partial pivoting on the dense matrix."""
+    return np.linalg.solve(dense_jacobian(jac), rhs).reshape(jac.N + 1, jac.d)
+
+
+def test_linear_solve_matches_dense_oracle():
     problem = pile()
     grid = build_grid(GridMap("log", 5.0), 40)
     field = initial_field(problem, grid)
     jac = assemble_jacobian(problem, grid, field, "analytic")
     rng = np.random.default_rng(19)
     rhs = rng.normal(size=jac.size)
-    bordered = linear_solve(jac, rhs, "bordered")
-    dense = linear_solve(jac, rhs, "dense")
+    structured = linear_solve(jac, rhs)
+    dense = dense_linear_solve(jac, rhs)
     scale = np.max(np.abs(dense))
-    assert np.max(np.abs(bordered - dense)) <= 1e-10 * (1.0 + scale)
-    # and both are actual solutions of the linear system
-    assert jac.matvec(bordered) == pytest.approx(rhs, abs=1e-9 * (1.0 + scale))
+    assert np.max(np.abs(structured - dense)) <= 1e-10 * (1.0 + scale)
+    # and it is an actual solution of the linear system
+    assert dense_jacobian(jac) @ structured.ravel() == pytest.approx(rhs, abs=1e-9 * (1.0 + scale))
 
 
-def test_full_newton_identical_under_both_solvers():
+def test_full_newton_matches_dense_oracle(monkeypatch):
     problem = pile()
     grid = build_grid(GridMap("log", 5.0), 160)
-    via_bordered = newton_solve(problem, grid, config=SolverConfig(linear_solver="bordered"))
-    via_dense = newton_solve(problem, grid, config=SolverConfig(linear_solver="dense"))
-    assert via_bordered.converged and via_dense.converged
-    assert np.max(np.abs(via_bordered.solution - via_dense.solution)) <= 1e-10
+    structured = newton_solve(problem, grid)
+    monkeypatch.setattr(newton, "linear_solve", dense_linear_solve)
+    dense = newton_solve(problem, grid)
+    assert structured.converged and dense.converged
+    assert np.max(np.abs(structured.solution - dense.solution)) <= 1e-10
 
 
-def test_dense_solver_size_limit():
-    n_unknowns = DENSE_SIZE_LIMIT + 2
-    jac = StructuredJacobian(
-        dU_n=np.zeros((n_unknowns - 1, 1, 1)),
-        dU_next=np.zeros((n_unknowns - 1, 1, 1)),
-        dg_0=np.zeros((1, 1)), dg_N=np.zeros((1, 1)))
-    with pytest.raises(ValueError, match=str(DENSE_SIZE_LIMIT)):
-        linear_solve(jac, np.zeros(n_unknowns), "dense")
+def test_coupled_boundary_function_matches_dense_oracle(monkeypatch):
+    # u'' = u^2 + exp(-x) - exp(-2x) has the solution exp(-x); each row of
+    # this g mixes U_0 and U_N, and exp(-x) still satisfies both
+    def f(x, u):
+        return np.array([u[1], u[0] * u[0] + np.exp(-x) - np.exp(-2.0 * x)])
+
+    def g(u0, u_inf):
+        return np.array([u0[0] + u_inf[0] - 1.0, u_inf[0] + u0[0] * u0[0] + u0[1]])
+
+    problem = BvpProblem(name="coupled", d=2, f=f, g=g,
+                         initial_iterate=lambda x: np.array([0.5, 0.0]))
+    grid = build_grid(GridMap("log", 4.0), 80)
+    jac = assemble_jacobian(problem, grid, initial_field(problem, grid), "fd")
+    assert np.all(np.abs(jac.dg_0).sum(axis=1) > 0.0)
+    assert np.all(np.abs(jac.dg_N).sum(axis=1) > 0.0)
+    structured = newton_solve(problem, grid)
+    monkeypatch.setattr(newton, "linear_solve", dense_linear_solve)
+    dense = newton_solve(problem, grid)
+    assert structured.converged and dense.converged
+    assert structured.iterations == dense.iterations
+    assert np.max(np.abs(structured.solution - dense.solution)) <= 1e-10
+    assert structured.solution[0, 1] == pytest.approx(-1.0, abs=1e-2)
+
+
+def block_inf_norm(jac):
+    """Largest absolute row sum of the Jacobian."""
+    rows = np.abs(jac.dU_n).sum(axis=2) + np.abs(jac.dU_next).sum(axis=2)
+    boundary = np.abs(jac.dg_0).sum(axis=1) + np.abs(jac.dg_N).sum(axis=1)
+    return max(rows.max(), boundary.max())
+
+
+@pytest.mark.parametrize("N", [160, 1280])
+@pytest.mark.parametrize("kind", ["log", "alg"])
+@pytest.mark.parametrize("make_problem", [falkner_skan, pile], ids=["falkner-skan", "pile"])
+def test_linear_solve_is_backward_stable(make_problem, kind, N):
+    # at the initial iterate, on both maps the CLI offers; condensation
+    # onto delta_0 (discrete shooting) gives 5e-12 to 0.17 on these cases
+    problem = make_problem()
+    grid = build_grid(GridMap(kind, 5.0), N)
+    field = initial_field(problem, grid)
+    jac = assemble_jacobian(problem, grid, field, "analytic")
+    rhs = -assemble_residual(problem, grid, field)
+    delta = linear_solve(jac, rhs)
+    x_norm, b_norm = np.max(np.abs(delta)), np.max(np.abs(rhs))
+    backward = np.max(np.abs(block_product(jac, delta) - rhs)) / (block_inf_norm(jac) * x_norm + b_norm)
+    assert backward <= 1e-14
 
 
 def test_singular_interval_block_is_reported():
+    # no row couples the last node, so the end system cannot fix it
     jac = StructuredJacobian(
         dU_n=np.ones((2, 1, 1)),
         dU_next=np.zeros((2, 1, 1)),
         dg_0=np.eye(1), dg_N=np.zeros((1, 1)))
-    with pytest.raises(SingularSystemError, match="interval 0"):
-        linear_solve(jac, np.zeros(3), "bordered")
+    with pytest.raises(SingularSystemError, match="nodes 0 and 2"):
+        linear_solve(jac, np.zeros(3))
 
 
-def test_singular_dense_system_is_reported():
+def test_rank_deficient_pair_block_is_reported():
     jac = StructuredJacobian(
         dU_n=np.zeros((2, 1, 1)),
         dU_next=np.zeros((2, 1, 1)),
         dg_0=np.zeros((1, 1)), dg_N=np.zeros((1, 1)))
-    with pytest.raises(SingularSystemError):
-        linear_solve(jac, np.zeros(3), "dense")
+    with pytest.raises(SingularSystemError, match="node 1"):
+        linear_solve(jac, np.zeros(3))
 
 
 def test_singular_boundary_closure_names_the_iteration():
@@ -168,8 +214,6 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(jacobian_mode="symbolic")
-    with pytest.raises(ValueError):
-        SolverConfig(linear_solver="gauss")
 
 
 def test_initial_field_validation():
@@ -188,5 +232,3 @@ def test_linear_solve_rhs_validation():
     jac = assemble_jacobian(toy_linear_problem(), grid, np.zeros((4, 1)), "analytic")
     with pytest.raises(ValueError):
         linear_solve(jac, np.zeros(5))
-    with pytest.raises(ValueError):
-        linear_solve(jac, np.zeros(4), "cholesky")
