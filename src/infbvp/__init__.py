@@ -46,6 +46,7 @@ from .scheme import (
     assemble_residual,
     midpoint_derivative,
     midpoint_value,
+    prolong,
 )
 
 __version__ = "0.1.0"
@@ -77,6 +78,7 @@ __all__ = [
     "newton_solve",
     "observed_order",
     "pile",
+    "prolong",
     "report_scalar",
     "richardson_error",
 ]

@@ -19,7 +19,7 @@ from .grids import GridMap, build_grid
 from .newton import SingularSystemError, SolverConfig, newton_solve
 from .problems import PROBLEMS, report_scalar
 from .richardson import SweepSeries, extrapolate_table, observed_order
-from .scheme import EvaluationError
+from .scheme import EvaluationError, prolong
 
 __all__ = ["main", "run"]
 
@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
             "reports": {k: _json_safe(v) for k, v in reports.items()},
             "nodes": [
                 {"n": int(n), "x": _json_safe(float(x)),
-                 "u": [float(v) for v in row]}
+                 "u": [_json_safe(float(v)) for v in row]}
                 for n, x, row in zip(grid.indices, grid.nodes, result.solution)
             ],
         }
@@ -220,6 +220,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Solve on each grid of a doubling family and tabulate the report
+    scalars with observed orders.
+
+    The first grid starts from the problem's initial iterate; every later
+    grid starts from the previous grid's converged solution, prolonged to
+    the doubled grid with the stencil weights. A grid after a row that
+    failed or did not converge starts from the initial iterate again.
+    """
     problem = _make_problem(args)
     grid_map = _solver_grid_map(args)
     n_values = _parse_n_values(args.N)
@@ -230,15 +238,21 @@ def cmd_sweep(args) -> int:
     quantities = sorted(problem.reports)
 
     rows = []
+    previous = None  # (grid, solution) of the row before, if it converged
     for n in n_values:
+        grid = build_grid(grid_map, n)
+        initial = None if previous is None else prolong(*previous, config.continuation)
+        previous = None
         try:
-            result = newton_solve(problem, build_grid(grid_map, n), config=config)
+            result = newton_solve(problem, grid, initial=initial, config=config)
         except (EvaluationError, SingularSystemError) as exc:
             print(f"warning: N={n} failed: {exc}", file=sys.stderr)
             rows.append({"N": n, "iterations": None, "converged": False, "scalars": None})
             continue
         scalars = {q: report_scalar(problem, result, q) for q in quantities}
-        if not result.converged:
+        if result.converged:
+            previous = (grid, result.solution)
+        else:
             print(f"warning: N={n} did not converge in {result.iterations} iterations",
                   file=sys.stderr)
         rows.append({"N": n, "iterations": result.iterations,

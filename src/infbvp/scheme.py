@@ -33,6 +33,7 @@ __all__ = [
     "midpoint_derivative",
     "assemble_residual",
     "assemble_jacobian",
+    "prolong",
 ]
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -75,12 +76,13 @@ def midpoint_derivative(coeffs: StencilCoefficients, u_n, u_next):
     return (u_next - u_n) / coeffs.a
 
 
-def _check_field(problem, grid: QuasiUniformGrid, U) -> np.ndarray:
+def _check_field(grid: QuasiUniformGrid, U, d: int | None = None) -> np.ndarray:
+    """U as a float (N+1, d) array; d=None accepts any component count."""
     if grid.whole_line:
         raise ValueError("the discrete scheme supports semi-infinite grids only")
     U = np.asarray(U, dtype=float)
-    expected = (grid.N + 1, problem.d)
-    if U.shape != expected:
+    if U.ndim != 2 or U.shape[0] != grid.N + 1 or (d is not None and U.shape[1] != d):
+        expected = (grid.N + 1, "d" if d is None else d)
         raise ValueError(f"field shape {U.shape} does not match grid/problem shape {expected}")
     return U
 
@@ -107,12 +109,33 @@ def _eval_g(problem, u0: np.ndarray, u_inf: np.ndarray) -> np.ndarray:
     return gv
 
 
+def _midpoint_states(U: np.ndarray, b: np.ndarray, c_w: np.ndarray) -> np.ndarray:
+    """The scheme's midpoint states c_w*U_n + b*U_{n+1}, shape (N, d)."""
+    return c_w[:, None] * U[:-1] + b[:, None] * U[1:]
+
+
 def _midpoints(problem, grid: QuasiUniformGrid, U, continuation: bool):
     """Stencil arrays and the midpoint states u_mid of shape (N, d)."""
-    U = _check_field(problem, grid, U)
+    U = _check_field(grid, U, problem.d)
     a, b, c_w, x_mid = grid.stencil_arrays(continuation)
-    u_mid = c_w[:, None] * U[:-1] + b[:, None] * U[1:]
-    return U, a, b, c_w, x_mid, u_mid
+    return U, a, b, c_w, x_mid, _midpoint_states(U, b, c_w)
+
+
+def prolong(grid: QuasiUniformGrid, U, continuation: bool = True) -> np.ndarray:
+    """Carry a field on grid N over to the doubled grid 2N, shape (2N+1, d).
+
+    On doubling grids of one map node n of grid N is node 2n of grid 2N
+    and the new node 2n+1 is the coarse midpoint x_{n+1/2}. Even rows are
+    U unchanged; odd rows are the midpoint states the scheme itself uses,
+    c_w*U_n + b*U_{n+1}, so the last interval follows the continuation
+    rule (or b = 0 without it). Used as the fine grid's initial iterate.
+    """
+    U = _check_field(grid, U)
+    _, b, c_w, _ = grid.stencil_arrays(continuation)
+    fine = np.empty((2 * grid.N + 1, U.shape[1]))
+    fine[0::2] = U
+    fine[1::2] = _midpoint_states(U, b, c_w)
+    return fine
 
 
 def assemble_residual(problem, grid: QuasiUniformGrid, U, continuation: bool = True) -> np.ndarray:

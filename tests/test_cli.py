@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infbvp
-from infbvp import observed_order
+from infbvp import (PROBLEMS, EvaluationError, GridMap, SolveResult, SolverConfig, build_grid,
+                    cli, newton_solve, observed_order, report_scalar)
 
 EXE = [sys.executable, "-m", "infbvp"]
 # The child interpreter imports the same infbvp as this process, which
@@ -241,3 +243,86 @@ def test_usage_errors_exit_two():
     assert run_cli().returncode == 2
     assert run_cli("solve", "--problem", "unknown", "--N", "8").returncode == 2
     assert run_cli("solve", "--problem", "pile").returncode == 2
+
+
+def record_newton_solve(monkeypatch, raise_on=()):
+    """Replace cli.newton_solve by a recorder of (N, initial, result);
+    grids whose N is in raise_on raise EvaluationError instead."""
+    calls = []
+
+    def recorder(problem, grid, initial=None, config=None):
+        if grid.N in raise_on:
+            calls.append((grid.N, initial, None))
+            raise EvaluationError("injected failure", where=0)
+        result = newton_solve(problem, grid, initial=initial, config=config)
+        calls.append((grid.N, None if initial is None else initial.copy(), result))
+        return result
+
+    monkeypatch.setattr(cli, "newton_solve", recorder)
+    return calls
+
+
+def test_sweep_warm_starts_each_grid_from_the_previous_solution(monkeypatch, capsys):
+    calls = record_newton_solve(monkeypatch)
+    assert cli.main(["sweep", "--problem", "falkner-skan", "--N", "20,40,80"]) == 0
+    capsys.readouterr()
+    assert [n for n, _, _ in calls] == [20, 40, 80]
+    assert calls[0][1] is None
+    for (_, _, previous), (n, initial, _) in zip(calls, calls[1:]):
+        assert initial.shape == (n + 1, 3)
+        assert np.array_equal(initial[0::2], previous.solution)
+
+
+def test_sweep_starts_cold_after_a_nonconverged_row(monkeypatch, capsys):
+    calls = record_newton_solve(monkeypatch)
+    assert cli.main(["sweep", "--problem", "falkner-skan", "--N", "20,40",
+                     "--max-iter", "2"]) == 1
+    capsys.readouterr()
+    assert [(n, initial is None) for n, initial, _ in calls] == [(20, True), (40, True)]
+
+
+def test_sweep_starts_cold_after_a_failed_row(monkeypatch, capsys):
+    calls = record_newton_solve(monkeypatch, raise_on=(40,))
+    assert cli.main(["sweep", "--problem", "pile", "--N", "20,40,80,160"]) == 1
+    assert "N=40 failed" in capsys.readouterr().err
+    assert [n for n, _, _ in calls] == [20, 40, 80, 160]
+    assert calls[0][1] is None and calls[2][1] is None
+    assert calls[1][1].shape == (41, 4)
+    assert np.array_equal(calls[3][1][0::2], calls[2][2].solution)
+
+
+@pytest.mark.parametrize("jacobian", ["analytic", "fd"])
+@pytest.mark.parametrize("name", ["falkner-skan", "pile"])
+def test_warm_started_sweep_matches_cold_solves(name, jacobian, capsys):
+    ns = (20, 40, 80, 160)
+    assert cli.main(["sweep", "--problem", name, "--N", ",".join(map(str, ns)),
+                     "--jacobian", jacobian, "--raw"]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    header = rows[0]
+    problem = PROBLEMS[name]()
+    for n, row in zip(ns, rows[1:]):
+        cold = newton_solve(problem, build_grid(GridMap("log", 5.0), n),
+                            config=SolverConfig(jacobian_mode=jacobian))
+        assert int(row[0]) == n and row[2] == "true"
+        if n != ns[0]:
+            assert int(row[1]) <= 3
+        for q in problem.reports:
+            assert abs(float(row[header.index(q)]) - report_scalar(problem, cold, q)) <= 1e-10
+
+
+def test_solve_json_stays_valid_for_a_nonfinite_iterate(monkeypatch, capsys):
+    def diverged(problem, grid, initial=None, config=None):
+        solution = np.zeros((grid.N + 1, problem.d))
+        solution[1, 0], solution[2, 1], solution[3, 2] = np.inf, -np.inf, np.nan
+        return SolveResult(solution=solution, iterations=1, final_increment=np.inf,
+                           converged=False, increments=[np.inf])
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr(cli, "newton_solve", diverged)
+    assert cli.main(["solve", "--problem", "pile", "--N", "4", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["converged"] is False and doc["final_increment"] == "inf"
+    assert [node["u"][:3] for node in doc["nodes"][1:4]] == [
+        ["inf", 0.0, 0.0], [0.0, "-inf", 0.0], [0.0, 0.0, "nan"]]

@@ -24,6 +24,7 @@ from infbvp import (
     midpoint_value,
     newton_solve,
     pile,
+    prolong,
 )
 
 
@@ -288,3 +289,47 @@ def test_interval_block_derivative_formula():
     eye = np.eye(3)
     assert jac.dU_n[n] == pytest.approx(-eye - s.a * s.c_w * F, abs=1e-12)
     assert jac.dU_next[n] == pytest.approx(eye - s.a * s.b * F, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["log", "alg"])
+def test_doubled_grid_nests_the_coarse_grid(kind):
+    # the premise of prolong: grid 2N keeps every node of grid N at its
+    # even positions and puts the coarse midpoints x_{n+1/2} at its odd ones
+    for c in (1.0, 4.5, 5.0, 5.37, 5.5):
+        grid_map = GridMap(kind, c)
+        for N in [*range(2, 300), 640, 1280, 5120]:
+            coarse, fine = build_grid(grid_map, N), build_grid(grid_map, 2 * N)
+            assert np.array_equal(fine.nodes[0::2], coarse.nodes), (c, N)
+            assert np.array_equal(fine.nodes[1::2], coarse.fractional_nodes(0.5)), (c, N)
+
+
+@pytest.mark.parametrize("continuation", [True, False])
+@pytest.mark.parametrize("kind", ["log", "alg"])
+def test_prolong_fills_odd_rows_with_the_scheme_midpoint_states(kind, continuation):
+    seen = []
+    base = falkner_skan()
+
+    def recording_f(x, u):
+        seen.append(u.copy())
+        return base.f(x, u)
+
+    problem = dataclasses.replace(base, f=recording_f)
+    grid = build_grid(GridMap(kind, 5.0), 12)
+    field = np.random.default_rng(11).normal(size=(13, 3))
+    fine = prolong(grid, field, continuation)
+    assert fine.shape == (25, 3)
+    assert np.array_equal(fine[0::2], field)
+    assemble_residual(problem, grid, field, continuation)
+    assert np.array_equal(fine[1::2], seen[0].T)
+    # the last odd row sits on the interval that ends at infinity
+    if not continuation:
+        assert np.array_equal(fine[-2], field[-2])
+
+
+def test_prolong_rejects_mismatched_fields():
+    grid = build_grid(GridMap("log", 5.0), 6)
+    for bad in (np.zeros((6, 3)), np.zeros((8, 3)), np.zeros(7), np.zeros((7, 3, 1))):
+        with pytest.raises(ValueError):
+            prolong(grid, bad)
+    with pytest.raises(ValueError):
+        prolong(build_grid(GridMap("tan", 1.0), 6), np.zeros((13, 3)))
