@@ -13,7 +13,6 @@ from .grids import (
     GridMap,
     MapKind,
     QuasiUniformGrid,
-    StencilCoefficients,
     build_grid,
 )
 from .newton import (
@@ -44,8 +43,6 @@ from .scheme import (
     StructuredJacobian,
     assemble_jacobian,
     assemble_residual,
-    midpoint_derivative,
-    midpoint_value,
     prolong,
 )
 
@@ -63,7 +60,6 @@ __all__ = [
     "SingularSystemError",
     "SolveResult",
     "SolverConfig",
-    "StencilCoefficients",
     "StructuredJacobian",
     "SweepSeries",
     "assemble_jacobian",
@@ -73,8 +69,6 @@ __all__ = [
     "falkner_skan",
     "initial_field",
     "linear_solve",
-    "midpoint_derivative",
-    "midpoint_value",
     "newton_solve",
     "observed_order",
     "pile",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -28,39 +29,69 @@ EXIT_SOLVER = 1
 EXIT_USAGE = 2
 
 
-def _fmt(value, decimals: int, raw: bool) -> str:
+class _FullPrecision(float):
+    """A float that CSV output prints at 17 significant digits whatever
+    --decimals says: the stopping increment, read against --tol."""
+
+
+def _cell(value, float_format: str) -> str:
+    """The one CSV cell rule: None is empty, bools are true/false, floats
+    follow float_format (inf, -inf and nan print as those tokens) and
+    anything else prints as str()."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".17g") if raw else f"{value:.{decimals}f}"
+        return ("%.17g" if isinstance(value, _FullPrecision) else float_format) % value
     return str(value)
 
 
+def _csv_text(rows, args) -> str:
+    float_format = "%.17g" if args.raw else f"%.{args.decimals}f"
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([_cell(value, float_format) for value in row] for row in rows)
+    return buffer.getvalue()
+
+
 def _json_safe(value):
-    """JSON has no inf/nan literals; fall back to the CSV tokens."""
+    """JSON has no inf/nan literals: non-finite floats, at any depth,
+    become the CSV tokens inf/-inf/nan."""
     if isinstance(value, float) and not math.isfinite(value):
-        return _fmt(value, 0, True)
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
     return value
 
 
-def _write_rows(rows, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as handle:
-            csv.writer(handle).writerows(rows)
+def _emit(args, doc: dict, rows, summary=()) -> None:
+    """Write a command's output: doc as JSON (indent 2) or rows as CSV,
+    to --out or to stdout. The CSV summary rows always go to stdout,
+    after a blank line when the table went there too."""
+    if args.format == "json":
+        text = json.dumps(_json_safe(doc), indent=2) + "\n"
     else:
-        csv.writer(sys.stdout).writerows(rows)
+        text = _csv_text(rows, args)
+    if args.out:
+        with open(args.out, "w", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    if summary and args.format == "csv":
+        sys.stdout.write(("" if args.out else "\n") + _csv_text(summary, args))
 
 
-def _write_text(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _decimals(text: str) -> int:
+    """--decimals: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _parse_n_values(spec: str) -> list[int]:
@@ -80,12 +111,8 @@ def _make_problem(args):
     return factory(P1=args.P1, P2=args.P2, P3=args.P3)
 
 
-def _make_map(args) -> GridMap:
-    return GridMap(args.map, args.c)
-
-
 def _solver_grid_map(args) -> GridMap:
-    grid_map = _make_map(args)
+    grid_map = GridMap(args.map, args.c)
     if grid_map.whole_line:
         raise ValueError("the tan map builds whole-line grids, which have no solver support")
     return grid_map
@@ -131,7 +158,7 @@ def _add_solver_options(parser) -> None:
 def _add_output_options(parser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", default=None, help="write to this file instead of stdout")
-    parser.add_argument("--decimals", type=int, default=6,
+    parser.add_argument("--decimals", type=_decimals, default=6,
                         help="table-mode decimal places (default 6)")
     parser.add_argument("--raw", action="store_true",
                         help="serialize floats at full precision (17 significant digits)")
@@ -176,46 +203,23 @@ def cmd_solve(args) -> int:
     grid = build_grid(grid_map, n_values[0])
     result = newton_solve(problem, grid, config=_make_config(args))
     reports = {name: report_scalar(problem, result, name) for name in sorted(problem.reports)}
-
-    if args.format == "json":
-        doc = {
-            "problem": problem.name,
-            "map": grid_map.kind.value,
-            "c": grid_map.c,
-            "N": grid.N,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final_increment": _json_safe(result.final_increment),
-            "reports": {k: _json_safe(v) for k, v in reports.items()},
-            "nodes": [
-                {"n": int(n), "x": _json_safe(float(x)),
-                 "u": [_json_safe(float(v)) for v in row]}
-                for n, x, row in zip(grid.indices, grid.nodes, result.solution)
-            ],
-        }
-        _write_text(json.dumps(doc, indent=2), args.out)
-    else:
-        header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
-        rows = [header]
-        for n, x, row in zip(grid.indices, grid.nodes, result.solution):
-            rows.append([str(int(n)), _fmt(float(x), args.decimals, args.raw)]
-                        + [_fmt(float(v), args.decimals, args.raw) for v in row])
-        _write_rows(rows, args.out)
-        summary = [["key", "value"],
-                   ["problem", problem.name],
-                   ["map", grid_map.kind.value],
-                   ["c", _fmt(grid_map.c, args.decimals, args.raw)],
-                   ["N", str(grid.N)],
-                   ["converged", _fmt(result.converged, 0, False)],
-                   ["iterations", str(result.iterations)],
-                   ["final_increment", _fmt(result.final_increment, 0, True)]]
-        summary += [[name, _fmt(value, args.decimals, args.raw)]
-                    for name, value in reports.items()]
-        if args.out:
-            csv.writer(sys.stdout).writerows(summary)
-        else:
-            sys.stdout.write("\n")
-            csv.writer(sys.stdout).writerows(summary)
+    nodes = list(zip(grid.indices.tolist(), grid.nodes.tolist(), result.solution.tolist()))
+    doc = {
+        "problem": problem.name,
+        "map": grid_map.kind.value,
+        "c": grid_map.c,
+        "N": grid.N,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "final_increment": _FullPrecision(result.final_increment),
+        "reports": reports,
+        "nodes": [{"n": n, "x": x, "u": u} for n, x, u in nodes],
+    }
+    header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
+    summary = [("key", "value")]
+    summary += [(key, value) for key, value in doc.items() if key not in ("reports", "nodes")]
+    summary += reports.items()
+    _emit(args, doc, [header] + [[n, x, *u] for n, x, u in nodes], summary)
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
@@ -237,9 +241,12 @@ def cmd_sweep(args) -> int:
     config = _make_config(args)
     quantities = sorted(problem.reports)
 
-    rows = []
+    records = []  # one output row per grid; None where a value is undefined
     previous = None  # (grid, solution) of the row before, if it converged
     for n in n_values:
+        record = {"N": n, "iterations": None, "converged": False}
+        record.update((key, None) for q in quantities for key in (q, f"{q}_order"))
+        records.append(record)
         grid = build_grid(grid_map, n)
         initial = None if previous is None else prolong(*previous, config.continuation)
         previous = None
@@ -247,60 +254,31 @@ def cmd_sweep(args) -> int:
             result = newton_solve(problem, grid, initial=initial, config=config)
         except (EvaluationError, SingularSystemError) as exc:
             print(f"warning: N={n} failed: {exc}", file=sys.stderr)
-            rows.append({"N": n, "iterations": None, "converged": False, "scalars": None})
             continue
-        scalars = {q: report_scalar(problem, result, q) for q in quantities}
+        record.update(iterations=result.iterations, converged=result.converged)
+        record.update((q, report_scalar(problem, result, q)) for q in quantities)
         if result.converged:
             previous = (grid, result.solution)
         else:
             print(f"warning: N={n} did not converge in {result.iterations} iterations",
                   file=sys.stderr)
-        rows.append({"N": n, "iterations": result.iterations,
-                     "converged": result.converged, "scalars": scalars})
 
     # Orders against the finest grid, computed from values rounded at the
     # table precision (what a printed table shows); the first and finest
     # rows have no entry.
-    orders: dict[str, list[float | None]] = {q: [None] * len(rows) for q in quantities}
     for q in quantities:
-        shown = [None if row["scalars"] is None else round(row["scalars"][q], args.decimals)
-                 for row in rows]
+        shown = [None if record[q] is None else round(record[q], args.decimals)
+                 for record in records]
         ref = shown[-1]
         if ref is None:
             continue
-        for i in range(1, len(rows) - 1):
+        for i in range(1, len(records) - 1):
             if shown[i - 1] is not None and shown[i] is not None:
-                orders[q][i] = observed_order(shown[i - 1], shown[i], ref)
+                records[i][f"{q}_order"] = observed_order(shown[i - 1], shown[i], ref)
 
-    if args.format == "json":
-        doc_rows = []
-        for i, row in enumerate(rows):
-            entry = {"N": row["N"], "iterations": row["iterations"],
-                     "converged": row["converged"]}
-            for q in quantities:
-                entry[q] = None if row["scalars"] is None else _json_safe(row["scalars"][q])
-                entry[f"{q}_order"] = (None if orders[q][i] is None
-                                       else _json_safe(orders[q][i]))
-            doc_rows.append(entry)
-        _write_text(json.dumps({"problem": problem.name, "rows": doc_rows}, indent=2),
-                    args.out)
-    else:
-        header = ["N", "iterations", "converged"]
-        for q in quantities:
-            header += [q, f"{q}_order"]
-        out_rows = [header]
-        for i, row in enumerate(rows):
-            line = [str(row["N"]),
-                    "" if row["iterations"] is None else str(row["iterations"]),
-                    _fmt(row["converged"], 0, False)]
-            for q in quantities:
-                line.append("" if row["scalars"] is None
-                            else _fmt(row["scalars"][q], args.decimals, args.raw))
-                line.append("" if orders[q][i] is None
-                            else _fmt(orders[q][i], args.decimals, args.raw))
-            out_rows.append(line)
-        _write_rows(out_rows, args.out)
-    return EXIT_OK if all(row["converged"] for row in rows) else EXIT_SOLVER
+    _emit(args, {"problem": problem.name, "rows": records},
+          [list(records[0])] + [list(record.values()) for record in records])
+    return EXIT_OK if all(record["converged"] for record in records) else EXIT_SOLVER
 
 
 def _read_sweep_column(path: str, quantity: str):
@@ -336,53 +314,34 @@ def cmd_extrapolate(args) -> int:
     ns, values = _read_sweep_column(args.input, args.quantity)
     series = SweepSeries(quantity=args.quantity, ns=tuple(ns), values=tuple(values))
     table = extrapolate_table(series, print_decimals=args.decimals)
-
-    if args.format == "json":
-        doc = {
-            "quantity": args.quantity,
-            "print_decimals": table.print_decimals,
-            "stop_rule": table.stop_rule,
-            "ns": list(table.ns),
-            "columns": [list(col) for col in table.columns],
-        }
-        _write_text(json.dumps(doc, indent=2), args.out)
-    else:
-        header = ["N"] + [f"T{k}" for k in range(len(table.columns))]
-        out_rows = [header]
-        for i, n in enumerate(table.ns):
-            line = [str(n)]
-            for k in range(len(table.columns)):
-                value = table.cell(i, k)
-                line.append("" if value is None else _fmt(value, args.decimals, args.raw))
-            out_rows.append(line)
-        _write_rows(out_rows, args.out)
+    doc = {
+        "quantity": args.quantity,
+        "print_decimals": table.print_decimals,
+        "stop_rule": table.stop_rule,
+        "ns": table.ns,
+        "columns": table.columns,
+    }
+    ks = range(len(table.columns))
+    rows = [["N"] + [f"T{k}" for k in ks]]
+    rows += [[n] + [table.cell(i, k) for k in ks] for i, n in enumerate(table.ns)]
+    _emit(args, doc, rows)
     return EXIT_OK
 
 
 def cmd_grid(args) -> int:
-    grid_map = _make_map(args)
+    grid_map = GridMap(args.map, args.c)
     n_values = _parse_n_values(args.N)
     if len(n_values) != 1:
         raise ValueError("grid takes a single --N")
     grid = build_grid(grid_map, n_values[0])
-
-    if args.format == "json":
-        doc = {
-            "map": grid_map.kind.value,
-            "c": grid_map.c,
-            "N": grid.N,
-            "nodes": [
-                {"n": int(n), "xi": float(p), "x": _json_safe(float(x))}
-                for n, p, x in zip(grid.indices, grid.uniform_params, grid.nodes)
-            ],
-        }
-        _write_text(json.dumps(doc, indent=2), args.out)
-    else:
-        out_rows = [["n", "xi", "x"]]
-        for n, p, x in zip(grid.indices, grid.uniform_params, grid.nodes):
-            out_rows.append([str(int(n)), _fmt(float(p), args.decimals, args.raw),
-                             _fmt(float(x), args.decimals, args.raw)])
-        _write_rows(out_rows, args.out)
+    nodes = list(zip(grid.indices.tolist(), grid.uniform_params.tolist(), grid.nodes.tolist()))
+    doc = {
+        "map": grid_map.kind.value,
+        "c": grid_map.c,
+        "N": grid.N,
+        "nodes": [{"n": n, "xi": xi, "x": x} for n, xi, x in nodes],
+    }
+    _emit(args, doc, [("n", "xi", "x"), *nodes])
     return EXIT_OK
 
 

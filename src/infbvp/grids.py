@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "MapKind",
     "GridMap",
-    "StencilCoefficients",
     "QuasiUniformGrid",
     "build_grid",
 ]
@@ -81,27 +80,6 @@ class GridMap:
             return np.where(xi == 1.0, np.inf,
                             self.c * xi / np.where(den == 0.0, 1.0, den))
 
-    def __call__(self, xi: float) -> float:
-        return float(self.values(float(xi)))
-
-
-@dataclass(frozen=True)
-class StencilCoefficients:
-    """Midpoint formula coefficients for one grid interval.
-
-    a is the derivative denominator 2*(x_{n+3/4} - x_{n+1/4}); b and c_w
-    are the interpolation weights of U_{n+1} and U_n, with b + c_w = 1
-    exactly. On the last interval the literal weights degenerate to
-    b = 0, c_w = 1 because x_{n+1} is infinite; the continuation rule
-    copies the previous interval's weights instead, keeping the unknown
-    at the infinity node coupled to the rest of the system.
-    """
-
-    a: float
-    b: float
-    c_w: float
-    n: int
-
 
 @dataclass(frozen=True, eq=False)
 class QuasiUniformGrid:
@@ -130,56 +108,28 @@ class QuasiUniformGrid:
     def uniform_params(self) -> np.ndarray:
         return self.indices / self.N
 
-    def _interval_range(self) -> tuple[int, int]:
-        lo = -self.N if self.whole_line else 0
-        return lo, self.N - 1
-
-    def fractional_node(self, n: int, alpha: float) -> float:
-        """Coordinate x_{n+alpha}, recomputed from the map, never
-        interpolated from stored nodes. Finite for every interval."""
-        lo, hi = self._interval_range()
-        if not lo <= n <= hi:
-            raise ValueError(f"interval index {n} outside [{lo}, {hi}]")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"fractional offset must lie in (0, 1), got {alpha}")
-        return self.map((n + alpha) / self.N)
-
     def fractional_nodes(self, alpha: float) -> np.ndarray:
-        """x_{n+alpha} for every interval at once."""
+        """x_{n+alpha} for every interval at once, recomputed from the map
+        rather than interpolated from stored nodes; finite on every
+        interval, the last one included."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"fractional offset must lie in (0, 1), got {alpha}")
-        lo, hi = self._interval_range()
-        n = np.arange(lo, hi + 1)
-        return self.map.values((n + alpha) / self.N)
-
-    def stencil(self, n: int, continuation: bool = True) -> StencilCoefficients:
-        """Difference coefficients for interval n.
-
-        With continuation=True (the default) the last interval reuses the
-        interpolation weights of the interval before it; with False it
-        keeps the literal degenerate weights b = 0, c_w = 1.
-        """
-        if self.whole_line:
-            raise ValueError("difference stencils are defined on semi-infinite grids only")
-        if not 0 <= n <= self.N - 1:
-            raise ValueError(f"interval index {n} outside [0, {self.N - 1}]")
-        a = 2.0 * (self.fractional_node(n, 0.75) - self.fractional_node(n, 0.25))
-        if n <= self.N - 2:
-            b = self._interior_weight(n)
-        elif continuation:
-            b = self._interior_weight(self.N - 2)
-        else:
-            b = 0.0
-        return StencilCoefficients(a=a, b=b, c_w=1.0 - b, n=n)
-
-    def _interior_weight(self, n: int) -> float:
-        x_n = float(self.nodes[n])
-        x_next = float(self.nodes[n + 1])
-        return (self.fractional_node(n, 0.5) - x_n) / (x_next - x_n)
+        return self.map.values((self.indices[:-1] + alpha) / self.N)
 
     def stencil_arrays(self, continuation: bool = True):
-        """Vectorized stencil data: arrays (a, b, c_w, x_mid) over all
-        intervals. Matches stencil() entry by entry."""
+        """Midpoint formula coefficients (a, b, c_w, x_mid), each an array
+        with one entry per interval n = 0..N-1.
+
+        a = 2*(x_{n+3/4} - x_{n+1/4}) is the derivative denominator and
+        x_mid = x_{n+1/2}; b and c_w are the interpolation weights of
+        U_{n+1} and U_n, with b + c_w = 1 exactly. On the last interval
+        the literal weights degenerate to b = 0, c_w = 1 because x_N is
+        infinite; continuation=True (the default) copies the previous
+        interval's weights instead, keeping the unknown at the infinity
+        node coupled to the rest of the system, and continuation=False
+        keeps the literal weights. Only fractional nodes and finite nodes
+        enter, so every entry is finite.
+        """
         if self.whole_line:
             raise ValueError("difference stencils are defined on semi-infinite grids only")
         N = self.N

@@ -15,8 +15,7 @@ output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 __all__ = [
     "SweepSeries",
@@ -59,7 +58,6 @@ class SweepSeries:
     quantity: str
     ns: tuple[int, ...]
     values: tuple[float, ...]
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         ns = tuple(int(n) for n in self.ns)
@@ -103,10 +101,6 @@ class ExtrapolationTable:
             return None
         entries = self.columns[col]
         return entries[row - col] if row - col < len(entries) else None
-
-    @property
-    def final_value(self) -> float:
-        return self.columns[-1][-1]
 
 
 def extrapolate_table(series: SweepSeries, print_decimals: int = 6) -> ExtrapolationTable:

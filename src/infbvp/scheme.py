@@ -5,7 +5,7 @@ node is an ordinary finite unknown. Interval n contributes the d equations
 
     U_{n+1} - U_n - a * f(x_{n+1/2}, b*U_{n+1} + c_w*U_n) = 0
 
-with the coefficients of grids.StencilCoefficients, and the boundary
+with the coefficients of QuasiUniformGrid.stencil_arrays, and the boundary
 function g(U_0, U_N) supplies the final d equations. Residual entries are
 ordered interval-major with the boundary block last. No formula ever reads
 the infinite coordinate x_N: midpoints and stencil coefficients come from
@@ -23,14 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import QuasiUniformGrid, StencilCoefficients
+from .grids import QuasiUniformGrid
 
 __all__ = [
     "EvaluationError",
     "MissingDerivativeError",
     "StructuredJacobian",
-    "midpoint_value",
-    "midpoint_derivative",
     "assemble_residual",
     "assemble_jacobian",
     "prolong",
@@ -53,27 +51,6 @@ class EvaluationError(ValueError):
 class MissingDerivativeError(ValueError):
     """Analytic Jacobian requested for a problem without closed-form
     derivatives."""
-
-
-def midpoint_value(coeffs: StencilCoefficients, u_n, u_next):
-    """Interpolate the interval midpoint value c_w*u_n + b*u_next.
-
-    Exact for data affine in x on interior intervals.
-    """
-    u_n = np.asarray(u_n, dtype=float)
-    u_next = np.asarray(u_next, dtype=float)
-    if u_n.shape != u_next.shape:
-        raise ValueError(f"mismatched value shapes {u_n.shape} and {u_next.shape}")
-    return coeffs.c_w * u_n + coeffs.b * u_next
-
-
-def midpoint_derivative(coeffs: StencilCoefficients, u_n, u_next):
-    """First derivative at the interval midpoint, (u_next - u_n)/a."""
-    u_n = np.asarray(u_n, dtype=float)
-    u_next = np.asarray(u_next, dtype=float)
-    if u_n.shape != u_next.shape:
-        raise ValueError(f"mismatched value shapes {u_n.shape} and {u_next.shape}")
-    return (u_next - u_n) / coeffs.a
 
 
 def _check_field(grid: QuasiUniformGrid, U, d: int | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command line interface: formats, exit codes, round trips."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -326,3 +327,148 @@ def test_solve_json_stays_valid_for_a_nonfinite_iterate(monkeypatch, capsys):
     assert doc["converged"] is False and doc["final_increment"] == "inf"
     assert [node["u"][:3] for node in doc["nodes"][1:4]] == [
         ["inf", 0.0, 0.0], [0.0, "-inf", 0.0], [0.0, 0.0, "nan"]]
+
+
+def run_main(capsys, *argv):
+    """cli.main in-process; returns (exit code, stdout, stderr) with the
+    line endings exactly as written."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+EXTRAPOLATE_INPUT = "N,u0\n40,1.421243\n80,1.421469\n160,1.421526\n"
+
+SOLVE_PILE_8_TABLE = (
+    "n,x,u1,u2,u3,u4\r\n"
+    "0,0.000000,1.413440,-0.802084,0.000000,0.500000\r\n"
+    "1,0.667657,0.903293,-0.725228,0.238436,0.205209\r\n"
+    "2,1.438410,0.423531,-0.513382,0.315040,-0.014598\r\n"
+    "3,2.350018,0.069525,-0.253046,0.254553,-0.123331\r\n"
+    "4,3.465736,-0.100213,-0.040325,0.120487,-0.117410\r\n"
+    "5,4.904146,-0.096367,0.052342,0.000421,-0.045223\r\n"
+    "6,6.931472,-0.018523,0.022207,-0.033911,0.017301\r\n"
+    "7,10.397208,0.020690,-0.003220,0.029587,0.021085\r\n"
+    "8,inf,-0.000000,-0.000000,-0.040994,-0.045197\r\n")
+SOLVE_PILE_8_SUMMARY = (
+    "key,value\r\nproblem,pile\r\nmap,log\r\nc,5.000000\r\nN,8\r\nconverged,true\r\n"
+    "iterations,5\r\nfinal_increment,2.1153046145578702e-09\r\ndu0,-0.802084\r\n"
+    "u0,1.413440\r\n")
+
+# argv ("{input}" is the extrapolate input file, "{out}" an --out path),
+# expected stdout, expected --out file contents or None
+FROZEN_OUTPUT = {
+    "grid-csv": (
+        ["grid", "--map", "log", "--c", "5", "--N", "4"],
+        "n,xi,x\r\n0,0.000000,0.000000\r\n1,0.250000,1.438410\r\n2,0.500000,3.465736\r\n"
+        "3,0.750000,6.931472\r\n4,1.000000,inf\r\n", None),
+    "grid-json": (
+        ["grid", "--map", "log", "--c", "5", "--N", "4", "--format", "json"],
+        '{\n  "map": "log",\n  "c": 5.0,\n  "N": 4,\n  "nodes": [\n'
+        '    {\n      "n": 0,\n      "xi": 0.0,\n      "x": 0.0\n    },\n'
+        '    {\n      "n": 1,\n      "xi": 0.25,\n      "x": 1.4384103622589044\n    },\n'
+        '    {\n      "n": 2,\n      "xi": 0.5,\n      "x": 3.4657359027997265\n    },\n'
+        '    {\n      "n": 3,\n      "xi": 0.75,\n      "x": 6.931471805599453\n    },\n'
+        '    {\n      "n": 4,\n      "xi": 1.0,\n      "x": "inf"\n    }\n  ]\n}\n', None),
+    "grid-raw": (
+        ["grid", "--map", "tan", "--c", "2", "--N", "2", "--raw"],
+        "n,xi,x\r\n-2,-1,-inf\r\n-1,-0.5,-1.9999999999999998\r\n0,0,0\r\n"
+        "1,0.5,1.9999999999999998\r\n2,1,inf\r\n", None),
+    "extrapolate-csv": (
+        ["extrapolate", "{input}", "--quantity", "u0"],
+        "N,T0,T1,T2\r\n40,1.421243,,\r\n80,1.421469,1.421544,\r\n"
+        "160,1.421526,1.421545,1.421545\r\n", None),
+    "extrapolate-json": (
+        ["extrapolate", "{input}", "--quantity", "u0", "--format", "json"],
+        '{\n  "quantity": "u0",\n  "print_decimals": 6,\n  "stop_rule": "nest",\n'
+        '  "ns": [\n    40,\n    80,\n    160\n  ],\n  "columns": [\n'
+        '    [\n      1.421243,\n      1.421469,\n      1.421526\n    ],\n'
+        '    [\n      1.4215443333333333,\n      1.421545\n    ],\n'
+        '    [\n      1.4215450952380952\n    ]\n  ]\n}\n', None),
+    "solve-stdout": (
+        ["solve", "--problem", "pile", "--N", "8"],
+        SOLVE_PILE_8_TABLE + "\n" + SOLVE_PILE_8_SUMMARY, None),
+    "solve-out": (
+        ["solve", "--problem", "pile", "--N", "8", "--out", "{out}"],
+        SOLVE_PILE_8_SUMMARY, SOLVE_PILE_8_TABLE),
+    "sweep-csv": (
+        ["sweep", "--problem", "pile", "--N", "20,40"],
+        "N,iterations,converged,du0,du0_order,u0,u0_order\r\n"
+        "20,5,true,-0.807289,,1.420337,\r\n40,2,true,-0.807934,,1.421243,\r\n", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_OUTPUT))
+def test_output_bytes_are_frozen(case, tmp_path, capsys):
+    argv, stdout, file_text = FROZEN_OUTPUT[case]
+    source, out = tmp_path / "sweep.csv", tmp_path / "out.csv"
+    source.write_text(EXTRAPOLATE_INPUT)
+    argv = [arg.format(input=source, out=out) for arg in argv]
+    assert run_main(capsys, *argv) == (0, stdout, "")
+    if file_text is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == file_text.encode()
+
+
+def test_extrapolate_json_stays_valid_for_nonfinite_input(tmp_path, capsys):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    source = tmp_path / "sweep.csv"
+    source.write_text("N,q\n20,1.0\n40,inf\n80,1.2\n")
+    code, out, _ = run_main(capsys, "extrapolate", str(source), "--quantity", "q",
+                            "--format", "json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["columns"] == [[1.0, "inf", 1.2], ["inf", "-inf"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "pile", "--N", "8"],
+    ["sweep", "--problem", "pile", "--N", "8,16"],
+    ["extrapolate", "sweep.csv", "--quantity", "u0"],
+    ["grid", "--N", "4"],
+])
+def test_negative_decimals_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--decimals", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--decimals" in captured.err
+
+
+def test_trace_hooks_find_the_names_they_patch(tmp_path, monkeypatch, capsys):
+    # perfbench/tracing.py rebinds CLI, Newton and grid names by attribute;
+    # renaming one of them would make the traced benchmark run raise
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
+    tracing = importlib.import_module("tracing")
+    from infbvp import grids, newton, problems
+
+    patched = [(cli, "main"), (cli, "build_grid"), (cli, "newton_solve"),
+               (cli, "extrapolate_table"), (grids, "build_grid"),
+               (grids.QuasiUniformGrid, "stencil_arrays"), (newton, "initial_field"),
+               (newton, "assemble_residual"), (newton, "assemble_jacobian"),
+               (newton, "linear_solve"), (newton, "newton_solve"),
+               (problems, "falkner_skan"), (problems, "pile")]
+    originals = [getattr(owner, attr) for owner, attr in patched]
+    factories = dict(problems.PROBLEMS)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        sweep = tmp_path / "sweep.csv"
+        assert cli.main(["solve", "--problem", "pile", "--N", "8"]) == 0
+        assert cli.main(["sweep", "--problem", "pile", "--N", "8,16", "--raw",
+                         "--out", str(sweep)]) == 0
+        assert cli.main(["extrapolate", str(sweep), "--quantity", "u0"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "newton.solve", "scheme.residual", "scheme.jacobian",
+            "newton.linear", "grids.build", "grids.stencil", "problems.initial_field",
+            "richardson.extrapolate"} <= names
+    assert all(getattr(owner, attr) is original
+               for (owner, attr), original in zip(patched, originals))
+    assert problems.PROBLEMS == factories

@@ -88,7 +88,7 @@ def test_extrapolation_stops_when_column_entries_repeat():
     assert tuple(len(col) for col in table.columns) == (3, 2)
     assert round(table.cell(1, 1), 6) == 1.232588
     assert round(table.cell(2, 1), 6) == 1.232588
-    assert round(table.final_value, 6) == 1.232588
+    assert round(table.columns[-1][-1], 6) == 1.232588
 
 
 def test_extrapolation_stops_when_column_repeats_parent():
@@ -114,7 +114,7 @@ def test_extrapolation_recovers_power_law_limit():
     table = extrapolate_table(SweepSeries("q", (10, 20, 40, 80), values),
                               print_decimals=12)
     assert table.stop_rule == "iterate"
-    assert table.final_value == pytest.approx(limit, abs=1e-10)
+    assert table.columns[-1][-1] == pytest.approx(limit, abs=1e-10)
 
 
 def test_table_cell_geometry():

@@ -13,15 +13,12 @@ from infbvp import (
     GridMap,
     MissingDerivativeError,
     QuasiUniformGrid,
-    StencilCoefficients,
     StructuredJacobian,
     assemble_jacobian,
     assemble_residual,
     build_grid,
     falkner_skan,
     initial_field,
-    midpoint_derivative,
-    midpoint_value,
     newton_solve,
     pile,
     prolong,
@@ -29,47 +26,34 @@ from infbvp import (
 
 
 def test_midpoint_value_is_exact_for_affine_data():
+    # the odd rows of prolong are the scheme's midpoint states
     grid = build_grid(GridMap("log", 5.0), 16)
     slope, offset = 2.0, -3.0
-    u = slope * grid.nodes + offset
-    for n in range(15):  # interior intervals have finite endpoints
-        s = grid.stencil(n)
-        got = midpoint_value(s, np.array([u[n]]), np.array([u[n + 1]]))
-        want = slope * grid.fractional_node(n, 0.5) + offset
-        assert got[0] == pytest.approx(want, abs=1e-12)
+    u = slope * grid.nodes[:, None] + offset
+    got = prolong(grid, u)[1::2, 0]
+    want = slope * grid.fractional_nodes(0.5) + offset
+    # interior intervals have finite endpoints
+    assert got[:15] == pytest.approx(want[:15], abs=1e-12)
 
 
-def test_midpoint_value_shape_mismatch():
-    s = build_grid(GridMap("log", 5.0), 4).stencil(0)
-    with pytest.raises(ValueError):
-        midpoint_value(s, np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        midpoint_derivative(s, np.zeros(2), np.zeros(3))
+CONSTANT = BvpProblem(
+    name="constant", d=1,
+    f=lambda x, u: np.zeros_like(u),
+    g=lambda u0, u_inf: u0 - u_inf,
+    initial_iterate=lambda x: np.zeros(1))
 
 
 def test_midpoint_derivative_exact_for_constants():
+    # with f = 0 each interval row is the difference U_{n+1} - U_n
     grid = build_grid(GridMap("alg", 2.0), 10)
-    u = np.full(1, 4.2)
-    for n in range(10):  # includes the last interval
-        s = grid.stencil(n)
-        assert midpoint_derivative(s, u, u)[0] == 0.0
-
-
-def test_midpoint_derivative_difference_quotient():
-    s = StencilCoefficients(a=0.5, b=0.5, c_w=0.5, n=0)
-    got = midpoint_derivative(s, np.array([1.0]), np.array([2.0]))
-    assert got[0] == 2.0
+    res = assemble_residual(CONSTANT, grid, np.full((11, 1), 4.2))
+    assert np.array_equal(res[:10], np.zeros(10))  # includes the last interval
 
 
 def test_residual_zero_for_trivial_problem():
-    problem = BvpProblem(
-        name="constant", d=1,
-        f=lambda x, u: np.zeros_like(u),
-        g=lambda u0, u_inf: u0 - u_inf,
-        initial_iterate=lambda x: np.zeros(1))
     grid = build_grid(GridMap("log", 1.0), 6)
     field = np.full((7, 1), 3.25)
-    res = assemble_residual(problem, grid, field)
+    res = assemble_residual(CONSTANT, grid, field)
     assert np.array_equal(res, np.zeros(7))
 
 
@@ -283,12 +267,12 @@ def test_interval_block_derivative_formula():
     field = rng.normal(size=(7, 3))
     jac = assemble_jacobian(problem, grid, field, "analytic")
     n = 3
-    s = grid.stencil(n)
-    u_mid = s.c_w * field[n] + s.b * field[n + 1]
-    F = problem.df_du(grid.fractional_node(n, 0.5), u_mid)
+    a, b, c_w, x_mid = (entry[n] for entry in grid.stencil_arrays())
+    u_mid = c_w * field[n] + b * field[n + 1]
+    F = problem.df_du(x_mid, u_mid)
     eye = np.eye(3)
-    assert jac.dU_n[n] == pytest.approx(-eye - s.a * s.c_w * F, abs=1e-12)
-    assert jac.dU_next[n] == pytest.approx(eye - s.a * s.b * F, abs=1e-12)
+    assert jac.dU_n[n] == pytest.approx(-eye - a * c_w * F, abs=1e-12)
+    assert jac.dU_next[n] == pytest.approx(eye - a * b * F, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["log", "alg"])
