@@ -9,11 +9,13 @@ each coupling two neighbouring nodes, closed by one boundary block row
 that couples node 0 and the node at infinity. It is solved by the
 structured-QR cyclic reduction of Wright, "Stable parallel algorithms for
 two-point boundary value problems" (SIAM J. Sci. Stat. Comput. 13, 1992).
-Each level pairs adjacent block rows and removes the node they share
-with one orthogonal transform per pair, batched over all pairs, until a
-single row couples node 0 and node N; the boundary row closes it as a
-2d x 2d system, and back-substitution recovers the removed nodes level
-by level. Orthogonal transforms keep the growing modes of the
+Each level pairs adjacent block rows and removes the node they share.
+All pairs of a level sit in one augmented slab, the pair blocks with the
+rows' other blocks and right-hand sides, and d Householder reflections
+applied in place triangularize every pair block at once. This repeats
+until a single row couples node 0 and node N; the boundary row closes it
+as a 2d x 2d system, and back-substitution recovers the removed nodes
+level by level. Orthogonal transforms keep the growing modes of the
 linearization from being amplified, which condensation onto delta_0
 (discrete shooting) does not.
 """
@@ -87,59 +89,108 @@ class SolveResult:
 def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     """Solve jacobian @ delta = rhs; returns the correction field (N+1, d).
 
-    Structured-QR cyclic reduction: ceil(log2 N) batched levels and
-    O(d^3 N) work. Raises SingularSystemError, naming the node, when a
-    pair block or the end system is rank-deficient.
+    Structured-QR cyclic reduction: ceil(log2 N) levels and O(d^3 N)
+    work. Each level stacks its p pairs of block rows into one augmented
+    (2d, 3d+1, p) slab, pairs on the last axis, and triangularizes the
+    shared node's d columns of every pair at once with d Householder
+    reflections applied in place to the slab, so Q is never formed.
+    Raises SingularSystemError, naming the node, when a pair block or the
+    end system is rank-deficient.
     """
     d, N = jacobian.d, jacobian.N
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != ((N + 1) * d,):
         raise ValueError(f"rhs length {rhs.shape} does not match system size {(N + 1) * d}")
 
-    # Row k of a level reads left[k] @ x[nodes[k]] + right[k] @ x[nodes[k+1]] = r[k].
-    # Rows 2k and 2k+1 share node nodes[2k+1]; an orthogonal Q^T of the
-    # pair zeroes that node's column in the bottom d rows, which become
-    # the next level's row, and keeps the top d rows to recover it.
-    nodes = np.arange(N + 1)
-    left, right = jacobian.dU_n, jacobian.dU_next
-    r = rhs[: N * d].reshape(N, d)
-    levels = []
-    while len(r) > 1:
-        p = len(r) // 2
-        coupling = np.concatenate((right[: 2 * p: 2], left[1: 2 * p: 2]), axis=1)
-        Q, R = np.linalg.qr(coupling, mode="complete")
-        # A pivot at roundoff of its column's norm leaves the shared node
-        # undetermined. Non-finite blocks are not flagged: their NaNs
-        # reach delta, which newton_solve reports as a diverged iterate.
-        pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        scale = np.linalg.norm(coupling, axis=1)
-        rank_deficient = ((pivots <= (2 * d * _EPS) * scale) & np.isfinite(scale)).any(axis=1)
-        if rank_deficient.any():
-            node = int(nodes[2 * int(np.argmax(rank_deficient)) + 1])
-            raise SingularSystemError(f"cyclic reduction hit a rank-deficient pair block at node {node}")
-        Qt = Q.transpose(0, 2, 1)
-        q_left = Qt[:, :, :d] @ left[: 2 * p: 2]
-        q_right = Qt[:, :, d:] @ right[1: 2 * p: 2]
-        q_rhs = (Qt @ r[: 2 * p].reshape(p, 2 * d, 1))[..., 0]
-        levels.append((nodes, R[:, :d], q_left[:, :d], q_right[:, :d], q_rhs[:, :d]))
-        left = np.concatenate((q_left[:, d:], left[2 * p:]))
-        right = np.concatenate((q_right[:, d:], right[2 * p:]))
-        r = np.concatenate((q_rhs[:, d:], r[2 * p:]))
-        nodes = np.concatenate((nodes[: 2 * p + 1: 2], nodes[2 * p + 1:]))
+    # Row k of a level reads left[k] @ x[k] + right[k] @ x[k+1] = r[k] on
+    # the level's own nodes, held components first with rows on the last
+    # axis: left[:, :, k]. Rows 2k and 2k+1 share node 2k+1. Their slab
+    # has the columns [shared node | outer node of row 2k+1 | outer node
+    # of row 2k | rhs]; once the shared columns are triangular, the top d
+    # rows recover the shared node and the bottom d rows are the next
+    # level's rows [right | left | r]. An odd row out is carried up as is.
+    left = jacobian.dU_n.transpose(1, 2, 0)
+    right = jacobian.dU_next.transpose(1, 2, 0)
+    r = rhs[: N * d].reshape(N, d).T
+    tops = []
+    # every pair removes one row: N - 1 pairs over all levels
+    pivots, scale = np.empty((d, N - 1)), np.empty((d, N - 1))
+    done = 0
+    # Non-finite blocks are not flagged: their NaNs reach delta, which
+    # newton_solve reports as a diverged iterate, and no warning leaks.
+    with np.errstate(all="ignore"):
+        while r.shape[-1] > 1:
+            m = r.shape[-1]
+            p = m // 2
+            slab = np.zeros((2 * d, 3 * d + 1, p))
+            slab[:d, :d] = right[..., : 2 * p: 2]
+            slab[:d, 2 * d: 3 * d] = left[..., : 2 * p: 2]
+            slab[:d, 3 * d] = r[..., : 2 * p: 2]
+            slab[d:, :d] = left[..., 1: 2 * p: 2]
+            slab[d:, d: 2 * d] = right[..., 1: 2 * p: 2]
+            slab[d:, 3 * d] = r[..., 1: 2 * p: 2]
+            shared = slab[:, :d]
+            np.sqrt(np.einsum("ijk,ijk->jk", shared, shared), out=scale[:, done: done + p])
+            for j in range(d):
+                # H = I - 2 v v^T / (v^T v) with v = x + alpha e_1 maps
+                # column x to -alpha e_1, and v^T v = 2 alpha v_1. The
+                # diagonal keeps alpha = -R_jj for back-substitution.
+                v = slab[j:, j]
+                pivot = np.sqrt(np.einsum("ik,ik->k", v, v), out=pivots[j, done: done + p])
+                alpha = np.copysign(pivot, v[0])
+                v[0] += alpha
+                rest = slab[j:, j + 1:]
+                rest -= (v / (alpha * v[0]))[:, None] * np.einsum("ik,ijk->jk", v, rest)
+                v[0] = alpha
+            tops.append(slab[:d])
+            done += p
+            rows = (slab[d:, d: 2 * d], slab[d:, 2 * d: 3 * d], slab[d:, 3 * d])
+            if m > 2 * p:
+                rows = [np.concatenate((new, old[..., 2 * p:]), axis=-1)
+                        for new, old in zip(rows, (right, left, r))]
+            right, left, r = rows
 
-    end_system = np.block([[left[0], right[0]], [jacobian.dg_0, jacobian.dg_N]])
-    try:
-        ends = np.linalg.solve(end_system, np.concatenate((r[0], rhs[N * d:])))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"end system on nodes 0 and {N} is singular") from exc
-    delta = np.empty((N + 1, d))
-    delta[0], delta[N] = ends[:d], ends[d:]
-    for nodes, R, top_left, top_right, top_rhs in reversed(levels):
-        p = len(R)
-        known = (top_rhs[..., None] - top_left @ delta[nodes[: 2 * p: 2], :, None]
-                 - top_right @ delta[nodes[2: 2 * p + 1: 2], :, None])
-        delta[nodes[1: 2 * p: 2]] = np.linalg.solve(R, known)[..., 0]
-    return delta
+        # A pivot at roundoff of its column's norm leaves the shared node
+        # undetermined; the first such pair is the one to report.
+        rank_deficient = ((pivots <= (2 * d * _EPS) * scale) & np.isfinite(scale)).any(axis=0)
+        if rank_deficient.any():
+            raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
+                                      f"{_shared_node(N, int(np.argmax(rank_deficient)))}")
+
+        end_system = np.empty((2 * d, 2 * d))
+        end_system[:d, :d], end_system[:d, d:] = left[..., 0], right[..., 0]
+        end_system[d:, :d], end_system[d:, d:] = jacobian.dg_0, jacobian.dg_N
+        try:
+            x = np.linalg.solve(end_system, np.concatenate((r[:, 0], rhs[N * d:])))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"end system on nodes 0 and {N} is singular") from exc
+        # x holds the solution on the current level's nodes, components
+        # first. With a pair's unknowns z in slab column order and -1 for
+        # the rhs, top row i reads -alpha_i z[i] + sum_{c>i} top[i, c] z[c] = 0.
+        x = x.reshape(2, d).T
+        for top in reversed(tops):
+            p = top.shape[-1]
+            z = np.empty((3 * d + 1, p))
+            z[d: 2 * d] = x[:, 1: p + 1]
+            z[2 * d: 3 * d] = x[:, :p]
+            z[3 * d] = -1.0
+            for i in range(d - 1, -1, -1):
+                z[i] = np.einsum("jk,jk->k", top[i, i + 1:], z[i + 1:]) / top[i, i]
+            finer = np.empty((d, x.shape[1] + p))
+            finer[:, : 2 * p + 1: 2] = x[:, : p + 1]
+            finer[:, 1: 2 * p: 2] = z[:d]
+            finer[:, 2 * p + 1:] = x[:, p + 1:]
+            x = finer
+    return x.T.copy()
+
+
+def _shared_node(N: int, pair: int) -> int:
+    """Grid node shared by the given pair, counting pairs over all levels."""
+    nodes = np.arange(N + 1)
+    while pair >= (p := (len(nodes) - 1) // 2):
+        pair -= p
+        nodes = np.concatenate((nodes[: 2 * p + 1: 2], nodes[2 * p + 1:]))
+    return int(nodes[2 * pair + 1])
 
 
 def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,

@@ -1,5 +1,8 @@
 """Newton iteration and the structured linear solver."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,63 @@ def test_linear_solve_matches_dense_oracle():
     assert dense_jacobian(jac) @ structured.ravel() == pytest.approx(rhs, abs=1e-9 * (1.0 + scale))
 
 
+def random_chain(rng, N, d):
+    """A well-conditioned block system with random blocks: the interval
+    rows of the midpoint rule for x' = A(t) x with step 1/N and standard
+    normal A, closed by a boundary row that fixes x_0 up to a small
+    coupling with x_N."""
+    eye, half_step = np.eye(d), 0.5 / N
+    A = rng.normal(size=(N, d, d))
+    return StructuredJacobian(dU_n=-eye - half_step * A, dU_next=eye - half_step * A,
+                              dg_0=eye + 0.1 * rng.normal(size=(d, d)),
+                              dg_N=0.1 * rng.normal(size=(d, d)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_linear_solve_matches_dense_oracle_on_every_carry_pattern(d):
+    # N = 2..32 gives every pattern of odd rows carried up over at most
+    # five levels; 33 and 1025 carry one at every level but the last,
+    # 1023 at the first level only
+    rng = np.random.default_rng(23)
+    for N in [*range(2, 34), 1023, 1025]:
+        jac = random_chain(rng, N, d)
+        rhs = rng.normal(size=jac.size)
+        structured = linear_solve(jac, rhs)
+        dense = dense_linear_solve(jac, rhs)
+        scale = np.max(np.abs(dense))
+        assert structured.shape == (N + 1, d)
+        assert np.max(np.abs(structured - dense)) <= 1e-10 * (1.0 + scale), N
+        assert block_product(jac, structured) == pytest.approx(rhs, abs=1e-9 * (1.0 + scale)), N
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("block", ["dU_n", "dU_next"])
+def test_nonfinite_block_gives_nonfinite_delta_silently(block, value):
+    problem = pile()
+    grid = build_grid(GridMap("log", 5.0), 40)
+    field = initial_field(problem, grid)
+    jac = assemble_jacobian(problem, grid, field, "analytic")
+    getattr(jac, block)[17, 1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta = linear_solve(jac, -assemble_residual(problem, grid, field))
+    assert delta.shape == (41, 4)
+    assert not np.all(np.isfinite(delta))
+
+
+def test_nonfinite_jacobian_stops_newton_unconverged():
+    problem = linear_decay_problem(True)
+    problem = BvpProblem(name="nan-jacobian", d=2, f=problem.f, g=problem.g,
+                         initial_iterate=problem.initial_iterate,
+                         df_du=lambda x, u: np.full((2, 2, x.shape[0]), np.nan), dg=problem.dg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = newton_solve(problem, build_grid(GridMap("log", 4.0), 30))
+    assert not result.converged
+    assert result.increments[-1] == math.inf
+    assert result.final_increment == math.inf
+
+
 def test_full_newton_matches_dense_oracle(monkeypatch):
     problem = pile()
     grid = build_grid(GridMap("log", 5.0), 160)
@@ -112,12 +172,13 @@ def block_inf_norm(jac):
     return max(rows.max(), boundary.max())
 
 
-@pytest.mark.parametrize("N", [160, 1280])
-@pytest.mark.parametrize("kind", ["log", "alg"])
+@pytest.mark.parametrize(("kind", "N"), [("log", 160), ("log", 1280), ("alg", 160),
+                                        ("alg", 1280), ("log", 10240)])
 @pytest.mark.parametrize("make_problem", [falkner_skan, pile], ids=["falkner-skan", "pile"])
 def test_linear_solve_is_backward_stable(make_problem, kind, N):
-    # at the initial iterate, on both maps the CLI offers; condensation
-    # onto delta_0 (discrete shooting) gives 5e-12 to 0.17 on these cases
+    # at the initial iterate, on both maps the CLI offers, and at the
+    # fine-grid size on the log map; condensation onto delta_0 (discrete
+    # shooting) gives 5e-12 to 0.17 on the N <= 1280 cases
     problem = make_problem()
     grid = build_grid(GridMap(kind, 5.0), N)
     field = initial_field(problem, grid)
