@@ -48,9 +48,27 @@ def _cell(value, float_format: str) -> str:
 
 
 def _csv_text(rows, args) -> str:
+    """Rows as CSV under the one cell rule. A row whose cells are all
+    exactly int or float is written with one `%` template per cell-type
+    signature, the same rule spelled as a format string (numeric cells
+    never need quoting); any other row goes cell by cell through _cell
+    and csv.writer."""
     float_format = "%.17g" if args.raw else f"%.{args.decimals}f"
+    numeric = {int: "%d", float: float_format}
+    templates = {}  # cell types -> row template, or None for a non-numeric row
     buffer = io.StringIO()
-    csv.writer(buffer).writerows([_cell(value, float_format) for value in row] for row in rows)
+    writer = csv.writer(buffer)
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = (",".join(map(numeric.__getitem__, types)) + "\r\n"
+                                if all(kind in numeric for kind in types) else None)
+        template = templates[types]
+        if template is None:
+            writer.writerow([_cell(value, float_format) for value in row])
+        else:
+            buffer.write(template % row)
     return buffer.getvalue()
 
 
@@ -203,7 +221,6 @@ def cmd_solve(args) -> int:
     grid = build_grid(grid_map, n_values[0])
     result = newton_solve(problem, grid, config=_make_config(args))
     reports = {name: report_scalar(problem, result, name) for name in sorted(problem.reports)}
-    nodes = list(zip(grid.indices.tolist(), grid.nodes.tolist(), result.solution.tolist()))
     doc = {
         "problem": problem.name,
         "map": grid_map.kind.value,
@@ -213,13 +230,16 @@ def cmd_solve(args) -> int:
         "iterations": result.iterations,
         "final_increment": _FullPrecision(result.final_increment),
         "reports": reports,
-        "nodes": [{"n": n, "x": x, "u": u} for n, x, u in nodes],
     }
-    header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
     summary = [("key", "value")]
-    summary += [(key, value) for key, value in doc.items() if key not in ("reports", "nodes")]
+    summary += [(key, value) for key, value in doc.items() if key != "reports"]
     summary += reports.items()
-    _emit(args, doc, [header] + [[n, x, *u] for n, x, u in nodes], summary)
+    # (n, x, u1, ..., ud) per node; the JSON node records only when asked for
+    nodes = list(zip(grid.indices.tolist(), grid.nodes.tolist(), *result.solution.T.tolist()))
+    if args.format == "json":
+        doc["nodes"] = [{"n": n, "x": x, "u": u} for n, x, *u in nodes]
+    header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
+    _emit(args, doc, [header, *nodes], summary)
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
@@ -335,12 +355,9 @@ def cmd_grid(args) -> int:
         raise ValueError("grid takes a single --N")
     grid = build_grid(grid_map, n_values[0])
     nodes = list(zip(grid.indices.tolist(), grid.uniform_params.tolist(), grid.nodes.tolist()))
-    doc = {
-        "map": grid_map.kind.value,
-        "c": grid_map.c,
-        "N": grid.N,
-        "nodes": [{"n": n, "xi": xi, "x": x} for n, xi, x in nodes],
-    }
+    doc = {"map": grid_map.kind.value, "c": grid_map.c, "N": grid.N}
+    if args.format == "json":
+        doc["nodes"] = [{"n": n, "xi": xi, "x": x} for n, xi, x in nodes]
     _emit(args, doc, [("n", "xi", "x"), *nodes])
     return EXIT_OK
 

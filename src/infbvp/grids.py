@@ -40,8 +40,8 @@ class GridMap:
     alg   x = c*xi/(1 - xi)     xi in [0, 1]   ->  x in [0, inf]
     tan   x = c*tan(pi*xi/2)    xi in [-1, 1]  ->  x in [-inf, inf]
 
-    c > 0 sets the length scale: about half of all grid intervals land
-    inside [0, c] for the semi-infinite maps.
+    A finite c > 0 sets the length scale: about half of all grid
+    intervals land inside [0, c] for the semi-infinite maps.
     """
 
     kind: MapKind
@@ -50,8 +50,8 @@ class GridMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", MapKind(self.kind))
         object.__setattr__(self, "c", float(self.c))
-        if not self.c > 0.0:
-            raise ValueError(f"map parameter c must be positive, got {self.c}")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError(f"map parameter c must be positive and finite, got {self.c}")
 
     @property
     def whole_line(self) -> bool:

@@ -244,6 +244,10 @@ def test_usage_errors_exit_two():
     assert run_cli().returncode == 2
     assert run_cli("solve", "--problem", "unknown", "--N", "8").returncode == 2
     assert run_cli("solve", "--problem", "pile").returncode == 2
+    # an infinite map constant is refused up front, without a leaked warning
+    proc = run_cli("grid", "--N", "4", "--c", "inf")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: map parameter c must be positive and finite, got inf\n"
 
 
 def record_newton_solve(monkeypatch, raise_on=()):
@@ -409,6 +413,55 @@ def test_output_bytes_are_frozen(case, tmp_path, capsys):
         assert not out.exists()
     else:
         assert out.read_bytes() == file_text.encode()
+
+
+# int(1e300) exactly: the default table prints every digit of a float
+BIG = ("1000000000000000052504760255204420248704468581108159154915854115511802457988908195"
+       "786371375080447864043704443832883878176942523235360430575644792184786706982848387"
+       "200926575803737830233794788090059368953234970799945081119038967640880074652742780"
+       "142494579258788820056842838115669472196386865459400540160")
+# solve --problem pile --N 2 --out, with the hand-made solution below:
+# argv extras, expected --out table, expected stdout summary
+EDGE_VALUE_OUTPUT = {
+    "default": (
+        [],
+        "n,x,u1,u2,u3,u4\r\n"
+        "0,0.000000,-0.000000,0.000000,0.500000,-0.000000\r\n"
+        f"1,3.465736,inf,-inf,nan,{BIG}.000000\r\n"
+        "2,inf,-0.000000,1.250000,-0.000000,2.000000\r\n",
+        "key,value\r\nproblem,pile\r\nmap,log\r\nc,5.000000\r\nN,2\r\nconverged,true\r\n"
+        "iterations,3\r\nfinal_increment,0.10000000000000001\r\ndu0,0.000000\r\n"
+        "u0,-0.000000\r\n"),
+    "raw": (
+        ["--raw"],
+        "n,x,u1,u2,u3,u4\r\n"
+        "0,0,-4.0000000000000002e-25,1e-300,0.5,-0\r\n"
+        "1,3.4657359027997265,inf,-inf,nan,1.0000000000000001e+300\r\n"
+        "2,inf,-0,1.25,-4.0000000000000002e-25,2\r\n",
+        "key,value\r\nproblem,pile\r\nmap,log\r\nc,5\r\nN,2\r\nconverged,true\r\n"
+        "iterations,3\r\nfinal_increment,0.10000000000000001\r\ndu0,1e-300\r\n"
+        "u0,-4.0000000000000002e-25\r\n"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EDGE_VALUE_OUTPUT))
+def test_csv_writer_pins_edge_values(mode, tmp_path, monkeypatch, capsys):
+    # the writer alone, on a solution no solver produces: non-finite
+    # values, signed zeros and extreme magnitudes in the node table; a
+    # bool, a full-precision float and strings in the summary
+    def edge_values(problem, grid, initial=None, config=None):
+        solution = np.array([[-4e-25, 1e-300, 0.5, -0.0],
+                             [np.inf, -np.inf, np.nan, 1e300],
+                             [-0.0, 1.25, -4e-25, 2.0]])
+        return SolveResult(solution=solution, iterations=3, final_increment=0.1,
+                           converged=True, increments=[0.1])
+
+    extra, table, summary = EDGE_VALUE_OUTPUT[mode]
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(cli, "newton_solve", edge_values)
+    assert run_main(capsys, "solve", "--problem", "pile", "--N", "2", "--out", str(out),
+                    *extra) == (0, summary, "")
+    assert out.read_bytes() == table.encode()
 
 
 def test_extrapolate_json_stays_valid_for_nonfinite_input(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Grid maps, quasi-uniform grids, and stencil coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,8 @@ def test_map_domain_validation():
         m.values(1.1)
     with pytest.raises(ValueError):
         GridMap("tan", 1.0).values(1.5)
+    with pytest.raises(ValueError, match="finite"):
+        GridMap("log", math.inf)
 
 
 def test_build_grid_semi_infinite():
