@@ -1,0 +1,218 @@
+"""Check that two source trees behave identically; exit 1 at the first difference.
+
+    python3 scripts/compare_trees.py PARENT_TREE
+
+PARENT_TREE is an unpacked checkout of the commit to compare against
+(`git archive <commit> | tar -x -C PARENT_TREE`); the change is the tree
+this script lives in. Both trees are imported into one interpreter and
+run on a fixed matrix:
+
+- the CLI, in-process: exit code, stdout, stderr, --out bytes and the
+  RuntimeWarnings raised, over solve, sweep, grid and extrapolate runs
+  (error paths and --help included), each in CSV and JSON, with default
+  precision, --raw and --decimals 3, to stdout and to --out;
+- the residual and the analytic and FD Jacobian blocks, bitwise, on
+  {falkner-skan, pile, a problem whose g couples U_0 and U_N} x {log, alg}
+  x N in {20, 160, 1280} x continuation on/off, at a fixed perturbation
+  of the initial iterate;
+- newton_solve's solution, increments, iteration count and convergence
+  flag, bitwise, on the same cases, with the default and the FD Jacobian.
+
+Every side runs in a fresh working directory holding the same input
+files, so paths in messages agree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_linear_solve import ROOT, load_tree  # noqa: E402
+
+INPUTS = {
+    "sweep.csv": "N,iterations,converged,u0\n40,2,true,1.421243\n80,2,true,1.421469\n"
+                 "160,2,true,1.421526\n320,2,true,1.4215405\n",
+    "bad.csv": "N,u0\n40,1.421243\n80,oops\n",
+    "nonfinite.csv": "N,u0\n20,inf\n40,nan\n80,1.5\n",
+    "empty.csv": "",
+}
+OUTPUT_MODES = [[*fmt, *precision, *out]
+                for fmt in (["--format", "csv"], ["--format", "json"])
+                for precision in ([], ["--raw"], ["--decimals", "3"])
+                for out in ([], ["--out", "out.txt"])]
+COMMANDS = [
+    ["solve", "--problem", "pile", "--N", "8"],
+    ["solve", "--problem", "falkner-skan", "--N", "16", "--map", "alg", "--c", "3"],
+    ["solve", "--problem", "falkner-skan", "--P", "0.5", "--N", "20", "--jacobian", "fd"],
+    ["solve", "--problem", "pile", "--N", "12", "--no-continuation", "--tol", "1e-10"],
+    ["solve", "--problem", "pile", "--N", "16", "--max-iter", "2"],
+    ["solve", "--problem", "pile", "--N", "8,16"],
+    ["solve", "--problem", "pile", "--N", "8", "--map", "tan"],
+    ["solve", "--problem", "pile", "--N", "1"],
+    ["solve", "--problem", "pile", "--N", "abc"],
+    ["sweep", "--problem", "pile", "--N", "8,16,32"],
+    ["sweep", "--problem", "falkner-skan", "--N", "10,20,40", "--jacobian", "fd"],
+    ["sweep", "--problem", "pile", "--N", "8,16", "--max-iter", "1"],
+    ["sweep", "--problem", "pile", "--N", "8,12"],
+    ["grid", "--N", "4"],
+    ["grid", "--map", "alg", "--c", "1", "--N", "5"],
+    ["grid", "--map", "tan", "--c", "2", "--N", "3"],
+    ["grid", "--N", "1"],
+    ["grid", "--N", "4", "--c", "inf"],
+    ["grid", "--N", "4", "--c", "-1"],
+    ["extrapolate", "sweep.csv", "--quantity", "u0"],
+    ["extrapolate", "nonfinite.csv", "--quantity", "u0"],
+    ["extrapolate", "sweep.csv", "--quantity", "du0"],
+    ["extrapolate", "bad.csv", "--quantity", "u0"],
+    ["extrapolate", "empty.csv", "--quantity", "u0"],
+    ["extrapolate", "missing.csv", "--quantity", "u0"],
+]
+USAGE = [[], ["--help"], ["bogus"], ["grid", "--N", "4", "--decimals", "-1"],
+         ["solve", "--problem", "unknown", "--N", "8"], ["solve", "--problem", "pile"],
+         *([command, "--help"] for command in ("solve", "sweep", "extrapolate", "grid"))]
+PROBLEM_NAMES = ("falkner-skan", "pile", "coupled")
+MAPS = ("log", "alg")
+SIZES = (20, 160, 1280)
+
+
+class Difference(Exception):
+    pass
+
+
+def run_cli(lib, argv):
+    """(exit code, stdout, stderr, --out bytes, warnings) of one in-process
+    cli.main call in a fresh directory holding INPUTS."""
+    cli = importlib.import_module(f"{lib.__name__}.cli")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in INPUTS.items():
+                Path(name).write_text(text)
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(stdout), redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            out = Path("out.txt")
+            out_bytes = out.read_bytes() if out.exists() else None
+        finally:
+            os.chdir(cwd)
+    seen = [(w.category.__name__, str(w.message)) for w in caught]
+    return code, stdout.getvalue(), stderr.getvalue(), out_bytes, seen
+
+
+def make_problem(lib, name):
+    if name != "coupled":
+        return {"falkner-skan": lib.falkner_skan, "pile": lib.pile}[name]()
+
+    def f(x, u):
+        return np.array([u[1], u[0] * u[0] + np.exp(-x) - np.exp(-2.0 * x)])
+
+    def g(u0, u_inf):
+        return np.array([u0[0] + u_inf[0] - 1.0, u_inf[0] + u0[0] * u0[0] + u0[1]])
+
+    return lib.BvpProblem(name="coupled", d=2, f=f, g=g,
+                          initial_iterate=lambda x: np.array([0.5, 0.0]))
+
+
+def outcome(call):
+    """call()'s value, or the type name and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the exception itself is what is compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+def same(a, b) -> bool:
+    """Bitwise equality of nested results: arrays by dtype, shape and bytes."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+def scheme_case(lib, name, kind, N, continuation):
+    """Residual, Jacobian blocks and Newton results of one case."""
+    problem, grid = make_problem(lib, name), lib.build_grid(lib.GridMap(kind, 5.0), N)
+    base = lib.initial_field(problem, grid)
+    field = base + 0.05 * np.random.default_rng(N).standard_normal(base.shape)
+
+    def blocks(mode):
+        jac = lib.assemble_jacobian(problem, grid, field, mode, continuation)
+        return [jac.dU_n, jac.dU_next, jac.dg_0, jac.dg_N]
+
+    def solve(mode):
+        config = lib.SolverConfig(jacobian_mode=mode, continuation=continuation)
+        result = lib.newton_solve(problem, grid, config=config)
+        return [result.solution, result.increments, result.iterations,
+                result.final_increment, result.converged]
+
+    return {
+        "residual": outcome(lambda: lib.assemble_residual(problem, grid, field, continuation)),
+        "analytic jacobian": outcome(lambda: blocks("analytic")),
+        "fd jacobian": outcome(lambda: blocks("fd")),
+        "newton default": outcome(lambda: solve(None)),
+        "newton fd": outcome(lambda: solve("fd")),
+    }
+
+
+def compare(label, parent, change) -> None:
+    if same(parent, change):
+        return
+    if isinstance(parent, (str, bytes)) and type(change) is type(parent):
+        first = next((i for i, (x, y) in enumerate(zip(parent, change)) if x != y),
+                     min(len(parent), len(change)))
+        start = max(first - 100, 0)
+        label += f" (from offset {start})"
+        parent, change = parent[start:first + 100], change[start:first + 100]
+    raise Difference(f"{label}:\n  parent: {parent!r:.2000}\n  change: {change!r:.2000}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    args = parser.parse_args()
+    parent = load_tree(args.parent.resolve(), "infbvp_parent")
+    change = load_tree(ROOT, "infbvp_change")
+
+    runs = list(USAGE)
+    runs += [command + mode for command in COMMANDS for mode in OUTPUT_MODES]
+    cases = [(name, kind, N, continuation) for name in PROBLEM_NAMES for kind in MAPS
+             for N in SIZES for continuation in (True, False)]
+    try:
+        for argv in runs:
+            fields = ("exit code", "stdout", "stderr", "--out bytes", "warnings")
+            for field, a, b in zip(fields, run_cli(parent, argv), run_cli(change, argv)):
+                compare(f"infbvp {' '.join(argv)}: {field}", a, b)
+        print(f"cli: {len(runs)} commands identical")
+        for case in cases:
+            a, b = scheme_case(parent, *case), scheme_case(change, *case)
+            for key in a:
+                compare(f"{key} {case}", a[key], b[key])
+        print(f"scheme and newton: {len(cases)} cases bitwise identical")
+    except Difference as exc:
+        print(f"difference: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

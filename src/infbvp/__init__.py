@@ -9,70 +9,14 @@ and nested extrapolation on doubling grid families sharpens the reported
 scalars.
 """
 
-from .grids import (
-    GridMap,
-    MapKind,
-    QuasiUniformGrid,
-    build_grid,
-)
-from .newton import (
-    SingularSystemError,
-    SolveResult,
-    SolverConfig,
-    linear_solve,
-    newton_solve,
-)
-from .problems import (
-    PROBLEMS,
-    BvpProblem,
-    falkner_skan,
-    initial_field,
-    pile,
-    report_scalar,
-)
-from .richardson import (
-    ExtrapolationTable,
-    SweepSeries,
-    extrapolate_table,
-    observed_order,
-    richardson_error,
-)
-from .scheme import (
-    EvaluationError,
-    MissingDerivativeError,
-    StructuredJacobian,
-    assemble_jacobian,
-    assemble_residual,
-    prolong,
-)
+from . import grids, newton, problems, richardson, scheme
+from .grids import *
+from .newton import *
+from .problems import *
+from .richardson import *
+from .scheme import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BvpProblem",
-    "EvaluationError",
-    "ExtrapolationTable",
-    "GridMap",
-    "MapKind",
-    "MissingDerivativeError",
-    "PROBLEMS",
-    "QuasiUniformGrid",
-    "SingularSystemError",
-    "SolveResult",
-    "SolverConfig",
-    "StructuredJacobian",
-    "SweepSeries",
-    "assemble_jacobian",
-    "assemble_residual",
-    "build_grid",
-    "extrapolate_table",
-    "falkner_skan",
-    "initial_field",
-    "linear_solve",
-    "newton_solve",
-    "observed_order",
-    "pile",
-    "prolong",
-    "report_scalar",
-    "richardson_error",
-]
+__all__ = sorted(name for module in (grids, newton, problems, richardson, scheme)
+                 for name in module.__all__)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -29,11 +30,6 @@ EXIT_SOLVER = 1
 EXIT_USAGE = 2
 
 
-class _FullPrecision(float):
-    """A float that CSV output prints at 17 significant digits whatever
-    --decimals says: the stopping increment, read against --tol."""
-
-
 def _cell(value, float_format: str) -> str:
     """The one CSV cell rule: None is empty, bools are true/false, floats
     follow float_format (inf, -inf and nan print as those tokens) and
@@ -43,7 +39,7 @@ def _cell(value, float_format: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return ("%.17g" if isinstance(value, _FullPrecision) else float_format) % value
+        return float_format % value
     return str(value)
 
 
@@ -182,7 +178,11 @@ def _add_output_options(parser) -> None:
                         help="serialize floats at full precision (17 significant digits)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never mutates it, and
+    --problem's choices are read from PROBLEMS, to which nothing adds a
+    key after import."""
     parser = argparse.ArgumentParser(
         prog="infbvp",
         description="Solve nonlinear two-point boundary value problems on [0, inf] "
@@ -228,12 +228,12 @@ def cmd_solve(args) -> int:
         "N": grid.N,
         "converged": result.converged,
         "iterations": result.iterations,
-        "final_increment": _FullPrecision(result.final_increment),
-        "reports": reports,
     }
-    summary = [("key", "value")]
-    summary += [(key, value) for key, value in doc.items() if key != "reports"]
-    summary += reports.items()
+    # The stopping increment, read against --tol, prints at 17 significant
+    # digits whatever --decimals says.
+    summary = [("key", "value"), *doc.items(),
+               ("final_increment", "%.17g" % result.final_increment), *reports.items()]
+    doc.update(final_increment=float(result.final_increment), reports=reports)
     # (n, x, u1, ..., ud) per node; the JSON node records only when asked for
     nodes = list(zip(grid.indices.tolist(), grid.nodes.tolist(), *result.solution.T.tolist()))
     if args.format == "json":

@@ -61,19 +61,20 @@ class GridMap:
         """Vectorized map evaluation.
 
         The parameter endpoints give exact infinities, never overflow
-        artifacts of the underlying formulas.
+        artifacts of the underlying formulas. A huge c can overflow to inf
+        short of an endpoint, which build_grid refuses.
         """
         xi = np.asarray(xi, dtype=float)
-        if self.kind is MapKind.TANGENTIAL:
-            if np.any(xi < -1.0) or np.any(xi > 1.0):
-                raise ValueError("parameter must lie in [-1, 1] for the tan map")
-            # evaluate at |xi| and restore the sign so odd symmetry is exact
-            mag = self.c * np.tan(0.5 * np.pi * np.abs(xi))
-            mag = np.where(np.abs(xi) == 1.0, np.inf, mag)
-            return np.copysign(mag, xi)
-        if np.any(xi < 0.0) or np.any(xi > 1.0):
-            raise ValueError("parameter must lie in [0, 1]")
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            if self.kind is MapKind.TANGENTIAL:
+                if np.any(xi < -1.0) or np.any(xi > 1.0):
+                    raise ValueError("parameter must lie in [-1, 1] for the tan map")
+                # evaluate at |xi| and restore the sign so odd symmetry is exact
+                mag = self.c * np.tan(0.5 * np.pi * np.abs(xi))
+                mag = np.where(np.abs(xi) == 1.0, np.inf, mag)
+                return np.copysign(mag, xi)
+            if np.any(xi < 0.0) or np.any(xi > 1.0):
+                raise ValueError("parameter must lie in [0, 1]")
             if self.kind is MapKind.LOGARITHMIC:
                 return -self.c * np.log1p(-xi)
             den = 1.0 - xi
@@ -143,10 +144,14 @@ class QuasiUniformGrid:
 
 def build_grid(grid_map: GridMap, N: int) -> QuasiUniformGrid:
     """Grid with N intervals per semi-axis (so 2N+1 nodes on the whole
-    line). Requires N >= 2 and checks strict monotonicity."""
+    line). Requires N >= 2, a finite x_{N-1/4} and strict monotonicity."""
     N = int(N)
     if N < 2:
         raise ValueError(f"need at least 2 intervals, got {N}")
+    # x_{N-1/4} is the largest coordinate the scheme reads; the map is
+    # monotone, so every other fractional and finite node is below it.
+    if not np.isfinite(grid_map.values((N - 0.25) / N)):
+        raise ValueError(f"map parameter c = {grid_map.c} overflows a grid of {N} intervals")
     start = -N if grid_map.whole_line else 0
     params = np.arange(start, N + 1) / N
     nodes = grid_map.values(params)

@@ -55,8 +55,6 @@ class MissingDerivativeError(ValueError):
 
 def _check_field(grid: QuasiUniformGrid, U, d: int | None = None) -> np.ndarray:
     """U as a float (N+1, d) array; d=None accepts any component count."""
-    if grid.whole_line:
-        raise ValueError("the discrete scheme supports semi-infinite grids only")
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[0] != grid.N + 1 or (d is not None and U.shape[1] != d):
         expected = (grid.N + 1, "d" if d is None else d)
@@ -93,8 +91,8 @@ def _midpoint_states(U: np.ndarray, b: np.ndarray, c_w: np.ndarray) -> np.ndarra
 
 def _midpoints(problem, grid: QuasiUniformGrid, U, continuation: bool):
     """Stencil arrays and the midpoint states u_mid of shape (N, d)."""
-    U = _check_field(grid, U, problem.d)
     a, b, c_w, x_mid = grid.stencil_arrays(continuation)
+    U = _check_field(grid, U, problem.d)
     return U, a, b, c_w, x_mid, _midpoint_states(U, b, c_w)
 
 
@@ -107,8 +105,8 @@ def prolong(grid: QuasiUniformGrid, U, continuation: bool = True) -> np.ndarray:
     c_w*U_n + b*U_{n+1}, so the last interval follows the continuation
     rule (or b = 0 without it). Used as the fine grid's initial iterate.
     """
-    U = _check_field(grid, U)
     _, b, c_w, _ = grid.stencil_arrays(continuation)
+    U = _check_field(grid, U)
     fine = np.empty((2 * grid.N + 1, U.shape[1]))
     fine[0::2] = U
     fine[1::2] = _midpoint_states(U, b, c_w)
@@ -148,36 +146,19 @@ class StructuredJacobian:
     def N(self) -> int:
         return self.dU_n.shape[0]
 
-    @property
-    def size(self) -> int:
-        return (self.N + 1) * self.d
 
-
-def _fd_columns(residual_at, u_base: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Forward-difference derivative of residual_at(u) w.r.t. each entry
-    of u_base, one column per entry, step sqrt(eps)*(1 + |entry|)."""
-    d_out = base.shape[0]
-    cols = np.empty((d_out, u_base.shape[0]))
-    for j in range(u_base.shape[0]):
-        step = _SQRT_EPS * (1.0 + abs(float(u_base[j])))
-        u_pert = u_base.copy()
-        u_pert[j] += step
-        cols[:, j] = (residual_at(u_pert) - base) / step
-    return cols
-
-
-def _df_du_fd(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
-    """Forward-difference df/du at every midpoint, (N, d, d), from d+1
-    batched f calls; column j steps u_j by sqrt(eps)*(1 + |u_j|)."""
-    N, d = u_mid.shape
-    base = _eval_f(problem, x_mid, u_mid)
-    steps = _SQRT_EPS * (1.0 + np.abs(u_mid))
-    F = np.empty((N, d, d))
-    for j in range(d):
-        u_pert = u_mid.copy()
-        u_pert[:, j] += steps[:, j]
-        F[:, :, j] = (_eval_f(problem, x_mid, u_pert) - base) / steps[:, j, None]
-    return F
+def _forward_difference(fn, u: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Forward-difference derivative of fn over the last axis of u, with
+    base = fn(u): (N, d) midpoint states give the (N, d, d) df/du, a (d,)
+    boundary value a d x d block of dg. Column j steps u_j by
+    sqrt(eps)*(1 + |u_j|), so fn is called once per column."""
+    steps = _SQRT_EPS * (1.0 + np.abs(u))
+    out = np.empty(base.shape + u.shape[-1:])
+    for j in range(u.shape[-1]):
+        u_pert = u.copy()
+        u_pert[..., j] += steps[..., j]
+        out[..., j] = (fn(u_pert) - base) / steps[..., j, None]
+    return out
 
 
 def _df_du_analytic(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
@@ -217,10 +198,11 @@ def assemble_jacobian(problem, grid: QuasiUniformGrid, U, mode: str = "analytic"
         if dg_0.shape != (d, d) or dg_N.shape != (d, d):
             raise ValueError("dg must be a pair of d x d matrices")
     else:
-        F = _df_du_fd(problem, x_mid, u_mid)
+        F = _forward_difference(lambda u: _eval_f(problem, x_mid, u), u_mid,
+                                _eval_f(problem, x_mid, u_mid))
         g_base = _eval_g(problem, U[0], U[N])
-        dg_0 = _fd_columns(lambda u: _eval_g(problem, u, U[N]), U[0].copy(), g_base)
-        dg_N = _fd_columns(lambda u: _eval_g(problem, U[0], u), U[N].copy(), g_base)
+        dg_0 = _forward_difference(lambda u: _eval_g(problem, u, U[N]), U[0], g_base)
+        dg_N = _forward_difference(lambda u: _eval_g(problem, U[0], u), U[N], g_base)
     eye = np.eye(d)
     dU_n = -eye - (a * c_w)[:, None, None] * F
     dU_next = eye - (a * b)[:, None, None] * F

@@ -92,7 +92,8 @@ def dense_jacobian(jac):
     row n holds dU_n[n] and dU_next[n] in block columns n and n+1, the
     boundary row holds dg_0 and dg_N in block columns 0 and N."""
     d, N = jac.d, jac.N
-    full = np.zeros((jac.size, jac.size))
+    size = (N + 1) * d
+    full = np.zeros((size, size))
     for n in range(N):
         rows = slice(n * d, (n + 1) * d)
         full[rows, n * d:(n + 1) * d] = jac.dU_n[n]

@@ -248,6 +248,10 @@ def test_usage_errors_exit_two():
     proc = run_cli("grid", "--N", "4", "--c", "inf")
     assert proc.returncode == 2
     assert proc.stderr == "error: map parameter c must be positive and finite, got inf\n"
+    # so is one that overflows the grid's last fractional node
+    proc = run_cli("grid", "--map", "alg", "--c", "1e308", "--N", "4")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: map parameter c = 1e+308 overflows a grid of 4 intervals\n"
 
 
 def record_newton_solve(monkeypatch, raise_on=()):
@@ -525,3 +529,11 @@ def test_trace_hooks_find_the_names_they_patch(tmp_path, monkeypatch, capsys):
     assert all(getattr(owner, attr) is original
                for (owner, attr), original in zip(patched, originals))
     assert problems.PROBLEMS == factories
+
+
+def test_parser_is_built_once_and_keeps_no_option(capsys):
+    # the second call shares the cached parser but none of the first's options
+    assert cli._build_parser() is cli._build_parser()
+    assert run_main(capsys, "grid", "--N", "4", "--raw", "--format", "json")[0] == 0
+    argv, stdout, _ = FROZEN_OUTPUT["grid-csv"]
+    assert run_main(capsys, *argv) == (0, stdout, "")

@@ -97,6 +97,8 @@ def test_build_grid_whole_line():
 def test_build_grid_validation():
     with pytest.raises(ValueError):
         build_grid(GridMap("log", 5.0), 1)
+    with pytest.raises(ValueError):
+        build_grid(GridMap("log", 1e308), 4)
 
 
 def test_grid_nodes_are_read_only():

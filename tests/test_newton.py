@@ -65,7 +65,7 @@ def test_linear_solve_matches_dense_oracle():
     field = initial_field(problem, grid)
     jac = assemble_jacobian(problem, grid, field, "analytic")
     rng = np.random.default_rng(19)
-    rhs = rng.normal(size=jac.size)
+    rhs = rng.normal(size=(jac.N + 1) * jac.d)
     structured = linear_solve(jac, rhs)
     dense = dense_linear_solve(jac, rhs)
     scale = np.max(np.abs(dense))
@@ -94,7 +94,7 @@ def test_linear_solve_matches_dense_oracle_on_every_carry_pattern(d):
     rng = np.random.default_rng(23)
     for N in [*range(2, 34), 1023, 1025]:
         jac = random_chain(rng, N, d)
-        rhs = rng.normal(size=jac.size)
+        rhs = rng.normal(size=(jac.N + 1) * jac.d)
         structured = linear_solve(jac, rhs)
         dense = dense_linear_solve(jac, rhs)
         scale = np.max(np.abs(dense))

@@ -1,6 +1,7 @@
 """Residual and Jacobian assembly for the midpoint scheme."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -183,6 +184,55 @@ def test_analytic_jacobian_matches_finite_differences():
                 assert np.all(np.abs(exact - approx) <= 1e-6 * (1.0 + np.abs(exact)))
 
 
+def coupled_problem():
+    """The coupled nonlinear f and g of the dense-oracle Newton test; each
+    row of g mixes U_0 and U_N."""
+
+    def f(x, u):
+        return np.array([u[1], u[0] * u[0] + np.exp(-x) - np.exp(-2.0 * x)])
+
+    def g(u0, u_inf):
+        return np.array([u0[0] + u_inf[0] - 1.0, u_inf[0] + u0[0] * u0[0] + u0[1]])
+
+    return BvpProblem(name="coupled", d=2, f=f, g=g,
+                      initial_iterate=lambda x: np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("kind", ["log", "alg"])
+def test_fd_jacobian_is_the_one_sided_quotient_entry_by_entry(kind):
+    # column j steps u_j by sqrt(eps)*(1 + |u_j|), for f at every midpoint
+    # and for g at U_0 and at U_N; the blocks must match bitwise
+    problem = coupled_problem()
+    grid = build_grid(GridMap(kind, 4.0), 12)
+    field = np.random.default_rng(29).normal(size=(13, 2))
+    jac = assemble_jacobian(problem, grid, field, "fd")
+    sqrt_eps = math.sqrt(np.finfo(float).eps)
+    a, b, c_w, x_mid = grid.stencil_arrays()
+    u_mid = np.array([[c_w[n] * field[n, j] + b[n] * field[n + 1, j] for j in range(2)]
+                      for n in range(12)])
+    base = problem.f(x_mid, u_mid.T)
+    for j in range(2):
+        steps = [sqrt_eps * (1.0 + abs(u_mid[n, j])) for n in range(12)]
+        u_pert = u_mid.copy()
+        u_pert[:, j] += steps
+        bumped = problem.f(x_mid, u_pert.T)
+        for n in range(12):
+            for i in range(2):
+                F = (bumped[i, n] - base[i, n]) / steps[n]
+                eye = 1.0 if i == j else 0.0
+                assert jac.dU_n[n, i, j] == -eye - (a[n] * c_w[n]) * F, (n, i, j)
+                assert jac.dU_next[n, i, j] == eye - (a[n] * b[n]) * F, (n, i, j)
+    g_base = problem.g(field[0], field[-1])
+    for block, end in ((jac.dg_0, 0), (jac.dg_N, -1)):
+        for j in range(2):
+            step = sqrt_eps * (1.0 + abs(field[end, j]))
+            ends = [field[0].copy(), field[-1].copy()]
+            ends[end][j] += step
+            bumped = problem.g(*ends)
+            for i in range(2):
+                assert block[i, j] == (bumped[i] - g_base[i]) / step, (end, i, j)
+
+
 def test_problem_is_evaluated_once_per_grid():
     # f, df_du and initial_iterate each see the whole grid in one call
     calls = Counter()
@@ -228,7 +278,7 @@ def test_missing_derivatives_error():
         assemble_jacobian(problem, grid, np.zeros((5, 1)), "analytic")
     # the finite-difference mode still works
     jac = assemble_jacobian(problem, grid, np.zeros((5, 1)), "fd")
-    assert jac.size == 5
+    assert (jac.N + 1) * jac.d == 5
 
 
 def test_unknown_jacobian_mode():
@@ -244,7 +294,7 @@ def test_structured_jacobian_layout_and_matvec():
     field = rng.normal(size=(8, 4))
     jac = assemble_jacobian(problem, grid, field, "analytic")
     assert isinstance(jac, StructuredJacobian)
-    assert jac.d == 4 and jac.N == 7 and jac.size == 32
+    assert jac.d == 4 and jac.N == 7 and (jac.N + 1) * jac.d == 32
     assert jac.dU_n.shape == (7, 4, 4)
     assert jac.dU_next.shape == (7, 4, 4)
     dense = dense_jacobian(jac)
