@@ -7,7 +7,7 @@ PARENT_TREE is an unpacked checkout of the commit to compare against
 this script lives in. A case is the linear system of the first Newton
 step, the analytic Jacobian and minus the residual at the problem's
 default iterate, over {falkner-skan, pile} x {log, alg} x N in
-{20, 160, 1280, 10240} with c = 5. Both trees are imported into one
+{20, 40, 80, 160, 320, 1280, 10240} with c = 5. Both trees are imported into one
 single-threaded interpreter, and their calls alternate on each case, so
 that a drift in CPU speed hits both alike; each side keeps its best of
 --repeats calls.
@@ -32,7 +32,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ("falkner-skan", "pile")
 MAPS = ("log", "alg")
-SIZES = (20, 160, 1280, 10240)
+SIZES = (20, 40, 80, 160, 320, 1280, 10240)
 
 
 def load_tree(tree: Path, name: str):

@@ -10,7 +10,7 @@ A whole-line tangent map is included for grids on [-inf, inf].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -95,6 +95,8 @@ class QuasiUniformGrid:
     map: GridMap
     N: int
     nodes: np.ndarray
+    # stencil_arrays per continuation flag, built on first use
+    _stencils: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def whole_line(self) -> bool:
@@ -130,7 +132,13 @@ class QuasiUniformGrid:
         node coupled to the rest of the system, and continuation=False
         keeps the literal weights. Only fractional nodes and finite nodes
         enter, so every entry is finite.
+
+        The grid never changes, so the arrays are computed once per flag
+        and returned read-only on every later call.
         """
+        continuation = bool(continuation)
+        if continuation in self._stencils:
+            return self._stencils[continuation]
         if self.whole_line:
             raise ValueError("difference stencils are defined on semi-infinite grids only")
         N = self.N
@@ -139,7 +147,11 @@ class QuasiUniformGrid:
         b = np.empty(N)
         b[: N - 1] = (x_mid[: N - 1] - self.nodes[: N - 1]) / (self.nodes[1:N] - self.nodes[: N - 1])
         b[N - 1] = b[N - 2] if continuation else 0.0
-        return a, b, 1.0 - b, x_mid
+        arrays = (a, b, 1.0 - b, x_mid)
+        for array in arrays:
+            array.flags.writeable = False
+        self._stencils[continuation] = arrays
+        return arrays
 
 
 def build_grid(grid_map: GridMap, N: int) -> QuasiUniformGrid:

@@ -13,11 +13,15 @@ Each level pairs adjacent block rows and removes the node they share.
 All pairs of a level sit in one augmented slab, the pair blocks with the
 rows' other blocks and right-hand sides, and d Householder reflections
 applied in place triangularize every pair block at once. This repeats
-until a single row couples node 0 and node N; the boundary row closes it
-as a 2d x 2d system, and back-substitution recovers the removed nodes
-level by level. Orthogonal transforms keep the growing modes of the
-linearization from being amplified, which condensation onto delta_0
-(discrete shooting) does not.
+until at most 16 block rows remain. Those rows and the boundary row form
+one dense system on the remaining nodes, solved by one Householder QR,
+and back-substitution recovers the removed nodes level by level.
+Orthogonal transforms keep the growing modes of the linearization from
+being amplified, which condensation onto delta_0 (discrete shooting)
+does not, and the tail is QR rather than LU for the same reason: partial
+pivoting can be unstable on exactly these matrices (Wright, "A
+collection of problems for which Gaussian elimination with partial
+pivoting is unstable", SIAM J. Sci. Comput. 14, 1993).
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+# Reduction stops at this many block rows: below it a level's fixed cost
+# of some 10 d small numpy calls outweighs one dense QR of the rest.
+_TAIL_ROWS = 16
 
 
 class SingularSystemError(RuntimeError):
@@ -89,13 +96,16 @@ class SolveResult:
 def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     """Solve jacobian @ delta = rhs; returns the correction field (N+1, d).
 
-    Structured-QR cyclic reduction: ceil(log2 N) levels and O(d^3 N)
-    work. Each level stacks its p pairs of block rows into one augmented
-    (2d, 3d+1, p) slab, pairs on the last axis, and triangularizes the
-    shared node's d columns of every pair at once with d Householder
-    reflections applied in place to the slab, so Q is never formed.
-    Raises SingularSystemError, naming the node, when a pair block or the
-    end system is rank-deficient.
+    Structured-QR cyclic reduction: about log2(N / 16) levels and
+    O(d^3 N) work. Each level stacks its p pairs of block rows into one
+    augmented (2d, 3d+1, p) slab, pairs on the last axis, and
+    triangularizes the shared node's d columns of every pair at once with
+    d Householder reflections applied in place to the slab, so Q is never
+    formed. Once at most 16 rows remain, they and the boundary row make
+    one dense (m+1)d x (m+1)d system on the level's m+1 nodes, which one
+    Householder QR (np.linalg.qr) and a triangular solve finish.
+    Raises SingularSystemError, naming the node, when a pair block is
+    rank-deficient or the dense tail has a zero pivot.
     """
     d, N = jacobian.d, jacobian.N
     rhs = np.asarray(rhs, dtype=float)
@@ -113,13 +123,13 @@ def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     right = jacobian.dU_next.transpose(1, 2, 0)
     r = rhs[: N * d].reshape(N, d).T
     tops = []
-    # every pair removes one row: N - 1 pairs over all levels
+    # every pair removes one row: fewer than N pairs over all levels
     pivots, scale = np.empty((d, N - 1)), np.empty((d, N - 1))
     done = 0
     # Non-finite blocks are not flagged: their NaNs reach delta, which
     # newton_solve reports as a diverged iterate, and no warning leaks.
     with np.errstate(all="ignore"):
-        while r.shape[-1] > 1:
+        while r.shape[-1] > _TAIL_ROWS:
             m = r.shape[-1]
             p = m // 2
             slab = np.zeros((2 * d, 3 * d + 1, p))
@@ -152,22 +162,30 @@ def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
 
         # A pivot at roundoff of its column's norm leaves the shared node
         # undetermined; the first such pair is the one to report.
+        pivots, scale = pivots[:, :done], scale[:, :done]
         rank_deficient = ((pivots <= (2 * d * _EPS) * scale) & np.isfinite(scale)).any(axis=0)
         if rank_deficient.any():
             raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
                                       f"{_shared_node(N, int(np.argmax(rank_deficient)))}")
 
-        end_system = np.empty((2 * d, 2 * d))
-        end_system[:d, :d], end_system[:d, d:] = left[..., 0], right[..., 0]
-        end_system[d:, :d], end_system[d:, d:] = jacobian.dg_0, jacobian.dg_N
+        # The m remaining rows and the boundary row, in grid order, as one
+        # dense system; only an exactly zero pivot of R is refused.
+        m = r.shape[-1]
+        n = (m + 1) * d
+        system = np.zeros((m + 1, d, m + 1, d))
+        k = np.arange(m)
+        system[k, :, k] = left.transpose(2, 0, 1)
+        system[k, :, k + 1] = right.transpose(2, 0, 1)
+        system[m, :, 0], system[m, :, m] = jacobian.dg_0, jacobian.dg_N
+        Q, R = np.linalg.qr(system.reshape(n, n))
         try:
-            x = np.linalg.solve(end_system, np.concatenate((r[:, 0], rhs[N * d:])))
+            x = np.linalg.solve(R, Q.T @ np.concatenate((r.T.ravel(), rhs[N * d:])))
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"end system on nodes 0 and {N} is singular") from exc
         # x holds the solution on the current level's nodes, components
         # first. With a pair's unknowns z in slab column order and -1 for
         # the rhs, top row i reads -alpha_i z[i] + sum_{c>i} top[i, c] z[c] = 0.
-        x = x.reshape(2, d).T
+        x = x.reshape(m + 1, d).T
         for top in reversed(tops):
             p = top.shape[-1]
             z = np.empty((3 * d + 1, p))

@@ -360,7 +360,7 @@ SOLVE_PILE_8_TABLE = (
     "8,inf,-0.000000,-0.000000,-0.040994,-0.045197\r\n")
 SOLVE_PILE_8_SUMMARY = (
     "key,value\r\nproblem,pile\r\nmap,log\r\nc,5.000000\r\nN,8\r\nconverged,true\r\n"
-    "iterations,5\r\nfinal_increment,2.1153046840661263e-09\r\ndu0,-0.802084\r\n"
+    "iterations,5\r\nfinal_increment,2.1153047064113233e-09\r\ndu0,-0.802084\r\n"
     "u0,1.413440\r\n")
 
 # argv ("{input}" is the extrapolate input file, "{out}" an --out path),

@@ -190,6 +190,27 @@ def test_stencil_arrays_frozen_entries():
         assert np.array_equal(x_mid, grid.fractional_nodes(0.5))
 
 
+def test_stencil_arrays_are_built_once_per_flag_and_read_only(monkeypatch):
+    grid = build_grid(GridMap("log", 5.0), 20)
+    evaluations = []
+    values = GridMap.values
+    monkeypatch.setattr(GridMap, "values", lambda self, xi: evaluations.append(xi) or values(self, xi))
+    first = grid.stencil_arrays()
+    assert len(evaluations) == 3
+    assert grid.stencil_arrays() is first
+    assert grid.stencil_arrays(True) is first
+    without = grid.stencil_arrays(False)
+    assert without is not first
+    assert grid.stencil_arrays(False) is without
+    assert len(evaluations) == 6
+    for array in (*first, *without):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # another grid with the same map and N computes its own
+    assert build_grid(GridMap("log", 5.0), 20).stencil_arrays() is not first
+
+
 def test_stencil_rejects_whole_line_grids():
     grid = build_grid(GridMap("tan", 1.0), 4)
     with pytest.raises(ValueError):

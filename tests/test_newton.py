@@ -88,11 +88,12 @@ def random_chain(rng, N, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_linear_solve_matches_dense_oracle_on_every_carry_pattern(d):
-    # N = 2..32 gives every pattern of odd rows carried up over at most
-    # five levels; 33 and 1025 carry one at every level but the last,
-    # 1023 at the first level only
+    # N = 2..16 go straight to the dense tail; N = 17..65 reach it after
+    # one, two or three levels, with every tail size from 9 to 16 rows and
+    # every pattern of odd rows carried up on the way; 1025 carries one at
+    # every level, 1023 at the first level only
     rng = np.random.default_rng(23)
-    for N in [*range(2, 34), 1023, 1025]:
+    for N in [*range(2, 4 * newton._TAIL_ROWS + 2), 1023, 1025]:
         jac = random_chain(rng, N, d)
         rhs = rng.normal(size=(jac.N + 1) * jac.d)
         structured = linear_solve(jac, rhs)
@@ -104,13 +105,15 @@ def test_linear_solve_matches_dense_oracle_on_every_carry_pattern(d):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("block", ["dU_n", "dU_next"])
+@pytest.mark.parametrize("block", ["dU_n", "dU_next", "dg_0", "dg_N"])
 def test_nonfinite_block_gives_nonfinite_delta_silently(block, value):
+    # interval block 17 is reduced in the first level; the boundary
+    # blocks enter the dense tail
     problem = pile()
     grid = build_grid(GridMap("log", 5.0), 40)
     field = initial_field(problem, grid)
     jac = assemble_jacobian(problem, grid, field, "analytic")
-    getattr(jac, block)[17, 1, 2] = value
+    getattr(jac, block)[(17, 1, 2) if block.startswith("dU") else (1, 2)] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         delta = linear_solve(jac, -assemble_residual(problem, grid, field))
@@ -201,12 +204,26 @@ def test_singular_interval_block_is_reported():
 
 
 def test_rank_deficient_pair_block_is_reported():
+    # rows 16 and 17 of a chain longer than the dense tail form a pair of
+    # the first level; zeroing both of their node-17 blocks leaves that
+    # node in no row at all
+    jac = random_chain(np.random.default_rng(29), 40, 2)
+    jac.dU_next[16] = 0.0
+    jac.dU_n[17] = 0.0
+    with pytest.raises(SingularSystemError, match="pair block at node 17$"):
+        linear_solve(jac, np.zeros(41 * 2))
+
+
+def test_all_zero_small_system_is_reported_as_end_system():
+    # N = 2 has no pair block: the whole system is the dense tail
     jac = StructuredJacobian(
         dU_n=np.zeros((2, 1, 1)),
         dU_next=np.zeros((2, 1, 1)),
         dg_0=np.zeros((1, 1)), dg_N=np.zeros((1, 1)))
-    with pytest.raises(SingularSystemError, match="node 1"):
-        linear_solve(jac, np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match="nodes 0 and 2"):
+            linear_solve(jac, np.zeros(3))
 
 
 def test_singular_boundary_closure_names_the_iteration():
