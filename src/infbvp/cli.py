@@ -133,9 +133,7 @@ def _solver_grid_map(args) -> GridMap:
 
 
 def _make_config(args) -> SolverConfig:
-    return SolverConfig(tol=args.tol, max_iter=args.max_iter,
-                        jacobian_mode=args.jacobian,
-                        continuation=not args.no_continuation)
+    return SolverConfig(tol=args.tol, max_iter=args.max_iter, jacobian_mode=args.jacobian)
 
 
 def _add_problem_options(parser) -> None:
@@ -218,7 +216,7 @@ def cmd_solve(args) -> int:
     n_values = _parse_n_values(args.N)
     if len(n_values) != 1:
         raise ValueError("solve takes a single --N; use sweep for a family")
-    grid = build_grid(grid_map, n_values[0])
+    grid = build_grid(grid_map, n_values[0], continuation=not args.no_continuation)
     result = newton_solve(problem, grid, config=_make_config(args))
     reports = {name: report_scalar(problem, result, name) for name in sorted(problem.reports)}
     doc = {
@@ -267,8 +265,8 @@ def cmd_sweep(args) -> int:
         record = {"N": n, "iterations": None, "converged": False}
         record.update((key, None) for q in quantities for key in (q, f"{q}_order"))
         records.append(record)
-        grid = build_grid(grid_map, n)
-        initial = None if previous is None else prolong(*previous, config.continuation)
+        grid = build_grid(grid_map, n, continuation=not args.no_continuation)
+        initial = None if previous is None else prolong(*previous)
         previous = None
         try:
             result = newton_solve(problem, grid, initial=initial, config=config)

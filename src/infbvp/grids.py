@@ -89,14 +89,15 @@ class QuasiUniformGrid:
     For the semi-infinite maps the nodes are x_n = x(n/N), n = 0..N,
     with x_N = inf; for the whole-line map they are x_n = x(n/N),
     n = -N..N, with x_{+-N} = +-inf. The infinite coordinates are kept
-    for output only. Use build_grid() for a validated instance.
+    for output only. The field continuation holds the last-interval rule
+    of stencil_arrays. Use build_grid() for a validated instance.
     """
 
     map: GridMap
     N: int
     nodes: np.ndarray
-    # stencil_arrays per continuation flag, built on first use
-    _stencils: dict = field(default_factory=dict, init=False, repr=False)
+    continuation: bool = True
+    _stencils: tuple | None = field(default=None, init=False, repr=False)  # built on first use
 
     @property
     def whole_line(self) -> bool:
@@ -119,7 +120,7 @@ class QuasiUniformGrid:
             raise ValueError(f"fractional offset must lie in (0, 1), got {alpha}")
         return self.map.values((self.indices[:-1] + alpha) / self.N)
 
-    def stencil_arrays(self, continuation: bool = True):
+    def stencil_arrays(self):
         """Midpoint formula coefficients (a, b, c_w, x_mid), each an array
         with one entry per interval n = 0..N-1.
 
@@ -127,18 +128,16 @@ class QuasiUniformGrid:
         x_mid = x_{n+1/2}; b and c_w are the interpolation weights of
         U_{n+1} and U_n, with b + c_w = 1 exactly. On the last interval
         the literal weights degenerate to b = 0, c_w = 1 because x_N is
-        infinite; continuation=True (the default) copies the previous
-        interval's weights instead, keeping the unknown at the infinity
-        node coupled to the rest of the system, and continuation=False
-        keeps the literal weights. Only fractional nodes and finite nodes
-        enter, so every entry is finite.
+        infinite; a grid with continuation=True (the default) copies the
+        previous interval's weights instead, keeping the unknown at the
+        infinity node coupled to the rest of the system, and one with
+        continuation=False keeps the literal weights. Only fractional
+        nodes and finite nodes enter, so every entry is finite.
 
-        The grid never changes, so the arrays are computed once per flag
-        and returned read-only on every later call.
+        Computed once per grid, returned read-only on every later call.
         """
-        continuation = bool(continuation)
-        if continuation in self._stencils:
-            return self._stencils[continuation]
+        if self._stencils is not None:
+            return self._stencils
         if self.whole_line:
             raise ValueError("difference stencils are defined on semi-infinite grids only")
         N = self.N
@@ -146,17 +145,19 @@ class QuasiUniformGrid:
         x_mid = self.fractional_nodes(0.5)
         b = np.empty(N)
         b[: N - 1] = (x_mid[: N - 1] - self.nodes[: N - 1]) / (self.nodes[1:N] - self.nodes[: N - 1])
-        b[N - 1] = b[N - 2] if continuation else 0.0
+        b[N - 1] = b[N - 2] if self.continuation else 0.0
         arrays = (a, b, 1.0 - b, x_mid)
         for array in arrays:
             array.flags.writeable = False
-        self._stencils[continuation] = arrays
+        object.__setattr__(self, "_stencils", arrays)
         return arrays
 
 
-def build_grid(grid_map: GridMap, N: int) -> QuasiUniformGrid:
+def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> QuasiUniformGrid:
     """Grid with N intervals per semi-axis (so 2N+1 nodes on the whole
-    line). Requires N >= 2, a finite x_{N-1/4} and strict monotonicity."""
+    line). Requires N >= 2, a finite x_{N-1/4} and strict monotonicity.
+    continuation sets the grid's last-interval rule (see stencil_arrays),
+    which the residual, the Jacobian and prolong all follow."""
     N = int(N)
     if N < 2:
         raise ValueError(f"need at least 2 intervals, got {N}")
@@ -170,4 +171,4 @@ def build_grid(grid_map: GridMap, N: int) -> QuasiUniformGrid:
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError("generating map produced a non-monotone grid")
     nodes.flags.writeable = False
-    return QuasiUniformGrid(map=grid_map, N=N, nodes=nodes)
+    return QuasiUniformGrid(map=grid_map, N=N, nodes=nodes, continuation=bool(continuation))

@@ -27,7 +27,7 @@ pivoting is unstable", SIAM J. Sci. Comput. 14, 1993).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +58,13 @@ class SolverConfig:
     """Newton iteration controls.
 
     jacobian_mode is "analytic", "fd", or None to pick analytic whenever
-    the problem carries closed-form derivatives. continuation keeps the
-    last-interval interpolation weights copied from the interval before
-    it (turning it off reproduces the degenerate b = 0, c_w = 1 weights).
+    the problem carries closed-form derivatives. The last-interval rule
+    is the grid's: see build_grid(..., continuation=).
     """
 
     tol: float = 1e-6
     max_iter: int = 50
     jacobian_mode: str | None = None
-    continuation: bool = True
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
@@ -82,15 +80,20 @@ class SolveResult:
     """Grid solution with iteration diagnostics.
 
     solution has shape (N+1, d); increments records the mean absolute
-    correction of every applied Newton step, so increments[-1] equals
-    final_increment.
+    correction of every applied Newton step, one per iteration.
     """
 
     solution: np.ndarray
-    iterations: int
-    final_increment: float
     converged: bool
-    increments: list[float] = field(default_factory=list)
+    increments: list[float]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.increments)
+
+    @property
+    def final_increment(self) -> float:
+        return self.increments[-1]
 
 
 def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
@@ -241,8 +244,8 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     increments: list[float] = []
     converged = False
     for iteration in range(1, int(config.max_iter) + 1):
-        residual = assemble_residual(problem, grid, U, config.continuation)
-        jacobian = assemble_jacobian(problem, grid, U, mode, config.continuation)
+        residual = assemble_residual(problem, grid, U)
+        jacobian = assemble_jacobian(problem, grid, U, mode)
         try:
             delta = linear_solve(jacobian, -residual)
         except SingularSystemError as exc:
@@ -258,6 +261,4 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         if m <= config.tol:
             converged = True
             break
-    return SolveResult(solution=U, iterations=len(increments),
-                       final_increment=increments[-1], converged=converged,
-                       increments=increments)
+    return SolveResult(solution=U, converged=converged, increments=increments)

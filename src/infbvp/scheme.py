@@ -89,23 +89,23 @@ def _midpoint_states(U: np.ndarray, b: np.ndarray, c_w: np.ndarray) -> np.ndarra
     return c_w[:, None] * U[:-1] + b[:, None] * U[1:]
 
 
-def _midpoints(problem, grid: QuasiUniformGrid, U, continuation: bool):
+def _midpoints(problem, grid: QuasiUniformGrid, U):
     """Stencil arrays and the midpoint states u_mid of shape (N, d)."""
-    a, b, c_w, x_mid = grid.stencil_arrays(continuation)
+    a, b, c_w, x_mid = grid.stencil_arrays()
     U = _check_field(grid, U, problem.d)
     return U, a, b, c_w, x_mid, _midpoint_states(U, b, c_w)
 
 
-def prolong(grid: QuasiUniformGrid, U, continuation: bool = True) -> np.ndarray:
+def prolong(grid: QuasiUniformGrid, U) -> np.ndarray:
     """Carry a field on grid N over to the doubled grid 2N, shape (2N+1, d).
 
     On doubling grids of one map node n of grid N is node 2n of grid 2N
     and the new node 2n+1 is the coarse midpoint x_{n+1/2}. Even rows are
     U unchanged; odd rows are the midpoint states the scheme itself uses,
-    c_w*U_n + b*U_{n+1}, so the last interval follows the continuation
-    rule (or b = 0 without it). Used as the fine grid's initial iterate.
+    c_w*U_n + b*U_{n+1}, so the last interval follows the grid's own
+    rule (grid.continuation). Used as the fine grid's initial iterate.
     """
-    _, b, c_w, _ = grid.stencil_arrays(continuation)
+    _, b, c_w, _ = grid.stencil_arrays()
     U = _check_field(grid, U)
     fine = np.empty((2 * grid.N + 1, U.shape[1]))
     fine[0::2] = U
@@ -113,12 +113,12 @@ def prolong(grid: QuasiUniformGrid, U, continuation: bool = True) -> np.ndarray:
     return fine
 
 
-def assemble_residual(problem, grid: QuasiUniformGrid, U, continuation: bool = True) -> np.ndarray:
+def assemble_residual(problem, grid: QuasiUniformGrid, U) -> np.ndarray:
     """Residual of the discrete system at the field U, length d*(N+1).
 
     problem.f is called once, on all N midpoints.
     """
-    U, a, _, _, x_mid, u_mid = _midpoints(problem, grid, U, continuation)
+    U, a, _, _, x_mid, u_mid = _midpoints(problem, grid, U)
     res = np.empty_like(U)
     res[:-1] = U[1:] - U[:-1] - a[:, None] * _eval_f(problem, x_mid, u_mid)
     res[-1] = _eval_g(problem, U[0], U[-1])
@@ -172,8 +172,8 @@ def _df_du_analytic(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray
     return np.broadcast_to(F.T, (N, d, d)).transpose(0, 2, 1)
 
 
-def assemble_jacobian(problem, grid: QuasiUniformGrid, U, mode: str = "analytic",
-                      continuation: bool = True) -> StructuredJacobian:
+def assemble_jacobian(problem, grid: QuasiUniformGrid, U,
+                      mode: str = "analytic") -> StructuredJacobian:
     """Jacobian of assemble_residual at U.
 
     Both modes build the (N, d, d) interval blocks from one formula,
@@ -188,7 +188,7 @@ def assemble_jacobian(problem, grid: QuasiUniformGrid, U, mode: str = "analytic"
     if mode == "analytic" and (problem.df_du is None or problem.dg is None):
         raise MissingDerivativeError(
             f"problem '{problem.name}' carries no analytic derivatives; use mode='fd'")
-    U, a, b, c_w, x_mid, u_mid = _midpoints(problem, grid, U, continuation)
+    U, a, b, c_w, x_mid, u_mid = _midpoints(problem, grid, U)
     N, d = u_mid.shape
 
     if mode == "analytic":

@@ -113,8 +113,8 @@ def test_criterion_3_end_condition_residual(falkner_runs):
     compared = []
     without_rule_ok = True
     for n in END_VALUE_GRIDS:
-        degenerate = newton_solve(falkner_skan(P=1.0), build_grid(LOG_MAP, n),
-                                  config=SolverConfig(continuation=False))
+        degenerate = newton_solve(falkner_skan(P=1.0),
+                                  build_grid(LOG_MAP, n, continuation=False))
         without = abs(degenerate.solution[-1, 2])
         with_rule = abs(runs[n].solution[-1, 2])
         without_rule_ok = (without_rule_ok and degenerate.converged
@@ -270,7 +270,7 @@ def test_criterion_8_manufactured_convergence():
         scalar_errors.append(abs(result.solution[0, 1] + 1.0))
         exact = exact_decay_field(grid)
         res = assemble_residual(problem, grid, exact)
-        a = grid.stencil_arrays(True)[0]
+        a = grid.stencil_arrays()[0]
         defect = res[: n * problem.d].reshape(n, problem.d) / a[:, None]
         residual_norms.append(float(np.max(np.abs(defect))))
 

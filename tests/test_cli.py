@@ -319,12 +319,56 @@ def test_warm_started_sweep_matches_cold_solves(name, jacobian, capsys):
             assert abs(float(row[header.index(q)]) - report_scalar(problem, cold, q)) <= 1e-10
 
 
+def record_grid_rules(monkeypatch):
+    """Replace cli.newton_solve by a pass-through that records (N,
+    grid.continuation) of every grid it is handed."""
+    seen = []
+
+    def recorder(problem, grid, initial=None, config=None):
+        seen.append((grid.N, grid.continuation))
+        return newton_solve(problem, grid, initial=initial, config=config)
+
+    monkeypatch.setattr(cli, "newton_solve", recorder)
+    return seen
+
+
+def test_solve_without_continuation_solves_on_a_grid_without_the_rule(monkeypatch, capsys):
+    seen = record_grid_rules(monkeypatch)
+    assert cli.main(["solve", "--problem", "pile", "--N", "12", "--no-continuation",
+                     "--raw"]) == 0
+    assert seen == [(12, False)]
+    rows = parse_csv(capsys.readouterr().out)
+    solution = np.array([[float(v) for v in row[2:]] for row in rows[1:14]])
+    problem = PROBLEMS["pile"]()
+    without = newton_solve(problem, build_grid(GridMap("log", 5.0), 12, continuation=False))
+    assert np.array_equal(solution, without.solution)
+    # the flag reaches the scheme: the default grid gives another answer
+    assert not np.array_equal(solution,
+                              newton_solve(problem, build_grid(GridMap("log", 5.0), 12)).solution)
+
+
+@pytest.mark.parametrize("name", ["falkner-skan", "pile"])
+def test_sweep_without_continuation_matches_cold_solves(name, monkeypatch, capsys):
+    seen = record_grid_rules(monkeypatch)
+    ns = (20, 40, 80, 160)
+    assert cli.main(["sweep", "--problem", name, "--N", ",".join(map(str, ns)),
+                     "--no-continuation", "--raw"]) == 0
+    assert seen == [(n, False) for n in ns]
+    rows = parse_csv(capsys.readouterr().out)
+    header = rows[0]
+    problem = PROBLEMS[name]()
+    for n, row in zip(ns, rows[1:]):
+        cold = newton_solve(problem, build_grid(GridMap("log", 5.0), n, continuation=False))
+        assert int(row[0]) == n and row[2] == "true" and cold.converged
+        for q in problem.reports:
+            assert abs(float(row[header.index(q)]) - report_scalar(problem, cold, q)) <= 1e-10
+
+
 def test_solve_json_stays_valid_for_a_nonfinite_iterate(monkeypatch, capsys):
     def diverged(problem, grid, initial=None, config=None):
         solution = np.zeros((grid.N + 1, problem.d))
         solution[1, 0], solution[2, 1], solution[3, 2] = np.inf, -np.inf, np.nan
-        return SolveResult(solution=solution, iterations=1, final_increment=np.inf,
-                           converged=False, increments=[np.inf])
+        return SolveResult(solution=solution, converged=False, increments=[np.inf])
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -457,8 +501,7 @@ def test_csv_writer_pins_edge_values(mode, tmp_path, monkeypatch, capsys):
         solution = np.array([[-4e-25, 1e-300, 0.5, -0.0],
                              [np.inf, -np.inf, np.nan, 1e300],
                              [-0.0, 1.25, -4e-25, 2.0]])
-        return SolveResult(solution=solution, iterations=3, final_increment=0.1,
-                           converged=True, increments=[0.1])
+        return SolveResult(solution=solution, converged=True, increments=[0.4, 0.2, 0.1])
 
     extra, table, summary = EDGE_VALUE_OUTPUT[mode]
     out = tmp_path / "out.csv"

@@ -144,12 +144,12 @@ def test_last_interval_continuation_copies_weights():
 
 
 def test_last_interval_without_continuation():
-    grid = build_grid(GridMap("log", 5.0), 20)
-    _, b, c_w, _ = grid.stencil_arrays(continuation=False)
+    grid = build_grid(GridMap("log", 5.0), 20, continuation=False)
+    _, b, c_w, _ = grid.stencil_arrays()
     assert b[19] == 0.0
     assert c_w[19] == 1.0
     # interior intervals are unaffected by the flag
-    assert np.array_equal(b[:19], grid.stencil_arrays()[1][:19])
+    assert np.array_equal(b[:19], build_grid(GridMap("log", 5.0), 20).stencil_arrays()[1][:19])
 
 
 def test_weight_sum_is_exactly_one():
@@ -158,9 +158,9 @@ def test_weight_sum_is_exactly_one():
         kind = rng.choice(["log", "alg"])
         c = float(rng.uniform(0.2, 12.0))
         n_intervals = int(rng.integers(2, 40))
-        grid = build_grid(GridMap(kind, c), n_intervals)
         for continuation in (True, False):
-            _, b, c_w, _ = grid.stencil_arrays(continuation)
+            grid = build_grid(GridMap(kind, c), n_intervals, continuation=continuation)
+            _, b, c_w, _ = grid.stencil_arrays()
             assert np.all(b + c_w == 1.0)
             assert np.all((0.0 <= b) & (b < 1.0))
 
@@ -178,9 +178,9 @@ ALG_3_9_X_MID = [0.1764705882352941, 0.6, 1.153846153846154, 1.909090909090909, 
 
 
 def test_stencil_arrays_frozen_entries():
-    grid = build_grid(GridMap("alg", 3.0), 9)
     for continuation in (True, False):
-        a, b, c_w, x_mid = grid.stencil_arrays(continuation)
+        grid = build_grid(GridMap("alg", 3.0), 9, continuation=continuation)
+        a, b, c_w, x_mid = grid.stencil_arrays()
         assert a.shape == b.shape == c_w.shape == x_mid.shape == (9,)
         want_b = ALG_3_9_B[:8] + [ALG_3_9_B[8] if continuation else 0.0]
         assert a.tolist() == ALG_3_9_A
@@ -191,24 +191,27 @@ def test_stencil_arrays_frozen_entries():
 
 
 def test_stencil_arrays_are_built_once_per_flag_and_read_only(monkeypatch):
-    grid = build_grid(GridMap("log", 5.0), 20)
+    # one grid per flag, each building its arrays once: 3 map evaluations
     evaluations = []
     values = GridMap.values
-    monkeypatch.setattr(GridMap, "values", lambda self, xi: evaluations.append(xi) or values(self, xi))
-    first = grid.stencil_arrays()
-    assert len(evaluations) == 3
-    assert grid.stencil_arrays() is first
-    assert grid.stencil_arrays(True) is first
-    without = grid.stencil_arrays(False)
-    assert without is not first
-    assert grid.stencil_arrays(False) is without
-    assert len(evaluations) == 6
-    for array in (*first, *without):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-    # another grid with the same map and N computes its own
-    assert build_grid(GridMap("log", 5.0), 20).stencil_arrays() is not first
+    for continuation in (True, False):
+        grid = build_grid(GridMap("log", 5.0), 20, continuation=continuation)
+        assert grid.continuation is continuation
+        with monkeypatch.context() as patched:
+            evaluations.clear()
+            patched.setattr(GridMap, "values",
+                            lambda self, xi: evaluations.append(xi) or values(self, xi))
+            first = grid.stencil_arrays()
+            assert len(evaluations) == 3
+            assert grid.stencil_arrays() is first
+            assert len(evaluations) == 3
+        for array in first:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        # another grid with the same map, N and flag computes its own
+        again = build_grid(GridMap("log", 5.0), 20, continuation=continuation)
+        assert again.stencil_arrays() is not first
 
 
 def test_stencil_rejects_whole_line_grids():
@@ -219,9 +222,9 @@ def test_stencil_rejects_whole_line_grids():
 
 def test_stencil_interval_bounds():
     # one entry per interval 0..N-1, the last ending at infinity
-    grid = build_grid(GridMap("log", 5.0), 5)
     for continuation in (True, False):
-        assert all(len(entry) == 5 for entry in grid.stencil_arrays(continuation))
+        grid = build_grid(GridMap("log", 5.0), 5, continuation=continuation)
+        assert all(len(entry) == 5 for entry in grid.stencil_arrays())
     assert len(grid.fractional_nodes(0.5)) == 5
 
 

@@ -77,11 +77,11 @@ def test_residual_exact_discrete_solution():
 
 def test_continuation_flag_touches_only_last_interval_block():
     problem = falkner_skan()
-    grid = build_grid(GridMap("log", 5.0), 8)
     rng = np.random.default_rng(3)
     field = rng.normal(size=(9, 3))
-    with_rule = assemble_residual(problem, grid, field, continuation=True)
-    without = assemble_residual(problem, grid, field, continuation=False)
+    with_rule = assemble_residual(problem, build_grid(GridMap("log", 5.0), 8), field)
+    without = assemble_residual(problem, build_grid(GridMap("log", 5.0), 8, continuation=False),
+                                field)
     d = problem.d
     last_block = slice(7 * d, 8 * d)
     assert np.array_equal(np.delete(with_rule, np.r_[last_block]),
@@ -102,22 +102,23 @@ def test_infinite_node_coordinate_is_never_read():
     # replace x_N by NaN: every assembled quantity must stay identical,
     # proving no arithmetic path touches the infinite coordinate
     problem = pile()
-    grid = build_grid(GridMap("log", 5.0), 12)
-    poisoned_nodes = grid.nodes.copy()
-    poisoned_nodes[-1] = np.nan
-    poisoned = QuasiUniformGrid(map=grid.map, N=grid.N, nodes=poisoned_nodes)
     rng = np.random.default_rng(5)
     field = rng.normal(size=(13, 4))
     for continuation in (True, False):
-        res_true = assemble_residual(problem, grid, field, continuation)
-        res_poisoned = assemble_residual(problem, poisoned, field, continuation)
+        grid = build_grid(GridMap("log", 5.0), 12, continuation=continuation)
+        poisoned_nodes = grid.nodes.copy()
+        poisoned_nodes[-1] = np.nan
+        poisoned = QuasiUniformGrid(map=grid.map, N=grid.N, nodes=poisoned_nodes,
+                                    continuation=continuation)
+        res_true = assemble_residual(problem, grid, field)
+        res_poisoned = assemble_residual(problem, poisoned, field)
         assert np.array_equal(res_true, res_poisoned)
-        jac_true = assemble_jacobian(problem, grid, field, "analytic", continuation)
-        jac_poisoned = assemble_jacobian(problem, poisoned, field, "analytic", continuation)
+        jac_true = assemble_jacobian(problem, grid, field, "analytic")
+        jac_poisoned = assemble_jacobian(problem, poisoned, field, "analytic")
         assert np.array_equal(dense_jacobian(jac_true), dense_jacobian(jac_poisoned))
-    solved_true = newton_solve(problem, grid)
-    solved_poisoned = newton_solve(problem, poisoned)
-    assert np.array_equal(solved_true.solution, solved_poisoned.solution)
+        solved_true = newton_solve(problem, grid)
+        solved_poisoned = newton_solve(problem, poisoned)
+        assert np.array_equal(solved_true.solution, solved_poisoned.solution)
 
 
 def test_evaluation_error_carries_interval_index():
@@ -348,12 +349,12 @@ def test_prolong_fills_odd_rows_with_the_scheme_midpoint_states(kind, continuati
         return base.f(x, u)
 
     problem = dataclasses.replace(base, f=recording_f)
-    grid = build_grid(GridMap(kind, 5.0), 12)
+    grid = build_grid(GridMap(kind, 5.0), 12, continuation=continuation)
     field = np.random.default_rng(11).normal(size=(13, 3))
-    fine = prolong(grid, field, continuation)
+    fine = prolong(grid, field)
     assert fine.shape == (25, 3)
     assert np.array_equal(fine[0::2], field)
-    assemble_residual(problem, grid, field, continuation)
+    assemble_residual(problem, grid, field)
     assert np.array_equal(fine[1::2], seen[0].T)
     # the last odd row sits on the interval that ends at infinity
     if not continuation:
