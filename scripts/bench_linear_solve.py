@@ -11,6 +11,11 @@ default iterate, over {falkner-skan, pile} x {log, alg} x N in
 single-threaded interpreter, and their calls alternate on each case, so
 that a drift in CPU speed hits both alike; each side keeps its best of
 --repeats calls.
+
+linear_solve keeps its factors on the Jacobian it is given, so every
+timed cold call gets a fresh StructuredJacobian built, outside the timer,
+from the same block arrays. replay_ms times the change's second call on
+that factored Jacobian, with another rhs, which replays the factors.
 """
 
 from __future__ import annotations
@@ -54,13 +59,19 @@ def first_newton_system(lib, problem: str, kind: str, N: int):
             -lib.assemble_residual(problem, grid, field))
 
 
-def time_solve(lib, system) -> tuple[float, str]:
+def time_solve(lib, jacobian, rhs) -> tuple[float, str]:
     start = time.perf_counter()
     try:
-        lib.linear_solve(*system)
+        lib.linear_solve(jacobian, rhs)
     except lib.SingularSystemError as exc:
         return time.perf_counter() - start, f"SingularSystemError: {exc}"
     return time.perf_counter() - start, "ok"
+
+
+def fresh(lib, jacobian):
+    """An unfactored Jacobian on the same block arrays."""
+    return lib.StructuredJacobian(dU_n=jacobian.dU_n, dU_next=jacobian.dU_next,
+                                  dg_0=jacobian.dg_0, dg_N=jacobian.dg_N)
 
 
 def _cpu_model() -> str:
@@ -86,20 +97,29 @@ def main() -> None:
             for N in SIZES:
                 systems = {side: first_newton_system(lib, problem, kind, N)
                            for side, lib in sides.items()}
+                other_rhs = np.random.default_rng(N).standard_normal(systems["change"][1].shape)
                 best = {side: (float("inf"), "") for side in sides}
+                replay = float("inf")
                 for repeat in range(args.repeats):
                     order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
                     for side in order:
-                        seconds, outcome = time_solve(sides[side], systems[side])
+                        lib, (jacobian, rhs) = sides[side], systems[side]
+                        jacobian = fresh(lib, jacobian)
+                        seconds, outcome = time_solve(lib, jacobian, rhs)
                         best[side] = (min(best[side][0], seconds), outcome)
+                        if side == "change" and outcome == "ok":
+                            replay = min(replay, time_solve(lib, jacobian, other_rhs)[0])
                 (before, before_outcome), (after, after_outcome) = best["parent"], best["change"]
                 cases[f"{problem}/{kind}/{N}"] = {
                     "parent_ms": round(before * 1e3, 3), "change_ms": round(after * 1e3, 3),
                     "speedup": round(before / after, 2),
+                    "replay_ms": round(replay * 1e3, 3), "replay_share": round(replay / after, 2),
                     "parent_outcome": before_outcome, "change_outcome": after_outcome}
     record = {
         "what": ("best-of-repeats wall ms of one newton.linear_solve on the first Newton "
-                 "step's system, analytic Jacobian at the default iterate, c = 5"),
+                 "step's system, analytic Jacobian at the default iterate, c = 5, each call "
+                 "on a fresh Jacobian; replay_ms is the change's second call on that "
+                 "Jacobian with another rhs, replay_share its ratio to change_ms"),
         "command": f"python3 scripts/bench_linear_solve.py PARENT_TREE --repeats {args.repeats}",
         "env": {"cpu": _cpu_model(), "nproc": os.cpu_count(), "machine": platform.machine(),
                 "python": platform.python_version(), "numpy": np.__version__,

@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 from .grids import GridMap, build_grid
@@ -33,7 +34,8 @@ EXIT_USAGE = 2
 def _cell(value, float_format: str) -> str:
     """The one CSV cell rule: None is empty, bools are true/false, floats
     follow float_format (inf, -inf and nan print as those tokens) and
-    anything else prints as str()."""
+    anything else prints as str(). _csv_text drops the sign of a
+    fixed-decimal float that prints as zero."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -48,7 +50,9 @@ def _csv_text(rows, args) -> str:
     exactly int or float is written with one `%` template per cell-type
     signature, the same rule spelled as a format string (numeric cells
     never need quoting); any other row goes cell by cell through _cell
-    and csv.writer."""
+    and csv.writer. Without --raw a float whose fixed-decimal text has
+    only zeros prints without its minus sign: a -4e-25 that is zero to
+    roundoff reads 0.000000, not -0.000000."""
     float_format = "%.17g" if args.raw else f"%.{args.decimals}f"
     numeric = {int: "%d", float: float_format}
     templates = {}  # cell types -> row template, or None for a non-numeric row
@@ -65,7 +69,12 @@ def _csv_text(rows, args) -> str:
             writer.writerow([_cell(value, float_format) for value in row])
         else:
             buffer.write(template % row)
-    return buffer.getvalue()
+    text = buffer.getvalue()
+    if not args.raw:
+        # a '-' opening a cell that is all zeros up to its delimiter
+        zero = re.escape(float_format % 0.0)
+        text = re.sub(rf"-(?<![^,\n]-)(?={zero}[,\r])", "", text)
+    return text
 
 
 def _json_safe(value):

@@ -1,8 +1,13 @@
 """Newton iteration for the discretized boundary value system.
 
-Full steps, no damping: the update solves J * delta = -residual and is
-applied as-is, and the iteration stops once the mean absolute correction
-over all d*(N+1) unknowns drops to the tolerance.
+No damping: every update is applied as-is, and the iteration stops once
+the mean absolute correction over all d*(N+1) unknowns drops to the
+tolerance. From the problem's default iterate every step is a full step,
+J(U) delta = -residual(U). From a given field (a warm start) each step
+after the first first tries the simplified step with the previous
+Jacobian's kept factors, J_old delta = -residual(U), and takes it only
+when it ends the solve at Newton accuracy; otherwise it assembles J(U)
+and takes the full step.
 
 The linear stage exploits the block structure: N interval block rows,
 each coupling two neighbouring nodes, closed by one boundary block row
@@ -107,14 +112,58 @@ def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     formed. Once at most 16 rows remain, they and the boundary row make
     one dense (m+1)d x (m+1)d system on the level's m+1 nodes, which one
     Householder QR (np.linalg.qr) and a triangular solve finish.
+
+    The first call on a Jacobian factors it, with rhs carried in the
+    slabs, and keeps the factors on it: each level's slab, which holds
+    the reflection vectors, with each reflection's scaled vector and
+    diagonal, and the tail's Q and R. Its blocks become read-only. A
+    later call on the same Jacobian replays the factors on its rhs, with
+    no refactorization: the stored reflections applied to the slabs' rhs
+    column level by level, Q.T and the solve with R, then the same
+    back-substitution. That column is the one piece of a slab a solve
+    writes, so one Jacobian serves one solve at a time.
     Raises SingularSystemError, naming the node, when a pair block is
-    rank-deficient or the dense tail has a zero pivot.
+    rank-deficient or the dense tail has a zero pivot; such a Jacobian
+    keeps no factors, so another call raises the same error.
     """
     d, N = jacobian.d, jacobian.N
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != ((N + 1) * d,):
         raise ValueError(f"rhs length {rhs.shape} does not match system size {(N + 1) * d}")
+    r = rhs[: N * d].reshape(N, d).T
+    factors = jacobian._factors
+    # Non-finite blocks are not flagged: their NaNs reach delta, which
+    # newton_solve reports as a diverged iterate, and no warning leaks.
+    with np.errstate(all="ignore"):
+        if factors is None:
+            (levels, Q, R), r = _factor(jacobian, r)
+        else:
+            levels, Q, R = factors
+            r = _replay(levels, r)
+        try:
+            x = np.linalg.solve(R, Q.T @ np.concatenate((r.T.ravel(), rhs[N * d:])))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"end system on nodes 0 and {N} is singular") from exc
+        # x holds the solution on the tail level's nodes, components first.
+        x = _back_substitute(levels, x.reshape(-1, d).T)
+    if factors is None:
+        for block in (jacobian.dU_n, jacobian.dU_next, jacobian.dg_0, jacobian.dg_N):
+            block.setflags(write=False)
+        object.__setattr__(jacobian, "_factors", (levels, Q, R))
+    return x.T.copy()
 
+
+def _factor(jacobian: StructuredJacobian, r: np.ndarray):
+    """The reduction with the rhs rows r (d, N) carried in the slabs, and
+    the QR factors of the dense tail.
+
+    Returns the factors (levels, Q, R) and the rhs rows left for the
+    tail. levels holds per level the (2d, 3d+1, p) slab and, per
+    reflection j, the diagonal alpha_j of length p and the scaled
+    reflection vector v / (alpha_j v_1) of shape (2d-j, p); the vectors
+    v themselves stay in the slab's columns.
+    """
+    d, N = jacobian.d, jacobian.N
     # Row k of a level reads left[k] @ x[k] + right[k] @ x[k+1] = r[k] on
     # the level's own nodes, held components first with rows on the last
     # axis: left[:, :, k]. Rows 2k and 2k+1 share node 2k+1. Their slab
@@ -124,85 +173,99 @@ def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     # level's rows [right | left | r]. An odd row out is carried up as is.
     left = jacobian.dU_n.transpose(1, 2, 0)
     right = jacobian.dU_next.transpose(1, 2, 0)
-    r = rhs[: N * d].reshape(N, d).T
-    tops = []
+    levels = []
     # every pair removes one row: fewer than N pairs over all levels
     pivots, scale = np.empty((d, N - 1)), np.empty((d, N - 1))
     done = 0
-    # Non-finite blocks are not flagged: their NaNs reach delta, which
-    # newton_solve reports as a diverged iterate, and no warning leaks.
-    with np.errstate(all="ignore"):
-        while r.shape[-1] > _TAIL_ROWS:
-            m = r.shape[-1]
-            p = m // 2
-            slab = np.zeros((2 * d, 3 * d + 1, p))
-            slab[:d, :d] = right[..., : 2 * p: 2]
-            slab[:d, 2 * d: 3 * d] = left[..., : 2 * p: 2]
-            slab[:d, 3 * d] = r[..., : 2 * p: 2]
-            slab[d:, :d] = left[..., 1: 2 * p: 2]
-            slab[d:, d: 2 * d] = right[..., 1: 2 * p: 2]
-            slab[d:, 3 * d] = r[..., 1: 2 * p: 2]
-            shared = slab[:, :d]
-            np.sqrt(np.einsum("ijk,ijk->jk", shared, shared), out=scale[:, done: done + p])
-            for j in range(d):
-                # H = I - 2 v v^T / (v^T v) with v = x + alpha e_1 maps
-                # column x to -alpha e_1, and v^T v = 2 alpha v_1. The
-                # diagonal keeps alpha = -R_jj for back-substitution.
-                v = slab[j:, j]
-                pivot = np.sqrt(np.einsum("ik,ik->k", v, v), out=pivots[j, done: done + p])
-                alpha = np.copysign(pivot, v[0])
-                v[0] += alpha
-                rest = slab[j:, j + 1:]
-                rest -= (v / (alpha * v[0]))[:, None] * np.einsum("ik,ijk->jk", v, rest)
-                v[0] = alpha
-            tops.append(slab[:d])
-            done += p
-            rows = (slab[d:, d: 2 * d], slab[d:, 2 * d: 3 * d], slab[d:, 3 * d])
-            if m > 2 * p:
-                rows = [np.concatenate((new, old[..., 2 * p:]), axis=-1)
-                        for new, old in zip(rows, (right, left, r))]
-            right, left, r = rows
-
-        # A pivot at roundoff of its column's norm leaves the shared node
-        # undetermined; the first such pair is the one to report.
-        pivots, scale = pivots[:, :done], scale[:, :done]
-        rank_deficient = ((pivots <= (2 * d * _EPS) * scale) & np.isfinite(scale)).any(axis=0)
-        if rank_deficient.any():
-            raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
-                                      f"{_shared_node(N, int(np.argmax(rank_deficient)))}")
-
-        # The m remaining rows and the boundary row, in grid order, as one
-        # dense system; only an exactly zero pivot of R is refused.
+    while r.shape[-1] > _TAIL_ROWS:
         m = r.shape[-1]
-        n = (m + 1) * d
-        system = np.zeros((m + 1, d, m + 1, d))
-        k = np.arange(m)
-        system[k, :, k] = left.transpose(2, 0, 1)
-        system[k, :, k + 1] = right.transpose(2, 0, 1)
-        system[m, :, 0], system[m, :, m] = jacobian.dg_0, jacobian.dg_N
-        Q, R = np.linalg.qr(system.reshape(n, n))
-        try:
-            x = np.linalg.solve(R, Q.T @ np.concatenate((r.T.ravel(), rhs[N * d:])))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"end system on nodes 0 and {N} is singular") from exc
-        # x holds the solution on the current level's nodes, components
-        # first. With a pair's unknowns z in slab column order and -1 for
-        # the rhs, top row i reads -alpha_i z[i] + sum_{c>i} top[i, c] z[c] = 0.
-        x = x.reshape(m + 1, d).T
-        for top in reversed(tops):
-            p = top.shape[-1]
-            z = np.empty((3 * d + 1, p))
-            z[d: 2 * d] = x[:, 1: p + 1]
-            z[2 * d: 3 * d] = x[:, :p]
-            z[3 * d] = -1.0
-            for i in range(d - 1, -1, -1):
-                z[i] = np.einsum("jk,jk->k", top[i, i + 1:], z[i + 1:]) / top[i, i]
-            finer = np.empty((d, x.shape[1] + p))
-            finer[:, : 2 * p + 1: 2] = x[:, : p + 1]
-            finer[:, 1: 2 * p: 2] = z[:d]
-            finer[:, 2 * p + 1:] = x[:, p + 1:]
-            x = finer
-    return x.T.copy()
+        p = m // 2
+        slab = np.zeros((2 * d, 3 * d + 1, p))
+        slab[:d, :d] = right[..., : 2 * p: 2]
+        slab[:d, 2 * d: 3 * d] = left[..., : 2 * p: 2]
+        slab[:d, 3 * d] = r[..., : 2 * p: 2]
+        slab[d:, :d] = left[..., 1: 2 * p: 2]
+        slab[d:, d: 2 * d] = right[..., 1: 2 * p: 2]
+        slab[d:, 3 * d] = r[..., 1: 2 * p: 2]
+        shared = slab[:, :d]
+        np.sqrt(np.einsum("ijk,ijk->jk", shared, shared), out=scale[:, done: done + p])
+        alphas, scaled = [], []
+        for j in range(d):
+            # H = I - 2 v v^T / (v^T v) with v = x + alpha e_1 maps
+            # column x to -alpha e_1, and v^T v = 2 alpha v_1. Column j
+            # keeps v, and alpha = -R_jj is kept for back-substitution.
+            v = slab[j:, j]
+            pivot = np.sqrt(np.einsum("ik,ik->k", v, v), out=pivots[j, done: done + p])
+            alpha = np.copysign(pivot, v[0])
+            v[0] += alpha
+            rest = slab[j:, j + 1:]
+            scaled.append(v / (alpha * v[0]))
+            rest -= scaled[j][:, None] * np.einsum("ik,ijk->jk", v, rest)
+            alphas.append(alpha)
+        levels.append((slab, alphas, scaled))
+        done += p
+        rows = (slab[d:, d: 2 * d], slab[d:, 2 * d: 3 * d], slab[d:, 3 * d])
+        if m > 2 * p:
+            rows = [np.concatenate((new, old[..., 2 * p:]), axis=-1)
+                    for new, old in zip(rows, (right, left, r))]
+        right, left, r = rows
+
+    # A pivot at roundoff of its column's norm leaves the shared node
+    # undetermined; the first such pair is the one to report.
+    pivots, scale = pivots[:, :done], scale[:, :done]
+    rank_deficient = ((pivots <= (2 * d * _EPS) * scale) & np.isfinite(scale)).any(axis=0)
+    if rank_deficient.any():
+        raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
+                                  f"{_shared_node(N, int(np.argmax(rank_deficient)))}")
+
+    # The m remaining rows and the boundary row, in grid order, as one
+    # dense system; only an exactly zero pivot of R is refused.
+    m = r.shape[-1]
+    n = (m + 1) * d
+    system = np.zeros((m + 1, d, m + 1, d))
+    k = np.arange(m)
+    system[k, :, k] = left.transpose(2, 0, 1)
+    system[k, :, k + 1] = right.transpose(2, 0, 1)
+    system[m, :, 0], system[m, :, m] = jacobian.dg_0, jacobian.dg_N
+    Q, R = np.linalg.qr(system.reshape(n, n))
+    return (levels, Q, R), r
+
+
+def _replay(levels, r: np.ndarray) -> np.ndarray:
+    """_factor's reduction of new rhs rows r (d, N), written to the
+    slabs' rhs column and reflected there alone; returns the tail rows."""
+    for slab, _, scaled in levels:
+        d, p = len(scaled), slab.shape[-1]
+        column = slab[:, 3 * d]
+        column[:d] = r[:, : 2 * p: 2]
+        column[d:] = r[:, 1: 2 * p: 2]
+        for j in range(d):
+            column[j:] -= scaled[j] * np.einsum("ik,ik->k", slab[j:, j], column[j:])
+        r = column[d:] if r.shape[-1] == 2 * p else np.concatenate((column[d:], r[:, 2 * p:]), axis=-1)
+    return r
+
+
+def _back_substitute(levels, x: np.ndarray) -> np.ndarray:
+    """Recover the removed nodes level by level, from the solution x
+    (d, m+1) on the tail level's nodes; returns it on all N+1 nodes.
+
+    With a pair's unknowns z in slab column order and -1 for the rhs,
+    top row i reads -alpha_i z[i] + sum_{c>i} slab[i, c] z[c] = 0.
+    """
+    for slab, alphas, _ in reversed(levels):
+        d, p = len(alphas), slab.shape[-1]
+        z = np.empty((3 * d + 1, p))
+        z[d: 2 * d] = x[:, 1: p + 1]
+        z[2 * d: 3 * d] = x[:, :p]
+        z[3 * d] = -1.0
+        for i in range(d - 1, -1, -1):
+            z[i] = np.einsum("jk,jk->k", slab[i, i + 1:], z[i + 1:]) / alphas[i]
+        finer = np.empty((d, x.shape[1] + p))
+        finer[:, : 2 * p + 1: 2] = x[:, : p + 1]
+        finer[:, 1: 2 * p: 2] = z[:d]
+        finer[:, 2 * p + 1:] = x[:, p + 1:]
+        x = finer
+    return x
 
 
 def _shared_node(N: int, pair: int) -> int:
@@ -216,14 +279,23 @@ def _shared_node(N: int, pair: int) -> int:
 
 def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
                  config: SolverConfig | None = None) -> SolveResult:
-    """Run full-step Newton on the discrete system.
+    """Run Newton on the discrete system.
 
     initial is a field of shape (N+1, d) or None for the problem's
     default iterate. Convergence means the mean absolute correction fell
     to config.tol; hitting max_iter or a non-finite iterate returns
     converged=False instead of raising.
+
+    From the default iterate every step is a full Newton step. A given
+    initial is a warm start, such as a coarser grid's prolonged solution:
+    after the first step each iteration first tries the simplified step
+    that reuses the previous Jacobian's factors (Deuflhard, Newton
+    Methods for Nonlinear Problems, 2004) and keeps it only if it ends
+    the solve at Newton accuracy. Otherwise the Jacobian is assembled
+    anew at the same iterate.
     """
     config = config if config is not None else SolverConfig()
+    warm = initial is not None
     if initial is None:
         U = initial_field(problem, grid)
     else:
@@ -241,15 +313,28 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     else:
         mode = "fd"
 
+    tol = config.tol
     increments: list[float] = []
     converged = False
+    jacobian = None
     for iteration in range(1, int(config.max_iter) + 1):
         residual = assemble_residual(problem, grid, U)
-        jacobian = assemble_jacobian(problem, grid, U, mode)
-        try:
+        delta = None
+        if warm and jacobian is not None:
+            # With theta = |delta| / |previous delta| estimating the
+            # contraction, the simplified step is kept when it is below
+            # tol and leaves an error theta*|delta| below tol**2.
             delta = linear_solve(jacobian, -residual)
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"iteration {iteration}: {exc}") from exc
+            m = float(np.mean(np.abs(delta)))
+            if not (m <= tol and m * (m / increments[-1]) <= tol * tol):
+                delta = None
+        if delta is None:
+            # rebinding frees the old factors before the new ones are built
+            jacobian = assemble_jacobian(problem, grid, U, mode)
+            try:
+                delta = linear_solve(jacobian, -residual)
+            except SingularSystemError as exc:
+                raise SingularSystemError(f"iteration {iteration}: {exc}") from exc
         if not np.all(np.isfinite(delta)):
             increments.append(math.inf)
             break
@@ -258,7 +343,7 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         increments.append(m)
         if not np.all(np.isfinite(U)):
             break
-        if m <= config.tol:
+        if m <= tol:
             converged = True
             break
     return SolveResult(solution=U, converged=converged, increments=increments)

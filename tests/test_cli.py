@@ -1,5 +1,6 @@
 """Command line interface: formats, exit codes, round trips."""
 
+import argparse
 import csv
 import importlib
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import infbvp
 from infbvp import (PROBLEMS, EvaluationError, GridMap, SolveResult, SolverConfig, build_grid,
-                    cli, newton_solve, observed_order, report_scalar)
+                    cli, newton, newton_solve, observed_order, report_scalar)
 
 EXE = [sys.executable, "-m", "infbvp"]
 # The child interpreter imports the same infbvp as this process, which
@@ -303,7 +304,7 @@ def test_sweep_starts_cold_after_a_failed_row(monkeypatch, capsys):
 @pytest.mark.parametrize("jacobian", ["analytic", "fd"])
 @pytest.mark.parametrize("name", ["falkner-skan", "pile"])
 def test_warm_started_sweep_matches_cold_solves(name, jacobian, capsys):
-    ns = (20, 40, 80, 160)
+    ns = (20, 40, 80, 160, 320, 640, 1280)
     assert cli.main(["sweep", "--problem", name, "--N", ",".join(map(str, ns)),
                      "--jacobian", jacobian, "--raw"]) == 0
     rows = parse_csv(capsys.readouterr().out)
@@ -317,6 +318,32 @@ def test_warm_started_sweep_matches_cold_solves(name, jacobian, capsys):
             assert int(row[1]) <= 3
         for q in problem.reports:
             assert abs(float(row[header.index(q)]) - report_scalar(problem, cold, q)) <= 1e-10
+
+
+def count_jacobians(monkeypatch):
+    """Count newton.assemble_jacobian calls per grid size N."""
+    counts = {}
+    assemble = newton.assemble_jacobian
+
+    def counted(problem, grid, *args, **kwargs):
+        counts[grid.N] = counts.get(grid.N, 0) + 1
+        return assemble(problem, grid, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "assemble_jacobian", counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [["falkner-skan"], ["falkner-skan", "--P", "0.5"], ["pile"]],
+                         ids=["falkner-skan", "falkner-skan-P0.5", "pile"])
+def test_warm_started_grids_reuse_one_jacobian(argv, monkeypatch, capsys):
+    # the paper's sweeps: from N = 80 on, the first step's factors also
+    # take the step that ends the solve
+    counts = count_jacobians(monkeypatch)
+    ns = (20, 40, 80, 160, 320, 640, 1280)
+    assert cli.main(["sweep", "--problem", *argv, "--N", ",".join(map(str, ns)), "--c", "5"]) == 0
+    rows = parse_csv(capsys.readouterr().out)[1:]
+    assert counts[20] == int(rows[0][1])  # cold: one Jacobian per iteration
+    assert all(counts[n] == 1 and int(row[1]) == 2 for n, row in zip(ns[2:], rows[2:]))
 
 
 def record_grid_rules(monkeypatch):
@@ -401,7 +428,7 @@ SOLVE_PILE_8_TABLE = (
     "5,4.904146,-0.096367,0.052342,0.000421,-0.045223\r\n"
     "6,6.931472,-0.018523,0.022207,-0.033911,0.017301\r\n"
     "7,10.397208,0.020690,-0.003220,0.029587,0.021085\r\n"
-    "8,inf,-0.000000,-0.000000,-0.040994,-0.045197\r\n")
+    "8,inf,0.000000,0.000000,-0.040994,-0.045197\r\n")
 SOLVE_PILE_8_SUMMARY = (
     "key,value\r\nproblem,pile\r\nmap,log\r\nc,5.000000\r\nN,8\r\nconverged,true\r\n"
     "iterations,5\r\nfinal_increment,2.1153047064113233e-09\r\ndu0,-0.802084\r\n"
@@ -474,12 +501,12 @@ EDGE_VALUE_OUTPUT = {
     "default": (
         [],
         "n,x,u1,u2,u3,u4\r\n"
-        "0,0.000000,-0.000000,0.000000,0.500000,-0.000000\r\n"
+        "0,0.000000,0.000000,0.000000,0.500000,0.000000\r\n"
         f"1,3.465736,inf,-inf,nan,{BIG}.000000\r\n"
-        "2,inf,-0.000000,1.250000,-0.000000,2.000000\r\n",
+        "2,inf,0.000000,1.250000,0.000000,2.000000\r\n",
         "key,value\r\nproblem,pile\r\nmap,log\r\nc,5.000000\r\nN,2\r\nconverged,true\r\n"
         "iterations,3\r\nfinal_increment,0.10000000000000001\r\ndu0,0.000000\r\n"
-        "u0,-0.000000\r\n"),
+        "u0,0.000000\r\n"),
     "raw": (
         ["--raw"],
         "n,x,u1,u2,u3,u4\r\n"
@@ -509,6 +536,24 @@ def test_csv_writer_pins_edge_values(mode, tmp_path, monkeypatch, capsys):
     assert run_main(capsys, "solve", "--problem", "pile", "--N", "2", "--out", str(out),
                     *extra) == (0, summary, "")
     assert out.read_bytes() == table.encode()
+
+
+@pytest.mark.parametrize(("options", "expected"), [
+    ({"raw": False, "decimals": 6},
+     "0.000000,0.000000,0.000000,-0.000001,-1.000000,0.000000\r\n"
+     "0,0.000000,x-0.000000,true\r\n"),
+    ({"raw": False, "decimals": 0},
+     "0,0,0,0,-1,0\r\n0,0,x-0.000000,true\r\n"),
+    ({"raw": True, "decimals": 6},
+     "-4.0000000000000002e-25,-0,-3.9999999999999998e-07,-5.9999999999999997e-07,-1,0\r\n"
+     "0,-0,x-0.000000,true\r\n"),
+], ids=["decimals-6", "decimals-0", "raw"])
+def test_csv_text_prints_no_signed_zero(options, expected):
+    # the first row goes through the numeric template, the second, with
+    # a string and a bool, through csv.writer; a sign inside a cell
+    # stays, and --raw keeps every sign for the round trip
+    rows = [(-4e-25, -0.0, -4e-7, -6e-7, -1.0, 0.0), (0, -0.0, "x-0.000000", True)]
+    assert cli._csv_text(rows, argparse.Namespace(**options)) == expected
 
 
 def test_extrapolate_json_stays_valid_for_nonfinite_input(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Newton iteration and the structured linear solver."""
 
+import dataclasses
 import math
 import warnings
 
@@ -91,17 +92,32 @@ def test_linear_solve_matches_dense_oracle_on_every_carry_pattern(d):
     # N = 2..16 go straight to the dense tail; N = 17..65 reach it after
     # one, two or three levels, with every tail size from 9 to 16 rows and
     # every pattern of odd rows carried up on the way; 1025 carries one at
-    # every level, 1023 at the first level only
-    rng = np.random.default_rng(23)
+    # every level, 1023 at the first level only. The second rhs replays
+    # the factors the first solve kept.
+    rng, replay_rng = np.random.default_rng(23), np.random.default_rng(37)
     for N in [*range(2, 4 * newton._TAIL_ROWS + 2), 1023, 1025]:
         jac = random_chain(rng, N, d)
-        rhs = rng.normal(size=(jac.N + 1) * jac.d)
-        structured = linear_solve(jac, rhs)
-        dense = dense_linear_solve(jac, rhs)
-        scale = np.max(np.abs(dense))
-        assert structured.shape == (N + 1, d)
-        assert np.max(np.abs(structured - dense)) <= 1e-10 * (1.0 + scale), N
-        assert block_product(jac, structured) == pytest.approx(rhs, abs=1e-9 * (1.0 + scale)), N
+        rhs = np.stack((rng.normal(size=(N + 1) * d), replay_rng.normal(size=(N + 1) * d)))
+        dense = np.linalg.solve(dense_jacobian(jac), rhs.T).T.reshape(2, N + 1, d)
+        for b, oracle in zip(rhs, dense):
+            structured = linear_solve(jac, b)
+            scale = np.max(np.abs(oracle))
+            assert structured.shape == (N + 1, d)
+            assert np.max(np.abs(structured - oracle)) <= 1e-10 * (1.0 + scale), N
+            assert block_product(jac, structured) == pytest.approx(b, abs=1e-9 * (1.0 + scale)), N
+        fresh = linear_solve(StructuredJacobian(jac.dU_n, jac.dU_next, jac.dg_0, jac.dg_N), b)
+        assert np.max(np.abs(structured - fresh)) <= 1e-13 * (1.0 + scale), N
+
+
+def test_factored_jacobian_is_read_only():
+    jac = random_chain(np.random.default_rng(31), 40, 2)
+    linear_solve(jac, np.ones(41 * 2))
+    for name in ("dU_n", "dU_next", "dg_0", "dg_N"):
+        block = getattr(jac, name)
+        with pytest.raises(ValueError, match="read-only"):
+            block[(0,) * block.ndim] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(jac, name, block.copy())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -186,11 +202,15 @@ def test_linear_solve_is_backward_stable(make_problem, kind, N):
     grid = build_grid(GridMap(kind, 5.0), N)
     field = initial_field(problem, grid)
     jac = assemble_jacobian(problem, grid, field, "analytic")
-    rhs = -assemble_residual(problem, grid, field)
-    delta = linear_solve(jac, rhs)
-    x_norm, b_norm = np.max(np.abs(delta)), np.max(np.abs(rhs))
-    backward = np.max(np.abs(block_product(jac, delta) - rhs)) / (block_inf_norm(jac) * x_norm + b_norm)
-    assert backward <= 1e-14
+    # the second rhs, the residual at a perturbed field, replays the
+    # factors the first solve kept
+    perturbed = field + 1e-3 * np.random.default_rng(N).standard_normal(field.shape)
+    for rhs in (-assemble_residual(problem, grid, field), -assemble_residual(problem, grid, perturbed)):
+        delta = linear_solve(jac, rhs)
+        x_norm, b_norm = np.max(np.abs(delta)), np.max(np.abs(rhs))
+        backward = (np.max(np.abs(block_product(jac, delta) - rhs))
+                    / (block_inf_norm(jac) * x_norm + b_norm))
+        assert backward <= 1e-14
 
 
 def test_singular_interval_block_is_reported():
@@ -199,8 +219,9 @@ def test_singular_interval_block_is_reported():
         dU_n=np.ones((2, 1, 1)),
         dU_next=np.zeros((2, 1, 1)),
         dg_0=np.eye(1), dg_N=np.zeros((1, 1)))
-    with pytest.raises(SingularSystemError, match="nodes 0 and 2"):
-        linear_solve(jac, np.zeros(3))
+    for _ in range(2):  # a failed factorization keeps nothing to replay
+        with pytest.raises(SingularSystemError, match="nodes 0 and 2"):
+            linear_solve(jac, np.zeros(3))
 
 
 def test_rank_deficient_pair_block_is_reported():
@@ -210,8 +231,10 @@ def test_rank_deficient_pair_block_is_reported():
     jac = random_chain(np.random.default_rng(29), 40, 2)
     jac.dU_next[16] = 0.0
     jac.dU_n[17] = 0.0
-    with pytest.raises(SingularSystemError, match="pair block at node 17$"):
-        linear_solve(jac, np.zeros(41 * 2))
+    for _ in range(2):  # a failed factorization keeps nothing to replay
+        with pytest.raises(SingularSystemError, match="pair block at node 17$"):
+            linear_solve(jac, np.zeros(41 * 2))
+    jac.dU_n[17] = 1.0  # and leaves the blocks writable
 
 
 def test_all_zero_small_system_is_reported_as_end_system():
