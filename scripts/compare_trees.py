@@ -63,6 +63,9 @@ COMMANDS = [
     ["solve", "--problem", "pile", "--N", "8", "--map", "tan"],
     ["solve", "--problem", "pile", "--N", "1"],
     ["solve", "--problem", "pile", "--N", "abc"],
+    ["solve", "--problem", "pile", "--N", "8", "--tol", "inf"],
+    ["solve", "--problem", "falkner-skan", "--N", "8", "--P", "nan"],
+    ["solve", "--problem", "falkner-skan", "--N", "8", "--P1", "3"],
     ["sweep", "--problem", "pile", "--N", "8,16,32"],
     ["sweep", "--problem", "falkner-skan", "--N", "10,20,40", "--jacobian", "fd"],
     ["sweep", "--problem", "pile", "--N", "8,16", "--max-iter", "1"],

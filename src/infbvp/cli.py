@@ -18,10 +18,10 @@ import math
 import re
 import sys
 
-from .grids import GridMap, build_grid
+from .grids import GridMap, MapKind, build_grid
 from .newton import SingularSystemError, SolverConfig, newton_solve
 from .problems import PROBLEMS, report_scalar
-from .richardson import SweepSeries, extrapolate_table, observed_order
+from .richardson import extrapolate_table, observed_order
 from .scheme import EvaluationError, prolong
 
 __all__ = ["main", "run"]
@@ -127,18 +127,21 @@ def _parse_n_values(spec: str) -> list[int]:
     return values
 
 
+# The problem options each problem takes: its factory's parameters.
+PROBLEM_OPTIONS = {"falkner-skan": ("P",), "pile": ("P1", "P2", "P3")}
+
+
 def _make_problem(args):
-    factory = PROBLEMS[args.problem]
-    if args.problem == "falkner-skan":
-        return factory(P=args.P)
-    return factory(P1=args.P1, P2=args.P2, P3=args.P3)
-
-
-def _solver_grid_map(args) -> GridMap:
-    grid_map = GridMap(args.map, args.c)
-    if grid_map.whole_line:
-        raise ValueError("the tan map builds whole-line grids, which have no solver support")
-    return grid_map
+    """The chosen problem from the problem options given, its factory's
+    defaults filling the rest; an option it does not take is refused."""
+    given = {name: value for names in PROBLEM_OPTIONS.values() for name in names
+             if (value := getattr(args, name)) is not None}
+    taken = PROBLEM_OPTIONS[args.problem]
+    stray = [name for name in given if name not in taken]
+    if stray:
+        raise ValueError(f"problem {args.problem} takes no --{stray[0]}; "
+                         f"its options: --{', --'.join(taken)}")
+    return PROBLEMS[args.problem](**given)
 
 
 def _make_config(args) -> SolverConfig:
@@ -147,18 +150,18 @@ def _make_config(args) -> SolverConfig:
 
 def _add_problem_options(parser) -> None:
     parser.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
-    parser.add_argument("--P", type=float, default=1.0,
+    parser.add_argument("--P", type=float, default=None,
                         help="pressure-gradient parameter of falkner-skan (default 1)")
-    parser.add_argument("--P1", type=float, default=1.0,
+    parser.add_argument("--P1", type=float, default=None,
                         help="pile soil reaction amplitude (default 1)")
-    parser.add_argument("--P2", type=float, default=0.5,
+    parser.add_argument("--P2", type=float, default=None,
                         help="pile soil reaction decay rate (default 1/2)")
-    parser.add_argument("--P3", type=float, default=0.5,
+    parser.add_argument("--P3", type=float, default=None,
                         help="pile shear at the origin (default 1/2)")
 
 
 def _add_grid_options(parser) -> None:
-    parser.add_argument("--map", choices=["log", "alg", "tan"], default="log",
+    parser.add_argument("--map", choices=[kind.value for kind in MapKind], default="log",
                         help="grid generating map (default log)")
     parser.add_argument("--c", type=float, default=5.0,
                         help="map length scale (default 5)")
@@ -221,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     problem = _make_problem(args)
-    grid_map = _solver_grid_map(args)
+    grid_map = GridMap(args.map, args.c)
     n_values = _parse_n_values(args.N)
     if len(n_values) != 1:
         raise ValueError("solve takes a single --N; use sweep for a family")
@@ -260,7 +263,7 @@ def cmd_sweep(args) -> int:
     failed or did not converge starts from the initial iterate again.
     """
     problem = _make_problem(args)
-    grid_map = _solver_grid_map(args)
+    grid_map = GridMap(args.map, args.c)
     n_values = _parse_n_values(args.N)
     for coarse, fine in zip(n_values, n_values[1:]):
         if fine != 2 * coarse:
@@ -339,18 +342,17 @@ def _read_sweep_column(path: str, quantity: str):
 
 def cmd_extrapolate(args) -> int:
     ns, values = _read_sweep_column(args.input, args.quantity)
-    series = SweepSeries(quantity=args.quantity, ns=tuple(ns), values=tuple(values))
-    table = extrapolate_table(series, print_decimals=args.decimals)
+    table = extrapolate_table(ns, values, print_decimals=args.decimals)
     doc = {
         "quantity": args.quantity,
-        "print_decimals": table.print_decimals,
+        "print_decimals": args.decimals,
         "stop_rule": table.stop_rule,
-        "ns": table.ns,
+        "ns": ns,
         "columns": table.columns,
     }
     ks = range(len(table.columns))
     rows = [["N"] + [f"T{k}" for k in ks]]
-    rows += [[n] + [table.cell(i, k) for k in ks] for i, n in enumerate(table.ns)]
+    rows += [[n] + [table.cell(i, k) for k in ks] for i, n in enumerate(ns)]
     _emit(args, doc, rows)
     return EXIT_OK
 

@@ -100,12 +100,8 @@ class QuasiUniformGrid:
     _stencils: tuple | None = field(default=None, init=False, repr=False)  # built on first use
 
     @property
-    def whole_line(self) -> bool:
-        return self.map.whole_line
-
-    @property
     def indices(self) -> np.ndarray:
-        start = -self.N if self.whole_line else 0
+        start = -self.N if self.map.whole_line else 0
         return np.arange(start, self.N + 1)
 
     @property
@@ -132,14 +128,15 @@ class QuasiUniformGrid:
         previous interval's weights instead, keeping the unknown at the
         infinity node coupled to the rest of the system, and one with
         continuation=False keeps the literal weights. Only fractional
-        nodes and finite nodes enter, so every entry is finite.
+        nodes and finite nodes enter, so every entry is finite. A
+        whole-line grid has no stencils and is refused.
 
         Computed once per grid, returned read-only on every later call.
         """
         if self._stencils is not None:
             return self._stencils
-        if self.whole_line:
-            raise ValueError("difference stencils are defined on semi-infinite grids only")
+        if self.map.whole_line:
+            raise ValueError("the tan map builds whole-line grids, which have no solver support")
         N = self.N
         a = 2.0 * (self.fractional_nodes(0.75) - self.fractional_nodes(0.25))
         x_mid = self.fractional_nodes(0.5)

@@ -72,8 +72,8 @@ class SolverConfig:
     jacobian_mode: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if int(self.max_iter) < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.jacobian_mode not in (None, "analytic", "fd"):

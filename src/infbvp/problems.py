@@ -78,6 +78,8 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
     boundary condition is met by the discretization.
     """
     P = float(P)
+    if not np.isfinite(P):
+        raise ValueError(f"pressure-gradient parameter P must be finite, got {P}")
 
     def f(x, u):
         _guard_coordinate(x)
@@ -119,8 +121,10 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
     u1(0) and slope u2(0).
     """
     P1, P2, P3 = float(P1), float(P2), float(P3)
-    if P1 <= 0.0 or P2 <= 0.0:
-        raise ValueError("soil reaction constants P1 and P2 must be positive")
+    if not (0.0 < P1 < np.inf and 0.0 < P2 < np.inf):
+        raise ValueError("soil reaction constants P1 and P2 must be positive and finite")
+    if not np.isfinite(P3):
+        raise ValueError(f"pile shear P3 must be finite, got {P3}")
 
     def f(x, u):
         _guard_coordinate(x)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "SweepSeries",
     "ExtrapolationTable",
     "richardson_error",
     "observed_order",
@@ -52,28 +51,6 @@ def observed_order(t_coarse: float, t_fine: float, t_ref: float) -> float:
 
 
 @dataclass(frozen=True)
-class SweepSeries:
-    """One report scalar computed on a doubling family of grids."""
-
-    quantity: str
-    ns: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        ns = tuple(int(n) for n in self.ns)
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "values", values)
-        if len(ns) != len(values):
-            raise ValueError("ns and values must have equal length")
-        if not ns:
-            raise ValueError("series must not be empty")
-        for coarse, fine in zip(ns, ns[1:]):
-            if fine != 2 * coarse:
-                raise ValueError(f"grid family must double: {coarse} is followed by {fine}")
-
-
-@dataclass(frozen=True)
 class ExtrapolationTable:
     """Triangular array of nested extrapolated values.
 
@@ -85,15 +62,13 @@ class ExtrapolationTable:
     repeated its parent at the same N, or None when the series ran out.
     """
 
-    ns: tuple[int, ...]
     columns: tuple[tuple[float, ...], ...]
-    print_decimals: int
     stop_rule: str | None
 
     def cell(self, row: int, col: int) -> float | None:
-        """Value at grid row (indexing ns) and column col, or None where
-        the triangle has no entry."""
-        if not 0 <= row < len(self.ns):
+        """Value at grid row (indexing the input series) and column col,
+        or None where the triangle has no entry."""
+        if not 0 <= row < len(self.columns[0]):
             raise ValueError(f"row {row} outside the table")
         if not 0 <= col < len(self.columns):
             return None
@@ -103,8 +78,9 @@ class ExtrapolationTable:
         return entries[row - col] if row - col < len(entries) else None
 
 
-def extrapolate_table(series: SweepSeries, print_decimals: int = 6) -> ExtrapolationTable:
-    """Build the nested extrapolation table for a doubling series.
+def extrapolate_table(ns, values, print_decimals: int = 6) -> ExtrapolationTable:
+    """Build the nested extrapolation table for the values of one
+    quantity on the doubling grid family ns.
 
     The input column is rounded to print_decimals first: extrapolating a
     published table means extrapolating the digits it shows. Later
@@ -112,9 +88,14 @@ def extrapolate_table(series: SweepSeries, print_decimals: int = 6) -> Extrapola
     round again.
     """
     decimals = int(print_decimals)
-    if len(series.values) < 2:
+    if len(ns) != len(values):
+        raise ValueError("ns and values must have equal length")
+    if len(values) < 2:
         raise ValueError("need at least two sweep entries to extrapolate")
-    columns: list[list[float]] = [[round(v, decimals) for v in series.values]]
+    for coarse, fine in zip(ns, ns[1:]):
+        if fine != 2 * coarse:
+            raise ValueError(f"grid family must double: {coarse} is followed by {fine}")
+    columns: list[list[float]] = [[round(float(v), decimals) for v in values]]
     stop_rule: str | None = None
     k = 1
     while len(columns[-1]) >= 2:
@@ -132,6 +113,5 @@ def extrapolate_table(series: SweepSeries, print_decimals: int = 6) -> Extrapola
             stop_rule = "nest"
             break
         k += 1
-    return ExtrapolationTable(ns=series.ns,
-                              columns=tuple(tuple(col) for col in columns),
-                              print_decimals=decimals, stop_rule=stop_rule)
+    return ExtrapolationTable(columns=tuple(tuple(col) for col in columns),
+                              stop_rule=stop_rule)

@@ -14,7 +14,6 @@ from conftest import dense_jacobian, exact_decay_field, nonlinear_decay_problem
 from infbvp import (
     GridMap,
     SolverConfig,
-    SweepSeries,
     assemble_jacobian,
     assemble_residual,
     build_grid,
@@ -176,8 +175,8 @@ def test_criterion_6_extrapolation_tables(falkner_runs, pile_runs):
     runs, _ = falkner_runs
     ns = (40, 80, 160)
 
-    def cells(values, quantity):
-        table = extrapolate_table(SweepSeries(quantity, ns, values), print_decimals=6)
+    def cells(values):
+        table = extrapolate_table(ns, values, print_decimals=6)
         got = []
         for row in range(len(ns)):
             for col in range(1, len(table.columns)):
@@ -186,9 +185,9 @@ def test_criterion_6_extrapolation_tables(falkner_runs, pile_runs):
                     got.append(round(value, 6))
         return got
 
-    shear = cells(tuple(runs[n].solution[0, 2] for n in ns), "fpp0")
-    deflection = cells(tuple(pile_runs[n].solution[0, 0] for n in ns), "u0")
-    slope = cells(tuple(pile_runs[n].solution[0, 1] for n in ns), "du0")
+    shear = cells(tuple(runs[n].solution[0, 2] for n in ns))
+    deflection = cells(tuple(pile_runs[n].solution[0, 0] for n in ns))
+    slope = cells(tuple(pile_runs[n].solution[0, 1] for n in ns))
     ok = (shear == [1.232588, 1.232588]
           and deflection == [1.421544, 1.421545, 1.421545]
           and slope == [-0.808147, -0.808149, -0.808149])

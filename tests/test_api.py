@@ -9,7 +9,7 @@ MODULES = (grids, newton, problems, richardson, scheme)
 PUBLIC_NAMES = [
     "BvpProblem", "EvaluationError", "ExtrapolationTable", "GridMap", "MapKind",
     "MissingDerivativeError", "PROBLEMS", "QuasiUniformGrid", "SingularSystemError",
-    "SolveResult", "SolverConfig", "StructuredJacobian", "SweepSeries",
+    "SolveResult", "SolverConfig", "StructuredJacobian",
     "assemble_jacobian", "assemble_residual", "build_grid", "extrapolate_table",
     "falkner_skan", "initial_field", "linear_solve", "newton_solve", "observed_order",
     "pile", "prolong", "report_scalar", "richardson_error",

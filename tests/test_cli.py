@@ -3,6 +3,7 @@
 import argparse
 import csv
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -253,6 +254,36 @@ def test_usage_errors_exit_two():
     proc = run_cli("grid", "--map", "alg", "--c", "1e308", "--N", "4")
     assert proc.returncode == 2
     assert proc.stderr == "error: map parameter c = 1e+308 overflows a grid of 4 intervals\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--problem", "pile", "--tol", "inf"], "tolerance must be positive and finite, got inf"),
+    (["--problem", "falkner-skan", "--P", "nan"],
+     "pressure-gradient parameter P must be finite, got nan"),
+    (["--problem", "falkner-skan", "--P", "inf"],
+     "pressure-gradient parameter P must be finite, got inf"),
+    (["--problem", "pile", "--P1", "inf"],
+     "soil reaction constants P1 and P2 must be positive and finite"),
+    (["--problem", "pile", "--P2", "nan"],
+     "soil reaction constants P1 and P2 must be positive and finite"),
+    (["--problem", "pile", "--P3", "nan"], "pile shear P3 must be finite, got nan"),
+    (["--problem", "falkner-skan", "--P1", "3"],
+     "problem falkner-skan takes no --P1; its options: --P"),
+    (["--problem", "pile", "--P", "0.3"],
+     "problem pile takes no --P; its options: --P1, --P2, --P3"),
+])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_bad_problem_and_solver_options_exit_two(capsys, command, argv, message):
+    # refused before any output, as usage errors rather than solver failures
+    assert cli.main([command, "--N", "20", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_problem_options_are_the_factory_parameters():
+    assert cli.PROBLEM_OPTIONS == {name: tuple(inspect.signature(factory).parameters)
+                                   for name, factory in PROBLEMS.items()}
 
 
 def record_newton_solve(monkeypatch, raise_on=()):

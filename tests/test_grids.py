@@ -86,7 +86,7 @@ def test_build_grid_semi_infinite():
 
 def test_build_grid_whole_line():
     grid = build_grid(GridMap("tan", 2.0), 4)
-    assert grid.whole_line
+    assert grid.map.whole_line
     assert grid.nodes.shape == (9,)
     assert grid.nodes[0] == -np.inf
     assert grid.nodes[-1] == np.inf

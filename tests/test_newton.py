@@ -311,6 +311,9 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1e-6)
+    for tol in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):

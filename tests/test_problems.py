@@ -85,6 +85,15 @@ def test_pile_parameter_validation():
     assert isinstance(pile(P3=-2.0), BvpProblem)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_problem_factories_refuse_non_finite_parameters(value):
+    with pytest.raises(ValueError, match="finite"):
+        falkner_skan(P=value)
+    for name in ("P1", "P2", "P3"):
+        with pytest.raises(ValueError, match="finite"):
+            pile(**{name: value})
+
+
 def test_right_hand_sides_reject_infinite_coordinates():
     for problem in (falkner_skan(), pile()):
         with pytest.raises(ValueError):

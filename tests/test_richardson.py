@@ -7,7 +7,6 @@ import pytest
 
 from infbvp import (
     ExtrapolationTable,
-    SweepSeries,
     extrapolate_table,
     observed_order,
     richardson_error,
@@ -57,33 +56,32 @@ def test_observed_order_recovers_exact_order():
     assert observed_order(t[0], t[1], limit) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_sweep_series_validation():
-    with pytest.raises(ValueError):
-        SweepSeries("q", (10, 30), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        SweepSeries("q", (10, 20), (1.0,))
-    with pytest.raises(ValueError):
-        SweepSeries("q", (), ())
-    series = SweepSeries("q", [10, 20], [1.0, 2.0])
-    assert series.ns == (10, 20)
-    assert series.values == (1.0, 2.0)
+def test_extrapolate_table_validation():
+    with pytest.raises(ValueError, match="must double"):
+        extrapolate_table((10, 30), (1.0, 2.0))
+    with pytest.raises(ValueError, match="equal length"):
+        extrapolate_table((10, 20), (1.0,))
+    with pytest.raises(ValueError, match="at least two"):
+        extrapolate_table((), ())
+    table = extrapolate_table([10, 20], [1.0, 2.0])
+    assert table.columns[0] == (1.0, 2.0)
 
 
 def test_extrapolate_requires_two_entries():
     with pytest.raises(ValueError):
-        extrapolate_table(SweepSeries("q", (8,), (1.0,)))
+        extrapolate_table((8,), (1.0,))
 
 
 def test_extrapolation_column_weight_is_order_two():
     # a single pair refines with weight 4: (4*fine - coarse)/3
-    table = extrapolate_table(SweepSeries("q", (8, 16), (1.0, 2.0)), print_decimals=6)
+    table = extrapolate_table((8, 16), (1.0, 2.0), print_decimals=6)
     assert table.columns[1][0] == pytest.approx(7.0 / 3.0, abs=1e-14)
     assert table.stop_rule is None
 
 
 def test_extrapolation_stops_when_column_entries_repeat():
-    series = SweepSeries("q", (40, 80, 160), (1.234124, 1.232972, 1.232684))
-    table = extrapolate_table(series, print_decimals=6)
+    ns, values = (40, 80, 160), (1.234124, 1.232972, 1.232684)
+    table = extrapolate_table(ns, values, print_decimals=6)
     assert table.stop_rule == "iterate"
     assert tuple(len(col) for col in table.columns) == (3, 2)
     assert round(table.cell(1, 1), 6) == 1.232588
@@ -92,8 +90,8 @@ def test_extrapolation_stops_when_column_entries_repeat():
 
 
 def test_extrapolation_stops_when_column_repeats_parent():
-    series = SweepSeries("q", (40, 80, 160), (-0.807934, -0.808094, -0.808135))
-    table = extrapolate_table(series, print_decimals=6)
+    ns, values = (40, 80, 160), (-0.807934, -0.808094, -0.808135)
+    table = extrapolate_table(ns, values, print_decimals=6)
     assert table.stop_rule == "nest"
     assert tuple(len(col) for col in table.columns) == (3, 2, 1)
     assert round(table.cell(1, 1), 6) == -0.808147
@@ -102,24 +100,23 @@ def test_extrapolation_stops_when_column_repeats_parent():
 
 
 def test_extrapolation_input_column_is_rounded():
-    series = SweepSeries("q", (10, 20), (1.23456749, 1.23456651))
-    table = extrapolate_table(series, print_decimals=6)
+    ns, values = (10, 20), (1.23456749, 1.23456651)
+    table = extrapolate_table(ns, values, print_decimals=6)
     assert table.columns[0] == (1.234567, 1.234567)
-    assert table.print_decimals == 6
+    assert extrapolate_table(ns, values, print_decimals=7).columns[0] == (1.2345675, 1.2345665)
 
 
 def test_extrapolation_recovers_power_law_limit():
     limit = 0.31415926535
     values = tuple(limit + 0.25 * n ** -2.0 for n in (10, 20, 40, 80))
-    table = extrapolate_table(SweepSeries("q", (10, 20, 40, 80), values),
-                              print_decimals=12)
+    table = extrapolate_table((10, 20, 40, 80), values, print_decimals=12)
     assert table.stop_rule == "iterate"
     assert table.columns[-1][-1] == pytest.approx(limit, abs=1e-10)
 
 
 def test_table_cell_geometry():
-    series = SweepSeries("q", (40, 80, 160), (-0.807934, -0.808094, -0.808135))
-    table = extrapolate_table(series, print_decimals=6)
+    ns, values = (40, 80, 160), (-0.807934, -0.808094, -0.808135)
+    table = extrapolate_table(ns, values, print_decimals=6)
     assert table.cell(0, 1) is None
     assert table.cell(1, 2) is None
     assert table.cell(0, 9) is None
@@ -131,7 +128,7 @@ def test_table_cell_geometry():
 
 
 def test_table_is_frozen():
-    table = extrapolate_table(SweepSeries("q", (8, 16), (1.0, 2.0)))
+    table = extrapolate_table((8, 16), (1.0, 2.0))
     assert isinstance(table, ExtrapolationTable)
     with pytest.raises(AttributeError):
         table.stop_rule = "changed"
