@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import io
 import os
 import sys
@@ -152,31 +151,24 @@ def same(a, b) -> bool:
 
 
 def scheme_case(lib, name, kind, N, continuation):
-    """Residual, Jacobian blocks and Newton results of one case.
-
-    A tree whose build_grid takes continuation sets the last-interval
-    rule on the grid; an older tree takes it at every call instead.
-    """
-    on_grid = "continuation" in inspect.signature(lib.build_grid).parameters
-    rule = {"continuation": continuation}
-    grid_rule, call_rule = (rule, {}) if on_grid else ({}, rule)
+    """Residual, Jacobian blocks and Newton results of one case."""
     problem = make_problem(lib, name)
-    grid = lib.build_grid(lib.GridMap(kind, 5.0), N, **grid_rule)
+    grid = lib.build_grid(lib.GridMap(kind, 5.0), N, continuation=continuation)
     base = lib.initial_field(problem, grid)
     field = base + 0.05 * np.random.default_rng(N).standard_normal(base.shape)
 
     def blocks(mode):
-        jac = lib.assemble_jacobian(problem, grid, field, mode, **call_rule)
+        jac = lib.assemble_jacobian(problem, grid, field, mode)
         return [jac.dU_n, jac.dU_next, jac.dg_0, jac.dg_N]
 
     def solve(mode):
-        config = lib.SolverConfig(jacobian_mode=mode, **call_rule)
+        config = lib.SolverConfig(jacobian_mode=mode)
         result = lib.newton_solve(problem, grid, config=config)
         return [result.solution, result.increments, result.iterations,
                 result.final_increment, result.converged]
 
     return {
-        "residual": outcome(lambda: lib.assemble_residual(problem, grid, field, **call_rule)),
+        "residual": outcome(lambda: lib.assemble_residual(problem, grid, field)),
         "analytic jacobian": outcome(lambda: blocks("analytic")),
         "fd jacobian": outcome(lambda: blocks("fd")),
         "newton default": outcome(lambda: solve(None)),

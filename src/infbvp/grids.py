@@ -5,7 +5,6 @@ A strictly monotone generating map sends the uniform parameter xi in
 quasi-uniform grid with x_N = inf. Everything downstream is built from
 fractional nodes x_{n+alpha} with 0 < alpha < 1, which are finite on
 every interval, so the infinite coordinate never enters any arithmetic.
-A whole-line tangent map is included for grids on [-inf, inf].
 """
 
 from __future__ import annotations
@@ -28,20 +27,18 @@ class MapKind(Enum):
 
     LOGARITHMIC = "log"
     ALGEBRAIC = "alg"
-    TANGENTIAL = "tan"
 
 
 @dataclass(frozen=True)
 class GridMap:
-    """Strictly monotone map from the unit parameter interval onto an
-    unbounded coordinate range.
+    """Strictly monotone map from the unit parameter interval onto the
+    half line.
 
-    log   x = -c*ln(1 - xi)     xi in [0, 1]   ->  x in [0, inf]
-    alg   x = c*xi/(1 - xi)     xi in [0, 1]   ->  x in [0, inf]
-    tan   x = c*tan(pi*xi/2)    xi in [-1, 1]  ->  x in [-inf, inf]
+    log   x = -c*ln(1 - xi)     xi in [0, 1]  ->  x in [0, inf]
+    alg   x = c*xi/(1 - xi)     xi in [0, 1]  ->  x in [0, inf]
 
     A finite c > 0 sets the length scale: about half of all grid
-    intervals land inside [0, c] for the semi-infinite maps.
+    intervals land inside [0, c].
     """
 
     kind: MapKind
@@ -53,10 +50,6 @@ class GridMap:
         if not 0.0 < self.c < np.inf:
             raise ValueError(f"map parameter c must be positive and finite, got {self.c}")
 
-    @property
-    def whole_line(self) -> bool:
-        return self.kind is MapKind.TANGENTIAL
-
     def values(self, xi) -> np.ndarray:
         """Vectorized map evaluation.
 
@@ -66,13 +59,6 @@ class GridMap:
         """
         xi = np.asarray(xi, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            if self.kind is MapKind.TANGENTIAL:
-                if np.any(xi < -1.0) or np.any(xi > 1.0):
-                    raise ValueError("parameter must lie in [-1, 1] for the tan map")
-                # evaluate at |xi| and restore the sign so odd symmetry is exact
-                mag = self.c * np.tan(0.5 * np.pi * np.abs(xi))
-                mag = np.where(np.abs(xi) == 1.0, np.inf, mag)
-                return np.copysign(mag, xi)
             if np.any(xi < 0.0) or np.any(xi > 1.0):
                 raise ValueError("parameter must lie in [0, 1]")
             if self.kind is MapKind.LOGARITHMIC:
@@ -86,11 +72,10 @@ class GridMap:
 class QuasiUniformGrid:
     """Image of a uniform parameter grid under a generating map.
 
-    For the semi-infinite maps the nodes are x_n = x(n/N), n = 0..N,
-    with x_N = inf; for the whole-line map they are x_n = x(n/N),
-    n = -N..N, with x_{+-N} = +-inf. The infinite coordinates are kept
-    for output only. The field continuation holds the last-interval rule
-    of stencil_arrays. Use build_grid() for a validated instance.
+    The nodes are x_n = x(n/N), n = 0..N, with x_N = inf. The infinite
+    coordinate is kept for output only. The field continuation holds the
+    last-interval rule of stencil_arrays. Use build_grid() for a
+    validated instance.
     """
 
     map: GridMap
@@ -101,8 +86,7 @@ class QuasiUniformGrid:
 
     @property
     def indices(self) -> np.ndarray:
-        start = -self.N if self.map.whole_line else 0
-        return np.arange(start, self.N + 1)
+        return np.arange(self.N + 1)
 
     @property
     def uniform_params(self) -> np.ndarray:
@@ -128,15 +112,12 @@ class QuasiUniformGrid:
         previous interval's weights instead, keeping the unknown at the
         infinity node coupled to the rest of the system, and one with
         continuation=False keeps the literal weights. Only fractional
-        nodes and finite nodes enter, so every entry is finite. A
-        whole-line grid has no stencils and is refused.
+        nodes and finite nodes enter, so every entry is finite.
 
         Computed once per grid, returned read-only on every later call.
         """
         if self._stencils is not None:
             return self._stencils
-        if self.map.whole_line:
-            raise ValueError("the tan map builds whole-line grids, which have no solver support")
         N = self.N
         a = 2.0 * (self.fractional_nodes(0.75) - self.fractional_nodes(0.25))
         x_mid = self.fractional_nodes(0.5)
@@ -151,8 +132,8 @@ class QuasiUniformGrid:
 
 
 def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> QuasiUniformGrid:
-    """Grid with N intervals per semi-axis (so 2N+1 nodes on the whole
-    line). Requires N >= 2, a finite x_{N-1/4} and strict monotonicity.
+    """Grid with N intervals and N+1 nodes, the last at infinity.
+    Requires N >= 2, a finite x_{N-1/4} and strict monotonicity.
     continuation sets the grid's last-interval rule (see stencil_arrays),
     which the residual, the Jacobian and prolong all follow."""
     N = int(N)
@@ -162,8 +143,7 @@ def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> Quasi
     # monotone, so every other fractional and finite node is below it.
     if not np.isfinite(grid_map.values((N - 0.25) / N)):
         raise ValueError(f"map parameter c = {grid_map.c} overflows a grid of {N} intervals")
-    start = -N if grid_map.whole_line else 0
-    params = np.arange(start, N + 1) / N
+    params = np.arange(N + 1) / N
     nodes = grid_map.values(params)
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError("generating map produced a non-monotone grid")

@@ -200,16 +200,14 @@ def test_criterion_7_property_battery():
 
     # grid monotonicity and map dominance over random maps
     for _ in range(25):
-        kind = rng.choice(["log", "alg", "tan"])
+        kind = rng.choice(["log", "alg"])
         c = float(rng.uniform(0.1, 15.0))
         intervals = int(rng.integers(2, 50))
         grid = build_grid(GridMap(kind, c), intervals)
         finite = grid.nodes[np.isfinite(grid.nodes)]
         checks.append(np.all(np.diff(finite) > 0.0))
-        if kind != "tan":
-            xi = rng.uniform(0.01, 0.99, size=10)
-            checks.append(np.all(GridMap("alg", c).values(xi)
-                                 > GridMap("log", c).values(xi)))
+        xi = rng.uniform(0.01, 0.99, size=10)
+        checks.append(np.all(GridMap("alg", c).values(xi) > GridMap("log", c).values(xi)))
 
     # exact weight sum and affine midpoint reproduction
     for _ in range(10):
@@ -297,3 +295,30 @@ def test_criterion_9_pile_on_the_algebraic_map():
         details.append(f"N={n} {result.iterations} iterations, errors "
                        f"{errors[0]:.1e} / {errors[1]:.1e} (limit {limit:.1e})")
     _verdict(9, ok, "pile on the alg map: " + "; ".join(details))
+
+
+# Known wrong answers, pinned as strict xfails: a fix turns a row into an
+# XPASS failure, which forces its marker to go. Each row is graded as the
+# benchmark grades a solve: converged, and every listed report within
+# max(40/N^2, 1e-6) of its reference.
+def _falkner_skan_row_ok(P, grid_map, n, references):
+    result = newton_solve(falkner_skan(P=P), build_grid(grid_map, n))
+    limit = max(40.0 / n**2, 1e-6)
+    got = {"fpp0": result.solution[0, 2], "fpp_inf": result.solution[-1, 2]}
+    errors = {name: abs(got[name] - want) for name, want in references.items()}
+    print(f"P={P} {grid_map.kind.value} N={n}: converged={result.converged} "
+          f"after {result.iterations} iterations, errors {errors} (limit {limit:.1e})")
+    return result.converged and max(errors.values()) <= limit
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
+@pytest.mark.parametrize("n", (160, 1280))
+def test_falkner_skan_on_the_algebraic_map(n):
+    assert _falkner_skan_row_ok(1.0, ALG_MAP, n, {"fpp0": 1.232588, "fpp_inf": 0.0})
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("n", (160, 1280))
+@pytest.mark.parametrize("P, wall_shear", [(0.0, 0.469600), (-0.15, 0.216362)])
+def test_falkner_skan_without_favourable_pressure_gradient(P, wall_shear, n):
+    assert _falkner_skan_row_ok(P, LOG_MAP, n, {"fpp0": wall_shear})

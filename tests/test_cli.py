@@ -6,8 +6,10 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +53,11 @@ def test_grid_table_frozen_rows():
 
 
 def test_grid_whole_line_table():
+    # there is no whole-line map: tan is an unknown --map choice
     proc = run_cli("grid", "--map", "tan", "--c", "2", "--N", "3")
-    assert proc.returncode == 0
-    rows = parse_csv(proc.stdout)
-    assert rows[1] == ["-3", "-1.000000", "-inf"]
-    assert rows[4] == ["0", "0.000000", "0.000000"]
-    assert rows[7] == ["3", "1.000000", "inf"]
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "invalid choice: 'tan'" in proc.stderr
 
 
 def test_grid_json_uses_infinity_tokens():
@@ -132,7 +133,7 @@ def test_solve_rejects_multiple_grids():
 def test_solve_rejects_whole_line_map():
     proc = run_cli("solve", "--problem", "pile", "--map", "tan", "--N", "20")
     assert proc.returncode == 2
-    assert "solver" in proc.stderr
+    assert "invalid choice: 'tan'" in proc.stderr
 
 
 def test_solve_nonconvergence_exit_code():
@@ -284,6 +285,20 @@ def test_bad_problem_and_solver_options_exit_two(capsys, command, argv, message)
 def test_problem_options_are_the_factory_parameters():
     assert cli.PROBLEM_OPTIONS == {name: tuple(inspect.signature(factory).parameters)
                                    for name, factory in PROBLEMS.items()}
+
+
+def test_problem_option_help_states_the_factory_defaults():
+    # --help spells each problem option's default, which the factory's
+    # signature owns; "1/2" is read as an exact fraction
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for command in ("solve", "sweep"):
+        helps = {action.dest: action.help for action in commands.choices[command]._actions}
+        for problem, names in cli.PROBLEM_OPTIONS.items():
+            parameters = inspect.signature(PROBLEMS[problem]).parameters
+            for name in names:
+                stated = re.fullmatch(r".*\(default (\S+)\)", helps[name]).group(1)
+                assert Fraction(stated) == parameters[name].default, (command, name)
 
 
 def record_newton_solve(monkeypatch, raise_on=()):
@@ -481,9 +496,9 @@ FROZEN_OUTPUT = {
         '    {\n      "n": 3,\n      "xi": 0.75,\n      "x": 6.931471805599453\n    },\n'
         '    {\n      "n": 4,\n      "xi": 1.0,\n      "x": "inf"\n    }\n  ]\n}\n', None),
     "grid-raw": (
-        ["grid", "--map", "tan", "--c", "2", "--N", "2", "--raw"],
-        "n,xi,x\r\n-2,-1,-inf\r\n-1,-0.5,-1.9999999999999998\r\n0,0,0\r\n"
-        "1,0.5,1.9999999999999998\r\n2,1,inf\r\n", None),
+        ["grid", "--map", "log", "--c", "2", "--N", "3", "--raw"],
+        "n,xi,x\r\n0,0,0\r\n1,0.33333333333333331,0.81093021621632866\r\n"
+        "2,0.66666666666666663,2.1972245773362191\r\n3,1,inf\r\n", None),
     "extrapolate-csv": (
         ["extrapolate", "{input}", "--quantity", "u0"],
         "N,T0,T1,T2\r\n40,1.421243,,\r\n80,1.421469,1.421544,\r\n"

@@ -25,29 +25,13 @@ def test_alg_map_frozen_values():
     assert x[3] == np.inf
 
 
-def test_tan_map_frozen_values():
-    x = GridMap("tan", 2.0).values([0.0, 0.5, 1.0, -1.0])
-    assert x[0] == 0.0
-    assert x[1] == pytest.approx(2.0, abs=1e-14)
-    assert x[2] == np.inf
-    assert x[3] == -np.inf
-
-
-def test_tan_map_odd_symmetry_is_exact():
-    m = GridMap("tan", 3.7)
-    xi = np.linspace(0.0, 1.0, 41)
-    plus = m.values(xi)
-    minus = m.values(-xi)
-    # bitwise antisymmetry, not just approximate
-    assert np.array_equal(minus, -plus)
-
-
 def test_map_kind_coercion():
     m = GridMap("log", 2)
     assert m.kind is MapKind.LOGARITHMIC
     assert isinstance(m.c, float) and m.c == 2.0
-    assert not m.whole_line
-    assert GridMap("tan", 1.0).whole_line
+    # every map covers the half line; there is no whole-line kind
+    with pytest.raises(ValueError, match="'tan' is not a valid MapKind"):
+        GridMap("tan", 1.0)
 
 
 def test_map_validation():
@@ -65,8 +49,6 @@ def test_map_domain_validation():
         m.values(-0.1)
     with pytest.raises(ValueError):
         m.values(1.1)
-    with pytest.raises(ValueError):
-        GridMap("tan", 1.0).values(1.5)
     with pytest.raises(ValueError, match="finite"):
         GridMap("log", math.inf)
 
@@ -82,16 +64,6 @@ def test_build_grid_semi_infinite():
     assert np.allclose(grid.uniform_params, np.arange(21) / 20.0)
     # last finite node of the log map sits at c*ln(N)
     assert grid.nodes[-2] == pytest.approx(5.0 * np.log(20.0), abs=1e-12)
-
-
-def test_build_grid_whole_line():
-    grid = build_grid(GridMap("tan", 2.0), 4)
-    assert grid.map.whole_line
-    assert grid.nodes.shape == (9,)
-    assert grid.nodes[0] == -np.inf
-    assert grid.nodes[-1] == np.inf
-    assert grid.nodes[4] == 0.0
-    assert np.array_equal(grid.indices, np.arange(-4, 5))
 
 
 def test_build_grid_validation():
@@ -214,12 +186,6 @@ def test_stencil_arrays_are_built_once_per_flag_and_read_only(monkeypatch):
         assert again.stencil_arrays() is not first
 
 
-def test_stencil_rejects_whole_line_grids():
-    grid = build_grid(GridMap("tan", 1.0), 4)
-    with pytest.raises(ValueError):
-        grid.stencil_arrays()
-
-
 def test_stencil_interval_bounds():
     # one entry per interval 0..N-1, the last ending at infinity
     for continuation in (True, False):
@@ -241,7 +207,7 @@ def test_algebraic_map_dominates_logarithmic():
 def test_monotonicity_over_random_maps():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        kind = rng.choice(["log", "alg", "tan"])
+        kind = rng.choice(["log", "alg"])
         c = float(rng.uniform(0.1, 20.0))
         n_intervals = int(rng.integers(2, 60))
         grid = build_grid(GridMap(kind, c), n_intervals)
