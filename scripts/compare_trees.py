@@ -21,7 +21,9 @@ run on a fixed matrix:
 Every side runs in a fresh working directory holding the same input
 files, so paths in messages agree. Each differing (command, field) pair
 and each differing case prints one line, then the count; the exit code
-is 1 if anything differed.
+is 1 if anything differed. A differing Newton result also prints how far
+it moved: whether the iteration count and convergence flag are equal,
+and the largest absolute difference of the solutions.
 """
 
 from __future__ import annotations
@@ -187,6 +189,23 @@ def difference(parent, change) -> str:
     return "values differ"
 
 
+def newton_moved(parent, change) -> str:
+    """How far one Newton result moved: iteration count and convergence
+    flag, and the largest absolute solution difference (equal entries,
+    infinities included, count as 0)."""
+    if isinstance(parent, str) or isinstance(change, str):
+        return difference(parent, change)
+    (a, _, iterations_a, _, converged_a), (b, _, iterations_b, _, converged_b) = parent, change
+    if (iterations_a, converged_a) == (iterations_b, converged_b):
+        flags = f"iterations {iterations_a} and converged {converged_a} equal"
+    else:
+        flags = (f"iterations {iterations_a} -> {iterations_b}, "
+                 f"converged {converged_a} -> {converged_b}")
+    with np.errstate(invalid="ignore"):
+        moved = np.max(np.where(a == b, 0.0, np.abs(a - b)))
+    return f"{flags}, max |solution difference| {moved:.2e}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -213,6 +232,9 @@ def main() -> int:
         if keys:
             cases_differing += 1
             print(f"case {case}: {', '.join(keys)} differ")
+            for key in keys:
+                if key.startswith("newton"):
+                    print(f"  {key}: {newton_moved(a[key], b[key])}")
     print(f"scheme and newton: {cases_differing} of {len(cases)} cases differ")
     return 1 if cli_differing or cases_differing else 0
 

@@ -166,7 +166,8 @@ def _add_grid_options(parser) -> None:
     parser.add_argument("--c", type=float, default=5.0,
                         help="map length scale (default 5)")
     parser.add_argument("--N", required=True,
-                        help="intervals per semi-axis; a comma list sweeps several grids")
+                        help="grid intervals (nodes 0..N, x_N = inf); "
+                             "a comma list sweeps several grids")
 
 
 def _add_solver_options(parser) -> None:

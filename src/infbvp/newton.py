@@ -2,12 +2,12 @@
 
 No damping: every update is applied as-is, and the iteration stops once
 the mean absolute correction over all d*(N+1) unknowns drops to the
-tolerance. From the problem's default iterate every step is a full step,
-J(U) delta = -residual(U). From a given field (a warm start) each step
-after the first first tries the simplified step with the previous
-Jacobian's kept factors, J_old delta = -residual(U), and takes it only
-when it ends the solve at Newton accuracy; otherwise it assembles J(U)
-and takes the full step.
+tolerance. A step is the full step J(U) delta = -residual(U), except
+that a step predicted to end the solve first tries the simplified step
+with the previous Jacobian's kept factors, J_old delta = -residual(U),
+and takes it only when it ends the solve at Newton accuracy. From a
+given field (a warm start) the second step is tried; otherwise a step is
+tried when the last two corrections predict the end.
 
 The linear stage exploits the block structure: N interval block rows,
 each coupling two neighbouring nodes, closed by one boundary block row
@@ -286,13 +286,16 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     to config.tol; hitting max_iter or a non-finite iterate returns
     converged=False instead of raising.
 
-    From the default iterate every step is a full Newton step. A given
-    initial is a warm start, such as a coarser grid's prolonged solution:
-    after the first step each iteration first tries the simplified step
-    that reuses the previous Jacobian's factors (Deuflhard, Newton
-    Methods for Nonlinear Problems, 2004) and keeps it only if it ends
-    the solve at Newton accuracy. Otherwise the Jacobian is assembled
-    anew at the same iterate.
+    Steps are full Newton steps, except the one that should end the
+    solve: it first tries the simplified step that reuses the previous
+    Jacobian's factors (Deuflhard, Newton Methods for Nonlinear Problems,
+    2004) and keeps it only if it ends the solve at Newton accuracy;
+    otherwise the Jacobian is assembled anew at the same iterate. A
+    given initial is a warm start, such as a coarser grid's prolonged
+    solution, and tries at the second step. Otherwise the last two
+    corrections m_{k-2}, m_{k-1} predict the end: the step is tried when
+    m_{k-1}**2 <= tol * m_{k-2}, so the first two steps from the default
+    iterate are always full steps.
     """
     config = config if config is not None else SolverConfig()
     warm = initial is not None
@@ -320,10 +323,12 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     for iteration in range(1, int(config.max_iter) + 1):
         residual = assemble_residual(problem, grid, U)
         delta = None
-        if warm and jacobian is not None:
-            # With theta = |delta| / |previous delta| estimating the
-            # contraction, the simplified step is kept when it is below
-            # tol and leaves an error theta*|delta| below tol**2.
+        # Tried only where it should end the solve (see the docstring).
+        # With theta = |delta| / |previous delta| estimating the
+        # contraction, a tried step is kept when it is below tol and
+        # leaves an error theta*|delta| below tol**2.
+        if jacobian is not None and (warm if len(increments) == 1
+                                     else increments[-1] ** 2 <= tol * increments[-2]):
             delta = linear_solve(jacobian, -residual)
             m = float(np.mean(np.abs(delta)))
             if not (m <= tol and m * (m / increments[-1]) <= tol * tol):

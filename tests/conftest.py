@@ -1,5 +1,5 @@
-"""Shared manufactured problems with known exact solutions, and the dense
-oracle of the structured Jacobian.
+"""Shared manufactured problems with known exact solutions, the dense
+oracle of the structured Jacobian, and a counter of Newton's Jacobians.
 
 Both decay problems approach their limit exponentially, so they exercise
 the semi-infinite grids the way the built-in benchmarks do while keeping
@@ -8,7 +8,7 @@ an analytic answer to compare against.
 
 import numpy as np
 
-from infbvp import BvpProblem
+from infbvp import BvpProblem, newton
 
 
 def linear_decay_problem(with_derivatives=True):
@@ -111,3 +111,16 @@ def block_product(jac, delta):
                 + np.einsum("nij,nj->ni", jac.dU_next, delta[1:]))
     out[-1] = jac.dg_0 @ delta[0] + jac.dg_N @ delta[-1]
     return out.ravel()
+
+
+def count_jacobians(monkeypatch):
+    """Count newton.assemble_jacobian calls per grid size N."""
+    counts = {}
+    assemble = newton.assemble_jacobian
+
+    def counted(problem, grid, *args, **kwargs):
+        counts[grid.N] = counts.get(grid.N, 0) + 1
+        return assemble(problem, grid, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "assemble_jacobian", counted)
+    return counts

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import block_product, dense_jacobian, linear_decay_problem, toy_linear_problem
+from conftest import (block_product, count_jacobians, dense_jacobian, linear_decay_problem,
+                      toy_linear_problem)
 from infbvp import (
     BvpProblem,
     GridMap,
@@ -53,6 +54,56 @@ def test_increments_shrink_quadratically():
     assert len(tail) >= 2
     for coarse, fine in zip(tail, tail[1:]):
         assert fine <= 100.0 * coarse * coarse
+
+
+def full_newton(problem, grid, mode, tol=1e-6, max_iter=50):
+    """Reference loop: a fresh Jacobian and a full step every iteration."""
+    U = initial_field(problem, grid)
+    increments = []
+    for _ in range(max_iter):
+        jacobian = assemble_jacobian(problem, grid, U, mode)
+        delta = linear_solve(jacobian, -assemble_residual(problem, grid, U))
+        U = U + delta
+        increments.append(float(np.mean(np.abs(delta))))
+        if increments[-1] <= tol:
+            return U, True, len(increments)
+    return U, False, max_iter
+
+
+@pytest.mark.parametrize("N", [20, 160, 1280])
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("kind", ["log", "alg"])
+@pytest.mark.parametrize("make_problem", [falkner_skan, pile], ids=["falkner-skan", "pile"])
+def test_cold_solve_matches_full_newton(make_problem, kind, mode, N):
+    # a cold solve ends on the kept factors only when the contraction
+    # predicts the end; the kept step leaves an error below tol**2, so the
+    # answer is full Newton's to roundoff (measured at most 4.7e-11)
+    problem, grid = make_problem(), build_grid(GridMap(kind, 5.0), N)
+    solution, converged, iterations = full_newton(problem, grid, mode)
+    result = newton_solve(problem, grid, config=SolverConfig(jacobian_mode=mode))
+    assert (result.iterations, result.converged) == (iterations, converged)
+    assert np.max(np.abs(result.solution - solution)) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [160, 320, 640, 1280])
+@pytest.mark.parametrize("make_problem", [falkner_skan, pile], ids=["falkner-skan", "pile"])
+def test_cold_fd_solve_ends_on_the_kept_factors(make_problem, N, monkeypatch):
+    # the fd-jacobian benchmark's cases: the last step of each reuses the
+    # factors of the step before, so one FD Jacobian fewer per solve
+    counts = count_jacobians(monkeypatch)
+    result = newton_solve(make_problem(), build_grid(GridMap("log", 5.0), N),
+                          config=SolverConfig(jacobian_mode="fd"))
+    assert result.converged
+    assert counts[N] == result.iterations - 1
+
+
+def test_two_step_cold_solve_assembles_every_jacobian(monkeypatch):
+    # the second step of a cold solve has one increment behind it, which
+    # predicts nothing: both steps are full steps
+    counts = count_jacobians(monkeypatch)
+    result = newton_solve(toy_linear_problem(), build_grid(GridMap("alg", 1.0), 2))
+    assert result.converged and result.iterations == 2
+    assert counts[2] == 2
 
 
 def dense_linear_solve(jac, rhs):
