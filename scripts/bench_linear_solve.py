@@ -2,15 +2,11 @@
 
     python3 scripts/bench_linear_solve.py PARENT_TREE [--out BENCH_linear_solve.json]
 
-PARENT_TREE is an unpacked checkout of the commit to compare against
-(`git archive <commit> | tar -x -C PARENT_TREE`); the change is the tree
-this script lives in. A case is the linear system of the first Newton
-step, the analytic Jacobian and minus the residual at the problem's
-default iterate, over {falkner-skan, pile} x {log, alg} x N in
-{20, 40, 80, 160, 320, 1280, 10240} with c = 5. Both trees are imported into one
-single-threaded interpreter, and their calls alternate on each case, so
-that a drift in CPU speed hits both alike; each side keeps its best of
---repeats calls.
+A case is the linear system of the first Newton step, the analytic
+Jacobian and minus the residual at the problem's default iterate, over
+{falkner-skan, pile} x {log, alg} x N in {20, 40, 80, 160, 320, 1280, 10240}
+with c = 5. How the trees are loaded and timed is in twotrees.py; each
+side keeps its best of --repeats calls.
 
 linear_solve keeps its factors on the Jacobian it is given, so every
 timed cold call gets a fresh StructuredJacobian built, outside the timer,
@@ -20,40 +16,20 @@ that factored Jacobian, with another rhs, which replays the factors.
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
-import json
-import os
-import platform
-import sys
 import time
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+# twotrees pins BLAS to one thread, so it is imported before numpy
+from twotrees import best_of, c5_grid, load_sides, ms, parse_args, timing, write_record
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ("falkner-skan", "pile")
 MAPS = ("log", "alg")
 SIZES = (20, 40, 80, 160, 320, 1280, 10240)
 
 
-def load_tree(tree: Path, name: str):
-    """The infbvp package of a source tree, imported under another name."""
-    package = tree / "src" / "infbvp"
-    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
-                                                  submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 def first_newton_system(lib, problem: str, kind: str, N: int):
-    make = {"falkner-skan": lib.falkner_skan, "pile": lib.pile}[problem]
-    problem, grid = make(), lib.build_grid(lib.GridMap(kind, 5.0), N)
+    problem, grid = lib.PROBLEMS[problem](), c5_grid(lib, kind, N)
     field = lib.initial_field(problem, grid)
     return (lib.assemble_jacobian(problem, grid, field, "analytic"),
             -lib.assemble_residual(problem, grid, field))
@@ -74,23 +50,9 @@ def fresh(lib, jacobian):
                                   dg_0=jacobian.dg_0, dg_N=jacobian.dg_N)
 
 
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as info:
-            return next(line.split(":", 1)[1].strip() for line in info if line.startswith("model name"))
-    except (OSError, StopIteration):
-        return platform.processor()
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_linear_solve.json")
-    parser.add_argument("--repeats", type=int, default=15)
-    args = parser.parse_args()
-
-    sides = {"parent": load_tree(args.parent.resolve(), "infbvp_parent"),
-             "change": load_tree(ROOT, "infbvp_change")}
+    args = parse_args(__doc__, "BENCH_linear_solve.json", 15)
+    sides = load_sides(args.parent)
     cases = {}
     for problem in PROBLEMS:
         for kind in MAPS:
@@ -98,35 +60,26 @@ def main() -> None:
                 systems = {side: first_newton_system(lib, problem, kind, N)
                            for side, lib in sides.items()}
                 other_rhs = np.random.default_rng(N).standard_normal(systems["change"][1].shape)
-                best = {side: (float("inf"), "") for side in sides}
-                replay = float("inf")
-                for repeat in range(args.repeats):
-                    order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
-                    for side in order:
-                        lib, (jacobian, rhs) = sides[side], systems[side]
-                        jacobian = fresh(lib, jacobian)
-                        seconds, outcome = time_solve(lib, jacobian, rhs)
-                        best[side] = (min(best[side][0], seconds), outcome)
-                        if side == "change" and outcome == "ok":
-                            replay = min(replay, time_solve(lib, jacobian, other_rhs)[0])
-                (before, before_outcome), (after, after_outcome) = best["parent"], best["change"]
+                outcomes, replays = {}, [float("inf")]
+
+                def cold(side, lib):
+                    jacobian, rhs = fresh(lib, systems[side][0]), systems[side][1]
+                    seconds, outcomes[side] = time_solve(lib, jacobian, rhs)
+                    if side == "change" and outcomes[side] == "ok":
+                        replays.append(time_solve(lib, jacobian, other_rhs)[0])
+                    return seconds
+
+                best = best_of(sides, args.repeats, cold)
+                replay = min(replays)
                 cases[f"{problem}/{kind}/{N}"] = {
-                    "parent_ms": round(before * 1e3, 3), "change_ms": round(after * 1e3, 3),
-                    "speedup": round(before / after, 2),
-                    "replay_ms": round(replay * 1e3, 3), "replay_share": round(replay / after, 2),
-                    "parent_outcome": before_outcome, "change_outcome": after_outcome}
-    record = {
-        "what": ("best-of-repeats wall ms of one newton.linear_solve on the first Newton "
-                 "step's system, analytic Jacobian at the default iterate, c = 5, each call "
-                 "on a fresh Jacobian; replay_ms is the change's second call on that "
-                 "Jacobian with another rhs, replay_share its ratio to change_ms"),
-        "command": f"python3 scripts/bench_linear_solve.py PARENT_TREE --repeats {args.repeats}",
-        "env": {"cpu": _cpu_model(), "nproc": os.cpu_count(), "machine": platform.machine(),
-                "python": platform.python_version(), "numpy": np.__version__,
-                "blas_threads": 1},
-        "cases": cases,
-    }
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+                    **timing(best), "replay_ms": ms(replay),
+                    "replay_share": round(replay / best["change"], 2),
+                    "parent_outcome": outcomes["parent"], "change_outcome": outcomes["change"]}
+    write_record(args, __file__, (
+        "best-of-repeats wall ms of one newton.linear_solve on the first Newton "
+        "step's system, analytic Jacobian at the default iterate, c = 5, each call "
+        "on a fresh Jacobian; replay_ms is the change's second call on that "
+        "Jacobian with another rhs, replay_share its ratio to change_ms"), cases)
 
 
 if __name__ == "__main__":

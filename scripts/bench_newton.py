@@ -2,14 +2,10 @@
 
     python3 scripts/bench_newton.py PARENT_TREE [--out BENCH_newton.json]
 
-PARENT_TREE is an unpacked checkout of the commit to compare against
-(`git archive <commit> | tar -x -C PARENT_TREE`); the change is the tree
-this script lives in. A case is one newton_solve from the problem's
-default iterate (a cold solve), default tolerance, over
-{falkner-skan, pile} x {log, alg} x N in {20, 160, 1280, 10240} x
-{analytic, fd Jacobian}, with c = 5. Both trees are imported into one
-single-threaded interpreter, and their calls alternate on each case, so
-that a drift in CPU speed hits both alike; each side keeps its best of
+A case is one newton_solve from the problem's default iterate (a cold
+solve), default tolerance, over {falkner-skan, pile} x {log, alg} x N in
+{20, 160, 1280, 10240} x {analytic, fd Jacobian}, with c = 5. How the
+trees are loaded and timed is in twotrees.py; each side keeps its best of
 --repeats calls. One untimed call per side counts the Jacobians it
 assembles and the linear solves it runs, through counting wrappers on
 its newton module's assemble_jacobian and linear_solve.
@@ -17,19 +13,10 @@ its newton module's assemble_jacobian and linear_solve.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import time
-from pathlib import Path
 
-# loads the trees the same way, and pins BLAS to one thread on import
-from bench_linear_solve import _cpu_model, load_tree
+from twotrees import best_of, c5_grid, load_sides, ms, parse_args, write_record
 
-import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ("falkner-skan", "pile")
 MAPS = ("log", "alg")
 SIZES = (20, 160, 1280, 10240)
@@ -38,8 +25,7 @@ MODES = ("analytic", "fd")
 
 def solve(lib, problem, kind: str, N: int, mode: str):
     """(seconds, iterations or None, outcome) of one cold newton_solve."""
-    problem = {"falkner-skan": lib.falkner_skan, "pile": lib.pile}[problem]()
-    grid = lib.build_grid(lib.GridMap(kind, 5.0), N)
+    problem, grid = lib.PROBLEMS[problem](), c5_grid(lib, kind, N)
     config = lib.SolverConfig(jacobian_mode=mode)
     start = time.perf_counter()
     try:
@@ -73,14 +59,8 @@ def counted_solve(lib, *case) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_newton.json")
-    parser.add_argument("--repeats", type=int, default=11)
-    args = parser.parse_args()
-
-    sides = {"parent": load_tree(args.parent.resolve(), "infbvp_parent"),
-             "change": load_tree(ROOT, "infbvp_change")}
+    args = parse_args(__doc__, "BENCH_newton.json", 11)
+    sides = load_sides(args.parent)
     cases = {}
     for problem in PROBLEMS:
         for kind in MAPS:
@@ -88,27 +68,16 @@ def main() -> None:
                 for mode in MODES:
                     case = (problem, kind, N, mode)
                     record = {side: counted_solve(lib, *case) for side, lib in sides.items()}
-                    best = {side: float("inf") for side in sides}
-                    for repeat in range(args.repeats):
-                        order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
-                        for side in order:
-                            best[side] = min(best[side], solve(sides[side], *case)[0])
+                    best = best_of(sides, args.repeats, lambda side, lib: solve(lib, *case)[0])
                     for side in sides:
-                        record[side]["best_ms"] = round(best[side] * 1e3, 3)
+                        record[side]["best_ms"] = ms(best[side])
                     record["speedup"] = round(best["parent"] / best["change"], 2)
                     cases["/".join(map(str, case))] = record
-    record = {
-        "what": ("cold newton_solve from the default iterate, default tol, c = 5: per side "
-                 "the iterations, Jacobians assembled and linear solves of one counted call, "
-                 "and the best-of-repeats wall ms of uncounted calls; speedup is parent "
-                 "over change"),
-        "command": f"python3 scripts/bench_newton.py PARENT_TREE --repeats {args.repeats}",
-        "env": {"cpu": _cpu_model(), "nproc": os.cpu_count(), "machine": platform.machine(),
-                "python": platform.python_version(), "numpy": np.__version__,
-                "blas_threads": 1},
-        "cases": cases,
-    }
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    write_record(args, __file__, (
+        "cold newton_solve from the default iterate, default tol, c = 5: per side "
+        "the iterations, Jacobians assembled and linear solves of one counted call, "
+        "and the best-of-repeats wall ms of uncounted calls; speedup is parent "
+        "over change"), cases)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,7 @@
 
     python3 scripts/compare_trees.py PARENT_TREE
 
-PARENT_TREE is an unpacked checkout of the commit to compare against
-(`git archive <commit> | tar -x -C PARENT_TREE`); the change is the tree
-this script lives in. Both trees are imported into one interpreter and
-run on a fixed matrix:
+Both trees, loaded as twotrees.py describes, run on a fixed matrix:
 
 - the CLI, in-process: exit code, stdout, stderr, --out bytes and the
   RuntimeWarnings raised, over solve, sweep, grid and extrapolate runs
@@ -28,8 +25,6 @@ and the largest absolute difference of the solutions.
 
 from __future__ import annotations
 
-import argparse
-import importlib
 import io
 import os
 import sys
@@ -38,10 +33,10 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import numpy as np
+# twotrees pins BLAS to one thread, so it is imported before numpy
+from twotrees import c5_grid, load_sides, parse_args
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_linear_solve import ROOT, load_tree  # noqa: E402
+import numpy as np
 
 INPUTS = {
     "sweep.csv": "N,iterations,converged,u0\n40,2,true,1.421243\n80,2,true,1.421469\n"
@@ -95,7 +90,6 @@ SIZES = (20, 160, 1280)
 def run_cli(lib, argv):
     """(exit code, stdout, stderr, --out bytes, warnings) of one in-process
     cli.main call in a fresh directory holding INPUTS."""
-    cli = importlib.import_module(f"{lib.__name__}.cli")
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -107,7 +101,7 @@ def run_cli(lib, argv):
                     redirect_stdout(stdout), redirect_stderr(stderr):
                 warnings.simplefilter("always")
                 try:
-                    code = cli.main(list(argv))
+                    code = lib.cli.main(list(argv))
                 except SystemExit as exc:
                     code = exc.code
             out = Path("out.txt")
@@ -120,7 +114,7 @@ def run_cli(lib, argv):
 
 def make_problem(lib, name):
     if name != "coupled":
-        return {"falkner-skan": lib.falkner_skan, "pile": lib.pile}[name]()
+        return lib.PROBLEMS[name]()
 
     def f(x, u):
         return np.array([u[1], u[0] * u[0] + np.exp(-x) - np.exp(-2.0 * x)])
@@ -155,7 +149,7 @@ def same(a, b) -> bool:
 def scheme_case(lib, name, kind, N, continuation):
     """Residual, Jacobian blocks and Newton results of one case."""
     problem = make_problem(lib, name)
-    grid = lib.build_grid(lib.GridMap(kind, 5.0), N, continuation=continuation)
+    grid = c5_grid(lib, kind, N, continuation=continuation)
     base = lib.initial_field(problem, grid)
     field = base + 0.05 * np.random.default_rng(N).standard_normal(base.shape)
 
@@ -207,11 +201,7 @@ def newton_moved(parent, change) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    args = parser.parse_args()
-    parent = load_tree(args.parent.resolve(), "infbvp_parent")
-    change = load_tree(ROOT, "infbvp_change")
+    parent, change = load_sides(parse_args(__doc__).parent).values()
 
     runs = list(USAGE)
     runs += [command + mode for command in COMMANDS for mode in OUTPUT_MODES]

@@ -63,9 +63,7 @@ class GridMap:
                 raise ValueError("parameter must lie in [0, 1]")
             if self.kind is MapKind.LOGARITHMIC:
                 return -self.c * np.log1p(-xi)
-            den = 1.0 - xi
-            return np.where(xi == 1.0, np.inf,
-                            self.c * xi / np.where(den == 0.0, 1.0, den))
+            return self.c * xi / (1.0 - xi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -303,9 +303,6 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         U = initial_field(problem, grid)
     else:
         U = np.array(initial, dtype=float, copy=True)
-        if U.shape != (grid.N + 1, problem.d):
-            raise ValueError(f"initial field shape {U.shape} does not match "
-                             f"({grid.N + 1}, {problem.d})")
         if not np.all(np.isfinite(U)):
             raise ValueError("initial field must be finite")
 

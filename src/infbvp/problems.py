@@ -76,6 +76,11 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
     with u1(0) = u2(0) = 0 and u2(inf) = 1. The headline scalar is the
     wall shear u3(0); u3 at the infinity node reports how well the far
     boundary condition is met by the discretization.
+
+    The default iterate is the boundary-layer profile (x - 1 + e^-x,
+    1 - e^-x, 0.3 e^-x), and (1, 1, 0) at the infinity node. From a
+    constant start Newton reaches spurious discrete solutions for P <= 0
+    and on the alg map.
     """
     P = float(P)
     if not np.isfinite(P):
@@ -98,7 +103,9 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
     dg_N = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def initial_iterate(x):
-        return np.array([0.5, 0.5, 1e-2])
+        decay = np.exp(-x)
+        u1 = np.where(np.isfinite(x), x - 1.0 + decay, 1.0)
+        return np.array([u1, 1.0 - decay, 0.3 * decay])
 
     reports = {
         "fpp0": lambda result: float(result.solution[0, 2]),

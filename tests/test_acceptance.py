@@ -53,6 +53,11 @@ PILE_PRINTED_N1280 = (1.421544, -0.808148)
 # the rule must lower the end value by at least a decade.
 END_VALUE_GRIDS = (20, 40)
 
+# Hartree's wall shear u3(0) of the attached Falkner-Skan branch, as
+# reprinted in White, Viscous Fluid Flow, Table 4-1.
+HARTREE_WALL_SHEAR = {2.0: 1.687218, 1.0: 1.232588, 0.5: 0.927680, 0.0: 0.469600,
+                      -0.1: 0.319270, -0.15: 0.216361, -0.18: 0.128636}
+
 LOG_MAP = GridMap("log", 5.0)
 ALG_MAP = GridMap("alg", 5.0)
 ALG_PILE_GRIDS = (160, 1280)
@@ -70,6 +75,19 @@ def falkner_runs():
     runs = {n: newton_solve(falkner_skan(P=1.0), build_grid(LOG_MAP, n))
             for n in GRID_SIZES}
     return runs, time.perf_counter() - started
+
+
+@pytest.fixture(scope="module")
+def hartree_runs():
+    """Per P: the cold N = 1280 and 2560 solves at tol 1e-12 and their
+    Richardson wall shear (4 T_2560 - T_1280) / 3."""
+    config = SolverConfig(tol=1e-12)
+    runs = {}
+    for P in HARTREE_WALL_SHEAR:
+        coarse, fine = (newton_solve(falkner_skan(P=P), build_grid(LOG_MAP, n), config=config)
+                        for n in (1280, 2560))
+        runs[P] = coarse, fine, (4.0 * fine.solution[0, 2] - coarse.solution[0, 2]) / 3.0
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +187,31 @@ def test_pile_slope_matches_collocation_reference(pile_runs):
           f"Richardson 640/1280 {extrapolated:.10f}")
     assert abs(extrapolated - want) <= 1e-7
     assert abs(fine - want) <= 5e-7
+
+
+def test_criterion_10_hartree_wall_shear(hartree_runs):
+    # from favourable pressure gradients down to near separation (about
+    # P = -0.1988), where a constant start reached spurious solutions
+    worst = max(abs(shear - HARTREE_WALL_SHEAR[P]) for P, (_, _, shear) in hartree_runs.items())
+    solves = [run for coarse, fine, _ in hartree_runs.values() for run in (coarse, fine)]
+    iterations = [run.iterations for run in solves]
+    converged = all(run.converged for run in solves)
+    ok = converged and max(iterations) <= 8 and worst <= 1e-6
+    _verdict(10, ok, f"Richardson wall shear within {worst:.2e} of Hartree's table "
+                     f"(limit 1e-6) for P = {', '.join(map(str, HARTREE_WALL_SHEAR))}; "
+                     f"{min(iterations)}-{max(iterations)} iterations, converged {converged}")
+
+
+def test_hartree_wall_shear_matches_collocation_reference(hartree_runs):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    for P, (_, _, shear) in hartree_runs.items():
+        problem = falkner_skan(P=P)
+        x = np.linspace(0.0, 20.0, 41)
+        reference = scipy_integrate.solve_bvp(problem.f, problem.g, x, problem.initial_iterate(x),
+                                              tol=1e-10, max_nodes=100000)
+        assert reference.status == 0, reference.message
+        print(f"P={P}: solve_bvp {reference.y[2, 0]:.10f}, Richardson 1280/2560 {shear:.10f}")
+        assert abs(shear - reference.y[2, 0]) <= 1e-7
 
 
 def test_criterion_6_extrapolation_tables(falkner_runs, pile_runs):
@@ -297,10 +340,10 @@ def test_criterion_9_pile_on_the_algebraic_map():
     _verdict(9, ok, "pile on the alg map: " + "; ".join(details))
 
 
-# Known wrong answers, pinned as strict xfails: a fix turns a row into an
-# XPASS failure, which forces its marker to go. Each row is graded as the
-# benchmark grades a solve: converged, and every listed report within
-# max(40/N^2, 1e-6) of its reference.
+# Falkner-Skan from its default start where a constant start used to
+# reach spurious solutions. Each row is graded as the benchmark grades a
+# solve: converged, and every listed report within max(40/N^2, 1e-6) of
+# its reference.
 def _falkner_skan_row_ok(P, grid_map, n, references):
     result = newton_solve(falkner_skan(P=P), build_grid(grid_map, n))
     limit = max(40.0 / n**2, 1e-6)
@@ -311,13 +354,11 @@ def _falkner_skan_row_ok(P, grid_map, n, references):
     return result.converged and max(errors.values()) <= limit
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
 @pytest.mark.parametrize("n", (160, 1280))
 def test_falkner_skan_on_the_algebraic_map(n):
     assert _falkner_skan_row_ok(1.0, ALG_MAP, n, {"fpp0": 1.232588, "fpp_inf": 0.0})
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 @pytest.mark.parametrize("n", (160, 1280))
 @pytest.mark.parametrize("P, wall_shear", [(0.0, 0.469600), (-0.15, 0.216362)])
 def test_falkner_skan_without_favourable_pressure_gradient(P, wall_shear, n):

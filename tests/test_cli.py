@@ -367,17 +367,19 @@ def test_warm_started_sweep_matches_cold_solves(name, jacobian, capsys):
             assert abs(float(row[header.index(q)]) - report_scalar(problem, cold, q)) <= 1e-10
 
 
-@pytest.mark.parametrize("argv", [["falkner-skan"], ["falkner-skan", "--P", "0.5"], ["pile"]],
+@pytest.mark.parametrize("argv, kept_end", [(["falkner-skan"], 1),
+                                            (["falkner-skan", "--P", "0.5"], 0), (["pile"], 1)],
                          ids=["falkner-skan", "falkner-skan-P0.5", "pile"])
-def test_warm_started_grids_reuse_one_jacobian(argv, monkeypatch, capsys):
+def test_warm_started_grids_reuse_one_jacobian(argv, kept_end, monkeypatch, capsys):
     # the paper's sweeps: from N = 80 on, the first step's factors also
     # take the step that ends the solve; the cold first grid ends on the
-    # factors of its second-to-last step
+    # factors of its second-to-last step, except falkner-skan P = 0.5,
+    # whose 3 iterations are too few to predict the end
     counts = count_jacobians(monkeypatch)
     ns = (20, 40, 80, 160, 320, 640, 1280)
     assert cli.main(["sweep", "--problem", *argv, "--N", ",".join(map(str, ns)), "--c", "5"]) == 0
     rows = parse_csv(capsys.readouterr().out)[1:]
-    assert counts[20] == int(rows[0][1]) - 1  # cold: one Jacobian per iteration but the last
+    assert counts[20] == int(rows[0][1]) - kept_end
     assert all(counts[n] == 1 and int(row[1]) == 2 for n, row in zip(ns[2:], rows[2:]))
 
 

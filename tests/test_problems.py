@@ -106,7 +106,9 @@ def test_initial_field_evaluates_every_node():
     grid = build_grid(GridMap("log", 5.0), 6)
     fs_field = initial_field(falkner_skan(), grid)
     assert fs_field.shape == (7, 3)
-    assert np.array_equal(fs_field, np.tile([0.5, 0.5, 1e-2], (7, 1)))
+    x = grid.nodes[:-1]
+    profile = np.column_stack([x - 1.0 + np.exp(-x), 1.0 - np.exp(-x), 0.3 * np.exp(-x)])
+    assert np.array_equal(fs_field, np.vstack([profile, [1.0, 1.0, 0.0]]))
     pile_field = initial_field(pile(), grid)
     assert np.array_equal(pile_field, np.ones((7, 4)))
 

@@ -24,11 +24,11 @@ def test_readme_examples_run_and_the_quick_start_solves_cold(monkeypatch, capsys
         exec(compile(block, str(README), "exec"), namespace)
     result = namespace["result"]
     # started from the problem's own iterate: one linear solve per
-    # iteration, six in all, each on a fresh Jacobian but the last, which
-    # ends the solve on the kept factors of the fifth
-    assert result.converged and result.iterations == 6
-    assert len(calls) == 6
-    assert len({id(jacobian) for jacobian in calls}) == 5
+    # iteration, four in all, each on a fresh Jacobian but the last, which
+    # ends the solve on the kept factors of the third
+    assert result.converged and result.iterations == 4
+    assert len(calls) == 4
+    assert len({id(jacobian) for jacobian in calls}) == 3
     assert calls[-1] is calls[-2]
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == f"True {result.iterations}"
