@@ -7,7 +7,8 @@ that a step predicted to end the solve first tries the simplified step
 with the previous Jacobian's kept factors, J_old delta = -residual(U),
 and takes it only when it ends the solve at Newton accuracy. From a
 given field (a warm start) the second step is tried; otherwise a step is
-tried when the last two corrections predict the end.
+tried when the last two corrections predict the end, from a cold
+start's second correction on.
 
 The linear stage exploits the block structure: N interval block rows,
 each coupling two neighbouring nodes, closed by one boundary block row
@@ -294,8 +295,10 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     given initial is a warm start, such as a coarser grid's prolonged
     solution, and tries at the second step. Otherwise the last two
     corrections m_{k-2}, m_{k-1} predict the end: the step is tried when
-    m_{k-1}**2 <= tol * m_{k-2}, so the first two steps from the default
-    iterate are always full steps.
+    m_{k-1}**2 <= tol * m_{k-2}. A cold start predicts from its second
+    correction on, since its first measures the distance from the
+    default iterate rather than a contraction, so its first three steps
+    are always full steps.
     """
     config = config if config is not None else SolverConfig()
     warm = initial is not None
@@ -325,7 +328,8 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         # contraction, a tried step is kept when it is below tol and
         # leaves an error theta*|delta| below tol**2.
         if jacobian is not None and (warm if len(increments) == 1
-                                     else increments[-1] ** 2 <= tol * increments[-2]):
+                                     else (warm or len(increments) > 2)
+                                     and increments[-1] ** 2 <= tol * increments[-2]):
             delta = linear_solve(jacobian, -residual)
             m = float(np.mean(np.abs(delta)))
             if not (m <= tol and m * (m / increments[-1]) <= tol * tol):

@@ -126,6 +126,13 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
     with zero moment and prescribed shear P3 at the origin, and u1 and u2
     vanishing at infinity. Report scalars are the surface deflection
     u1(0) and slope u2(0).
+
+    The default iterate is the beam on an elastic foundation (Hetenyi,
+    Beams on Elastic Foundation, 1946): the decaying solution of the
+    linearization u1'''' = -P1*P2*u1 with the same conditions at the
+    origin, u1 = a e^-bx cos bx with b = (P1*P2/4)^(1/4) and
+    a = P3 / (2 b^3), with u2..u4 its derivatives and 0 at the infinity
+    node.
     """
     P1, P2, P3 = float(P1), float(P2), float(P3)
     if not (0.0 < P1 < np.inf and 0.0 < P2 < np.inf):
@@ -151,8 +158,16 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
     dg_N = np.zeros((4, 4))
     dg_N[2, 0] = dg_N[3, 1] = 1.0
 
+    b = (P1 * P2 / 4.0) ** 0.25
+    a = P3 / (2.0 * b ** 3)
+
     def initial_iterate(x):
-        return np.ones(4)
+        finite = np.isfinite(x)
+        bx = b * np.where(finite, x, 0.0)
+        decay = np.where(finite, a * np.exp(-bx), 0.0)
+        cos, sin = np.cos(bx), np.sin(bx)
+        return np.array([decay * cos, -b * decay * (cos + sin),
+                         2.0 * b * b * decay * sin, 2.0 * b ** 3 * decay * (cos - sin)])
 
     reports = {
         "u0": lambda result: float(result.solution[0, 0]),

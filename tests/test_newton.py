@@ -106,6 +106,53 @@ def test_two_step_cold_solve_assembles_every_jacobian(monkeypatch):
     assert counts[2] == 2
 
 
+def count_cold_solve(monkeypatch, problem, grid, mode=None):
+    """A cold solve with its Jacobians and linear solves counted."""
+    jacobians, solves = count_jacobians(monkeypatch), []
+    solve = newton.linear_solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(newton, "linear_solve", counted)
+    result = newton_solve(problem, grid, config=SolverConfig(jacobian_mode=mode))
+    assert result.converged
+    return result.iterations, jacobians[grid.N], len(solves)
+
+
+@pytest.mark.parametrize("N", [20, 160, 1280])
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("kind", ["log", "alg"])
+def test_pile_cold_solve_counts(kind, mode, N, monkeypatch):
+    # the beam start is close enough that three Jacobians do
+    iterations, jacobians, _ = count_cold_solve(
+        monkeypatch, pile(), build_grid(GridMap(kind, 5.0), N), mode)
+    assert iterations <= 4 and jacobians == 3
+
+
+@pytest.mark.parametrize("N", [20, 160, 1280])
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_cold_solve_tries_no_step_on_its_first_correction(mode, N, monkeypatch):
+    # on the alg map Falkner-Skan's first correction is mostly u1 at the
+    # infinity node; predicting from it tried, and rejected, one replay
+    counts = count_cold_solve(monkeypatch, falkner_skan(P=1.0),
+                              build_grid(GridMap("alg", 5.0), N), mode)
+    assert counts == (4, 3, 4)
+
+
+@pytest.mark.parametrize("kind", ["log", "alg"])
+@pytest.mark.parametrize("params", [{"P2": 2.0}, {"P3": -1.0}], ids=["P2=2", "P3=-1"])
+def test_pile_start_is_robust(params, kind):
+    problem, grid = pile(**params), build_grid(GridMap(kind, 5.0), 160)
+    result = newton_solve(problem, grid)
+    assert result.converged and result.iterations <= 5
+    reference = newton_solve(problem, grid, initial=np.ones((grid.N + 1, 4)),
+                             config=SolverConfig(tol=1e-12))
+    assert reference.converged
+    assert np.max(np.abs(result.solution[0, :2] - reference.solution[0, :2])) <= 1e-9
+
+
 def dense_linear_solve(jac, rhs):
     """Oracle for linear_solve: LU with partial pivoting on the dense matrix."""
     return np.linalg.solve(dense_jacobian(jac), rhs).reshape(jac.N + 1, jac.d)

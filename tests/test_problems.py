@@ -1,5 +1,7 @@
 """Built-in problem definitions and report plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from infbvp import (
     PROBLEMS,
     BvpProblem,
     GridMap,
+    assemble_residual,
     build_grid,
     falkner_skan,
     initial_field,
@@ -110,7 +113,48 @@ def test_initial_field_evaluates_every_node():
     profile = np.column_stack([x - 1.0 + np.exp(-x), 1.0 - np.exp(-x), 0.3 * np.exp(-x)])
     assert np.array_equal(fs_field, np.vstack([profile, [1.0, 1.0, 0.0]]))
     pile_field = initial_field(pile(), grid)
-    assert np.array_equal(pile_field, np.ones((7, 4)))
+    assert pile_field.shape == (7, 4)
+    b = (1.0 * 0.5 / 4.0) ** 0.25
+    bx, decay = b * x, 0.5 / (2.0 * b ** 3) * np.exp(-b * x)
+    cos, sin = np.cos(bx), np.sin(bx)
+    beam = np.column_stack([decay * cos, -b * decay * (cos + sin),
+                            2.0 * b * b * decay * sin, 2.0 * b ** 3 * decay * (cos - sin)])
+    assert np.array_equal(pile_field, np.vstack([beam, np.zeros(4)]))
+
+
+@pytest.mark.parametrize("params", [(1.0, 0.5, 0.5), (2.0, 2.0, -1.0), (0.3, 1.5, 2.0)])
+def test_pile_start_solves_the_linearized_pile(params):
+    # the start is the decaying solution of u1'''' = -P1*P2*u1: its
+    # central differences are (u2, u3, u4, -P1*P2*u1)
+    P1, P2, P3 = params
+    start = pile(P1, P2, P3).initial_iterate
+    x, h = np.array([0.3, 1.0, 2.5, 4.0, 7.5]), 1e-5
+    slope = (start(x + h) - start(x - h)) / (2.0 * h)
+    u = start(x)
+    want = np.vstack([u[1:], -P1 * P2 * u[0]])
+    assert np.max(np.abs(slope - want)) <= 1e-7 * np.max(np.abs(want))
+    u0 = start(np.zeros(1))[:, 0]
+    assert u0[2] == 0.0 and u0[3] == pytest.approx(P3, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["log", "alg"])
+def test_pile_start_is_zero_at_infinity(kind):
+    grid = build_grid(GridMap(kind, 5.0), 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = initial_field(pile(), grid)
+    assert np.all(np.isfinite(field))
+    assert np.array_equal(field[-1], np.zeros(4)) and np.all(field[:-1, 0] != 0.0)
+
+
+def test_pile_without_shear_starts_at_its_solution():
+    # P3 = 0 leaves the pile at rest, and the start is exactly that
+    problem, grid = pile(P3=0.0), build_grid(GridMap("log", 5.0), 16)
+    field = initial_field(problem, grid)
+    assert np.array_equal(field, np.zeros((17, 4)))
+    assert not np.any(assemble_residual(problem, grid, field))
+    result = newton_solve(problem, grid)
+    assert result.converged and result.increments == [0.0]
 
 
 def test_initial_field_validation():
