@@ -4,13 +4,14 @@
 
 A case is one `cli.main` call that writes its table with `--out` to a
 temporary file, over {solve falkner-skan, solve pile, grid log} x N in
-{160, 1280, 10240} x {default, --raw}, with c = 5. For the solve cases
-each tree's `cli.newton_solve` is replaced by a stub that returns one
-precomputed result, so the time is argument parsing, the grid build and
-the output layer, not the solve. How the trees are loaded and timed is in
-twotrees.py; each side keeps its best of --repeats calls. Every case
-asserts that the two trees write identical bytes, to the file and to
-stdout.
+{160, 1280, 10240} x {default, --raw, --format json}, with c = 5. The
+json cases time the JSON document in place of the CSV table. For the
+solve cases each tree's `cli.newton_solve` is replaced by a stub that
+returns one precomputed result, so the time is argument parsing, the
+grid build and the output layer, not the solve. How the trees are loaded
+and timed is in twotrees.py; each side keeps its best of --repeats
+calls. Every case asserts that the two trees write identical bytes, to
+the file and to stdout.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from twotrees import best_of, c5_grid, load_sides, parse_args, timing, write_rec
 
 COMMANDS = ("solve falkner-skan", "solve pile", "grid log")
 SIZES = (160, 1280, 10240)
-MODES = {"default": [], "raw": ["--raw"]}
+MODES = {"default": [], "raw": ["--raw"], "json": ["--format", "json"]}
 
 
 def case_argv(command: str, N: int, mode: str, out: Path) -> list[str]:

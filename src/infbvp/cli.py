@@ -34,8 +34,9 @@ EXIT_USAGE = 2
 def _cell(value, float_format: str) -> str:
     """The one CSV cell rule: None is empty, bools are true/false, floats
     follow float_format (inf, -inf and nan print as those tokens) and
-    anything else prints as str(). _csv_text drops the sign of a
-    fixed-decimal float that prints as zero."""
+    anything else prints as str(). _csv_text spells the same rule as one
+    `%` row template for a node table's int and float columns, and drops
+    the sign of a fixed-decimal float that prints as zero."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -45,31 +46,22 @@ def _cell(value, float_format: str) -> str:
     return str(value)
 
 
-def _csv_text(rows, args) -> str:
-    """Rows as CSV under the one cell rule. A row whose cells are all
-    exactly int or float is written with one `%` template per cell-type
-    signature, the same rule spelled as a format string (numeric cells
-    never need quoting); any other row goes cell by cell through _cell
-    and csv.writer. Without --raw a float whose fixed-decimal text has
-    only zeros prints without its minus sign: a -4e-25 that is zero to
-    roundoff reads 0.000000, not -0.000000."""
+def _csv_text(rows, args, columns=()) -> str:
+    """CSV of rows, then of the rows of columns, under the one cell rule.
+    The rows (headers and the summary, sweep and extrapolate tables, a
+    few rows each) go cell by cell through _cell and csv.writer. The
+    columns of a node table, each all int or all float, are written with
+    one `%` row template built once from the column types: the same rule
+    spelled as a format string, since numeric cells never need quoting.
+    Without --raw a float whose fixed-decimal text has only zeros prints
+    without its minus sign: a -4e-25 that is zero to roundoff reads
+    0.000000, not -0.000000."""
     float_format = "%.17g" if args.raw else f"%.{args.decimals}f"
-    numeric = {int: "%d", float: float_format}
-    templates = {}  # cell types -> row template, or None for a non-numeric row
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = (",".join(map(numeric.__getitem__, types)) + "\r\n"
-                                if all(kind in numeric for kind in types) else None)
-        template = templates[types]
-        if template is None:
-            writer.writerow([_cell(value, float_format) for value in row])
-        else:
-            buffer.write(template % row)
-    text = buffer.getvalue()
+    csv.writer(buffer).writerows([_cell(value, float_format) for value in row] for row in rows)
+    template = ",".join("%d" if type(column[0]) is int else float_format
+                        for column in columns) + "\r\n"
+    text = buffer.getvalue() + "".join(map(template.__mod__, zip(*columns)))
     if not args.raw:
         # a '-' opening a cell that is all zeros up to its delimiter
         zero = re.escape(float_format % 0.0)
@@ -89,14 +81,15 @@ def _json_safe(value):
     return value
 
 
-def _emit(args, doc: dict, rows, summary=()) -> None:
-    """Write a command's output: doc as JSON (indent 2) or rows as CSV,
-    to --out or to stdout. The CSV summary rows always go to stdout,
-    after a blank line when the table went there too."""
+def _emit(args, doc: dict, rows, summary=(), columns=()) -> None:
+    """Write a command's output: doc as JSON (indent 2) or rows and then
+    the node table columns as CSV (_csv_text), to --out or to stdout. The
+    CSV summary rows always go to stdout, after a blank line when the
+    table went there too."""
     if args.format == "json":
         text = json.dumps(_json_safe(doc), indent=2) + "\n"
     else:
-        text = _csv_text(rows, args)
+        text = _csv_text(rows, args, columns)
     if args.out:
         with open(args.out, "w", newline="") as handle:
             handle.write(text)
@@ -245,12 +238,12 @@ def cmd_solve(args) -> int:
     summary = [("key", "value"), *doc.items(),
                ("final_increment", "%.17g" % result.final_increment), *reports.items()]
     doc.update(final_increment=float(result.final_increment), reports=reports)
-    # (n, x, u1, ..., ud) per node; the JSON node records only when asked for
-    nodes = list(zip(grid.indices.tolist(), grid.nodes.tolist(), *result.solution.T.tolist()))
+    # the columns n, x, u1, ..., ud; the JSON node records only when asked for
+    columns = [grid.indices.tolist(), grid.nodes.tolist(), *result.solution.T.tolist()]
     if args.format == "json":
-        doc["nodes"] = [{"n": n, "x": x, "u": u} for n, x, *u in nodes]
+        doc["nodes"] = [{"n": n, "x": x, "u": u} for n, x, *u in zip(*columns)]
     header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
-    _emit(args, doc, [header, *nodes], summary)
+    _emit(args, doc, [header], summary, columns)
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
@@ -364,11 +357,11 @@ def cmd_grid(args) -> int:
     if len(n_values) != 1:
         raise ValueError("grid takes a single --N")
     grid = build_grid(grid_map, n_values[0])
-    nodes = list(zip(grid.indices.tolist(), grid.uniform_params.tolist(), grid.nodes.tolist()))
+    columns = [grid.indices.tolist(), grid.uniform_params.tolist(), grid.nodes.tolist()]
     doc = {"map": grid_map.kind.value, "c": grid_map.c, "N": grid.N}
     if args.format == "json":
-        doc["nodes"] = [{"n": n, "xi": xi, "x": x} for n, xi, x in nodes]
-    _emit(args, doc, [("n", "xi", "x"), *nodes])
+        doc["nodes"] = [{"n": n, "xi": xi, "x": x} for n, xi, x in zip(*columns)]
+    _emit(args, doc, [("n", "xi", "x")], columns=columns)
     return EXIT_OK
 
 

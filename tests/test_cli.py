@@ -4,7 +4,9 @@ import argparse
 import csv
 import importlib
 import inspect
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infbvp
 from conftest import count_jacobians
@@ -123,6 +127,27 @@ def test_solve_raw_round_trips_full_precision():
                         "--format", "json")
     reports = json.loads(json_proc.stdout)["reports"]
     assert float(summary["fpp0"]) == reports["fpp0"]
+
+
+def test_solve_raw_out_round_trips_every_node_value(tmp_path, monkeypatch, capsys):
+    # the fine-grid table, on a fixed random field over 600 decades with
+    # the solve stubbed out: every value reads back bitwise through float()
+    N = 10240
+    rng = np.random.default_rng(18)
+    solution = rng.standard_normal((N + 1, 4)) * 10.0 ** rng.integers(-300, 300, (N + 1, 4))
+    monkeypatch.setattr(cli, "newton_solve", lambda problem, grid, initial=None, config=None:
+                        SolveResult(solution=solution, converged=True, increments=[0.1]))
+    out = tmp_path / "out.csv"
+    assert run_main(capsys, "solve", "--problem", "pile", "--N", str(N), "--raw",
+                    "--out", str(out))[0] == 0
+    rows = parse_csv(out.read_text())
+    assert len(rows) == N + 2 and rows[0] == ["n", "x", "u1", "u2", "u3", "u4"]
+    assert [int(row[0]) for row in rows[1:]] == list(range(N + 1))
+    assert rows[-1][1] == "inf"
+    nodes = build_grid(GridMap("log", 5.0), N).nodes
+    assert np.array([float(row[1]) for row in rows[1:]]).tobytes() == nodes.tobytes()
+    values = np.array([[float(cell) for cell in row[2:]] for row in rows[1:]])
+    assert values.tobytes() == solution.tobytes()
 
 
 def test_solve_rejects_multiple_grids():
@@ -586,11 +611,41 @@ def test_csv_writer_pins_edge_values(mode, tmp_path, monkeypatch, capsys):
      "0,-0,x-0.000000,true\r\n"),
 ], ids=["decimals-6", "decimals-0", "raw"])
 def test_csv_text_prints_no_signed_zero(options, expected):
-    # the first row goes through the numeric template, the second, with
-    # a string and a bool, through csv.writer; a sign inside a cell
-    # stays, and --raw keeps every sign for the round trip
+    # rows go cell by cell through _cell and csv.writer, the first all
+    # floats, the second with an int, a string and a bool; a sign inside
+    # a cell stays, and --raw keeps every sign for the round trip
     rows = [(-4e-25, -0.0, -4e-7, -6e-7, -1.0, 0.0), (0, -0.0, "x-0.000000", True)]
     assert cli._csv_text(rows, argparse.Namespace(**options)) == expected
+
+
+EDGE_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -4e-25]
+
+
+@st.composite
+def node_columns(draw):
+    """Equal-length columns, each all int or all float."""
+    rows = draw(st.integers(1, 12))
+    cells = {int: st.integers(), float: st.floats() | st.sampled_from(EDGE_FLOATS)}
+    kinds = draw(st.lists(st.sampled_from([int, float]), min_size=1, max_size=6))
+    return [draw(st.lists(cells[kind], min_size=rows, max_size=rows)) for kind in kinds]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(node_columns(), st.sampled_from([{"raw": True, "decimals": 6}] + [
+    {"raw": False, "decimals": decimals} for decimals in (0, 6, 17)]))
+def test_node_table_template_writes_the_cell_rule(columns, options):
+    # the reference: _cell per cell, without --raw a cell that reads as a
+    # signed zero loses its sign, then csv.writer
+    args = argparse.Namespace(**options)
+    float_format = "%.17g" if args.raw else f"%.{args.decimals}f"
+    zero = float_format % 0.0
+    cells = [[cli._cell(value, float_format) for value in row] for row in zip(*columns)]
+    if not args.raw:
+        cells = [[zero if cell == "-" + zero else cell for cell in row] for row in cells]
+    header = [f"c{k}" for k in range(len(columns))]
+    expected = io.StringIO()
+    csv.writer(expected).writerows([header, *cells])
+    assert cli._csv_text([header], args, columns) == expected.getvalue()
 
 
 def test_extrapolate_json_stays_valid_for_nonfinite_input(tmp_path, capsys):
