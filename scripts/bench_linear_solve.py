@@ -6,20 +6,23 @@ A case is the linear system of the first Newton step, the analytic
 Jacobian and minus the residual at the problem's default iterate, over
 {falkner-skan, pile} x {log, alg} x N in {20, 40, 80, 160, 320, 1280, 10240}
 with c = 5. How the trees are loaded and timed is in twotrees.py; each
-side keeps its best of --repeats calls.
+side keeps the median of --repeats calls.
 
 linear_solve keeps its factors on the Jacobian it is given, so every
 timed cold call gets a fresh StructuredJacobian built, outside the timer,
 from the same block arrays. replay_ms times the change's second call on
-that factored Jacobian, with another rhs, which replays the factors.
+that factored Jacobian, with another rhs, which replays the factors; it
+is the median of those calls too.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 # twotrees pins BLAS to one thread, so it is imported before numpy
-from twotrees import best_of, c5_grid, load_sides, ms, parse_args, timing, write_record
+from twotrees import (c5_grid, load_sides, median_of, ms, parse_args, timing,
+                      write_record)
 
 import numpy as np
 
@@ -60,7 +63,7 @@ def main() -> None:
                 systems = {side: first_newton_system(lib, problem, kind, N)
                            for side, lib in sides.items()}
                 other_rhs = np.random.default_rng(N).standard_normal(systems["change"][1].shape)
-                outcomes, replays = {}, [float("inf")]
+                outcomes, replays = {}, []
 
                 def cold(side, lib):
                     jacobian, rhs = fresh(lib, systems[side][0]), systems[side][1]
@@ -69,14 +72,14 @@ def main() -> None:
                         replays.append(time_solve(lib, jacobian, other_rhs)[0])
                     return seconds
 
-                best = best_of(sides, args.repeats, cold)
-                replay = min(replays)
+                medians = median_of(sides, args.repeats, cold)
+                replay = statistics.median(replays) if replays else float("inf")
                 cases[f"{problem}/{kind}/{N}"] = {
-                    **timing(best), "replay_ms": ms(replay),
-                    "replay_share": round(replay / best["change"], 2),
+                    **timing(medians), "replay_ms": ms(replay),
+                    "replay_share": round(replay / medians["change"], 2),
                     "parent_outcome": outcomes["parent"], "change_outcome": outcomes["change"]}
     write_record(args, __file__, (
-        "best-of-repeats wall ms of one newton.linear_solve on the first Newton "
+        "median wall ms over repeats of one newton.linear_solve on the first Newton "
         "step's system, analytic Jacobian at the default iterate, c = 5, each call "
         "on a fresh Jacobian; replay_ms is the change's second call on that "
         "Jacobian with another rhs, replay_share its ratio to change_ms"), cases)

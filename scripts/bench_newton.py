@@ -5,8 +5,8 @@
 A case is one newton_solve from the problem's default iterate (a cold
 solve), default tolerance, over {falkner-skan, pile} x {log, alg} x N in
 {20, 160, 1280, 10240} x {analytic, fd Jacobian}, with c = 5. How the
-trees are loaded and timed is in twotrees.py; each side keeps its best of
---repeats calls. One untimed call per side counts the Jacobians it
+trees are loaded and timed is in twotrees.py; each side keeps the median
+of --repeats calls. One untimed call per side counts the Jacobians it
 assembles and the linear solves it runs, through counting wrappers on
 its newton module's assemble_jacobian and linear_solve.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-from twotrees import best_of, c5_grid, load_sides, ms, parse_args, write_record
+from twotrees import c5_grid, load_sides, median_of, ms, parse_args, write_record
 
 PROBLEMS = ("falkner-skan", "pile")
 MAPS = ("log", "alg")
@@ -68,15 +68,16 @@ def main() -> None:
                 for mode in MODES:
                     case = (problem, kind, N, mode)
                     record = {side: counted_solve(lib, *case) for side, lib in sides.items()}
-                    best = best_of(sides, args.repeats, lambda side, lib: solve(lib, *case)[0])
+                    medians = median_of(sides, args.repeats,
+                                        lambda side, lib: solve(lib, *case)[0])
                     for side in sides:
-                        record[side]["best_ms"] = ms(best[side])
-                    record["speedup"] = round(best["parent"] / best["change"], 2)
+                        record[side]["median_ms"] = ms(medians[side])
+                    record["speedup"] = round(medians["parent"] / medians["change"], 2)
                     cases["/".join(map(str, case))] = record
     write_record(args, __file__, (
         "cold newton_solve from the default iterate, default tol, c = 5: per side "
         "the iterations, Jacobians assembled and linear solves of one counted call, "
-        "and the best-of-repeats wall ms of uncounted calls; speedup is parent "
+        "and the median wall ms over repeats of uncounted calls; speedup is parent "
         "over change"), cases)
 
 

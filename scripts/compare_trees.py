@@ -41,6 +41,10 @@ import numpy as np
 INPUTS = {
     "sweep.csv": "N,iterations,converged,u0\n40,2,true,1.421243\n80,2,true,1.421469\n"
                  "160,2,true,1.421526\n320,2,true,1.4215405\n",
+    # 1 + 50/sqrt(N) runs out with no stop rule at 6 and 3 decimals, so
+    # the whole 7-column triangle is printed
+    "full.csv": "N,u0\n" + "".join(f"{20 * 2 ** k},{1 + 50 / (20 * 2 ** k) ** 0.5:.6f}\n"
+                                    for k in range(7)),
     "bad.csv": "N,u0\n40,1.421243\n80,oops\n",
     "nonfinite.csv": "N,u0\n20,inf\n40,nan\n80,1.5\n",
     "empty.csv": "",
@@ -73,6 +77,7 @@ COMMANDS = [
     ["grid", "--N", "4", "--c", "inf"],
     ["grid", "--N", "4", "--c", "-1"],
     ["extrapolate", "sweep.csv", "--quantity", "u0"],
+    ["extrapolate", "full.csv", "--quantity", "u0"],
     ["extrapolate", "nonfinite.csv", "--quantity", "u0"],
     ["extrapolate", "sweep.csv", "--quantity", "du0"],
     ["extrapolate", "bad.csv", "--quantity", "u0"],

@@ -10,8 +10,10 @@ infbvp_change, with BLAS pinned to one thread before numpy loads. A bench
 script runs each case for --repeats rounds; in each round both sides make
 one call, the parent first in even rounds and the change first in odd
 ones, so that a drift in CPU speed hits both alike, and each side keeps
-its best call. The record it writes holds what was timed, the command,
-the host and the cases.
+the median of its calls: on a shared host one call in a few is slowed by
+the host or the garbage collector, and the best call of each side moves
+with such swings more than the median does. The record it writes holds
+what was timed, the command, the host and the cases.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import argparse
 import importlib
 import importlib.util
 import json
-import math
 import os
 import platform
+import statistics
 import sys
 from pathlib import Path
 
@@ -63,13 +65,13 @@ def parse_args(doc: str, out: str | None = None, repeats: int | None = None):
     return parser.parse_args()
 
 
-def best_of(sides: dict, repeats: int, call) -> dict:
-    """Each side's least call(side, lib) seconds over alternating rounds."""
-    best = dict.fromkeys(sides, math.inf)
+def median_of(sides: dict, repeats: int, call) -> dict:
+    """Each side's median call(side, lib) seconds over alternating rounds."""
+    seconds = {side: [] for side in sides}
     for repeat in range(repeats):
         for side in (list(sides) if repeat % 2 == 0 else list(reversed(sides))):
-            best[side] = min(best[side], call(side, sides[side]))
-    return best
+            seconds[side].append(call(side, sides[side]))
+    return {side: statistics.median(times) for side, times in seconds.items()}
 
 
 def c5_grid(lib, kind: str, N: int, **options):
@@ -81,10 +83,10 @@ def ms(seconds: float) -> float:
     return round(seconds * 1e3, 3)
 
 
-def timing(best: dict) -> dict:
-    """parent_ms, change_ms and speedup (parent over change) of best."""
-    return {"parent_ms": ms(best["parent"]), "change_ms": ms(best["change"]),
-            "speedup": round(best["parent"] / best["change"], 2)}
+def timing(medians: dict) -> dict:
+    """parent_ms, change_ms and speedup (parent over change) of medians."""
+    return {"parent_ms": ms(medians["parent"]), "change_ms": ms(medians["change"]),
+            "speedup": round(medians["parent"] / medians["change"], 2)}
 
 
 def _cpu_model() -> str:

@@ -346,7 +346,8 @@ def cmd_extrapolate(args) -> int:
     }
     ks = range(len(table.columns))
     rows = [["N"] + [f"T{k}" for k in ks]]
-    rows += [[n] + [table.cell(i, k) for k in ks] for i, n in enumerate(ns)]
+    rows += [[n] + [table.columns[k][i - k] if i >= k else None for k in ks]
+             for i, n in enumerate(ns)]
     _emit(args, doc, rows)
     return EXIT_OK
 

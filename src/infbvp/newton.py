@@ -284,8 +284,10 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
 
     initial is a field of shape (N+1, d) or None for the problem's
     default iterate. Convergence means the mean absolute correction fell
-    to config.tol; hitting max_iter or a non-finite iterate returns
-    converged=False instead of raising.
+    to config.tol; hitting max_iter returns converged=False instead of
+    raising. So does a correction that is not finite or that overflows
+    the iterate: it is recorded as an increment of inf, the solution is
+    the last finite iterate, and no numpy warning is raised.
 
     Steps are full Newton steps, except the one that should end the
     solve: it first tries the simplified step that reuses the previous
@@ -341,14 +343,14 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
                 delta = linear_solve(jacobian, -residual)
             except SingularSystemError as exc:
                 raise SingularSystemError(f"iteration {iteration}: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            update = U + delta
+            m = float(np.mean(np.abs(delta)))
+        if not np.all(np.isfinite(update)):
             increments.append(math.inf)
             break
-        U = U + delta
-        m = float(np.mean(np.abs(delta)))
+        U = update
         increments.append(m)
-        if not np.all(np.isfinite(U)):
-            break
         if m <= tol:
             converged = True
             break

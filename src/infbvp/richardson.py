@@ -19,17 +19,9 @@ from dataclasses import dataclass
 
 __all__ = [
     "ExtrapolationTable",
-    "richardson_error",
     "observed_order",
     "extrapolate_table",
 ]
-
-
-def richardson_error(t_coarse: float, t_fine: float, p: float) -> float:
-    """Leading error estimate of the fine-grid value for an order-p scheme."""
-    if not p > 0:
-        raise ValueError(f"order p must be positive, got {p}")
-    return (t_fine - t_coarse) / (2.0 ** p - 1.0)
 
 
 def observed_order(t_coarse: float, t_fine: float, t_ref: float) -> float:
@@ -56,7 +48,8 @@ class ExtrapolationTable:
 
     columns[0] is the input series at print precision (tables are built
     from printed values); columns[k] refines adjacent pairs of its
-    predecessor and is one entry shorter. stop_rule records why
+    predecessor and is one entry shorter, so grid row i of the series
+    reads columns[k][i - k] for k <= i. stop_rule records why
     generation ended: "iterate" when successive entries of the newest
     column agreed at print precision, "nest" when the newest column
     repeated its parent at the same N, or None when the series ran out.
@@ -64,18 +57,6 @@ class ExtrapolationTable:
 
     columns: tuple[tuple[float, ...], ...]
     stop_rule: str | None
-
-    def cell(self, row: int, col: int) -> float | None:
-        """Value at grid row (indexing the input series) and column col,
-        or None where the triangle has no entry."""
-        if not 0 <= row < len(self.columns[0]):
-            raise ValueError(f"row {row} outside the table")
-        if not 0 <= col < len(self.columns):
-            return None
-        if row < col:
-            return None
-        entries = self.columns[col]
-        return entries[row - col] if row - col < len(entries) else None
 
 
 def extrapolate_table(ns, values, print_decimals: int = 6) -> ExtrapolationTable:

@@ -23,7 +23,6 @@ from infbvp import (
     observed_order,
     pile,
     prolong,
-    richardson_error,
 )
 
 GRID_SIZES = (20, 40, 80, 160, 320, 640, 1280)
@@ -182,7 +181,7 @@ def test_pile_slope_matches_collocation_reference(pile_runs):
     assert reference.status == 0, reference.message
     want = reference.y[1, 0]
     coarse, fine = pile_runs[640].solution[0, 1], pile_runs[1280].solution[0, 1]
-    extrapolated = fine + richardson_error(coarse, fine, 2.0)
+    extrapolated = (4.0 * fine - coarse) / 3.0
     print(f"pile du0: solve_bvp {want:.10f}, N=1280 {fine:.10f}, "
           f"Richardson 640/1280 {extrapolated:.10f}")
     assert abs(extrapolated - want) <= 1e-7
@@ -219,14 +218,9 @@ def test_criterion_6_extrapolation_tables(falkner_runs, pile_runs):
     ns = (40, 80, 160)
 
     def cells(values):
+        # on three rows, column order is also the triangle's row order
         table = extrapolate_table(ns, values, print_decimals=6)
-        got = []
-        for row in range(len(ns)):
-            for col in range(1, len(table.columns)):
-                value = table.cell(row, col)
-                if value is not None:
-                    got.append(round(value, 6))
-        return got
+        return [round(value, 6) for column in table.columns[1:] for value in column]
 
     shear = cells(tuple(runs[n].solution[0, 2] for n in ns))
     deflection = cells(tuple(pile_runs[n].solution[0, 0] for n in ns))
@@ -277,15 +271,13 @@ def test_criterion_7_property_battery():
                    / np.linalg.norm(analytic, "fro"))
             checks.append(rel <= 1e-5)
 
-    # extrapolation removes an exact power-law error to near roundoff
+    # extrapolation removes an exact order-2 error to near roundoff
     for _ in range(20):
         limit = float(rng.uniform(-4.0, 4.0))
         amplitude = float(rng.uniform(-2.0, 2.0))
-        p = float(rng.uniform(0.5, 4.0))
-        n = float(rng.integers(4, 100))
-        corrected = (limit + amplitude * (2 * n) ** -p
-                     + richardson_error(limit + amplitude * n ** -p,
-                                        limit + amplitude * (2 * n) ** -p, p))
+        n = int(rng.integers(4, 100))
+        series = (limit + amplitude * n ** -2.0, limit + amplitude * (2 * n) ** -2.0)
+        corrected = extrapolate_table((n, 2 * n), series, print_decimals=17).columns[1][0]
         checks.append(abs(corrected - limit) <= 1e-12)
 
     # degenerate order markers

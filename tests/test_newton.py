@@ -248,6 +248,23 @@ def test_nonfinite_jacobian_stops_newton_unconverged():
     assert result.final_increment == math.inf
 
 
+def test_overflowing_step_stops_newton_unconverged():
+    # the first correction is 1e308 at every node: finite, but it
+    # overflows the start of 1e308; the run-wide filter turns a leaked
+    # RuntimeWarning into an error
+    problem = BvpProblem(name="overflow", d=1,
+                         f=lambda x, u: np.zeros_like(u),
+                         g=lambda u0, u_inf: 0.5 * u0 - 1e308,
+                         initial_iterate=lambda x: np.array([1e308]),
+                         df_du=lambda x, u: np.zeros((1, 1)),
+                         dg=(np.array([[0.5]]), np.array([[0.0]])))
+    grid = build_grid(GridMap("log", 1.0), 8)
+    result = newton_solve(problem, grid)
+    assert not result.converged
+    assert result.increments == [math.inf]
+    assert np.all(result.solution == initial_field(problem, grid))
+
+
 def test_full_newton_matches_dense_oracle(monkeypatch):
     problem = pile()
     grid = build_grid(GridMap("log", 5.0), 160)
@@ -322,17 +339,20 @@ def test_singular_interval_block_is_reported():
             linear_solve(jac, np.zeros(3))
 
 
-def test_rank_deficient_pair_block_is_reported():
-    # rows 16 and 17 of a chain longer than the dense tail form a pair of
-    # the first level; zeroing both of their node-17 blocks leaves that
-    # node in no row at all
-    jac = random_chain(np.random.default_rng(29), 40, 2)
-    jac.dU_next[16] = 0.0
-    jac.dU_n[17] = 0.0
+@pytest.mark.parametrize("N, row, node", [(40, 16, 17), (128, 1, 2), (128, 3, 4)],
+                         ids=["level1", "level2", "level3"])
+def test_rank_deficient_pair_block_is_reported(N, row, node):
+    # zeroing both blocks of a node, in rows row and row + 1, leaves it in
+    # no row at all: rows 16 and 17 of a chain longer than the dense tail
+    # form a pair of the first level; on 128 intervals node 2 is shared
+    # by a pair of the second level and node 4 by one of the third
+    jac = random_chain(np.random.default_rng(29), N, 2)
+    jac.dU_next[row] = 0.0
+    jac.dU_n[row + 1] = 0.0
     for _ in range(2):  # a failed factorization keeps nothing to replay
-        with pytest.raises(SingularSystemError, match="pair block at node 17$"):
-            linear_solve(jac, np.zeros(41 * 2))
-    jac.dU_n[17] = 1.0  # and leaves the blocks writable
+        with pytest.raises(SingularSystemError, match=f"pair block at node {node}$"):
+            linear_solve(jac, np.zeros((N + 1) * 2))
+    jac.dU_n[row + 1] = 1.0  # and leaves the blocks writable
 
 
 def test_all_zero_small_system_is_reported_as_end_system():

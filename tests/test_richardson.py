@@ -9,33 +9,28 @@ from infbvp import (
     ExtrapolationTable,
     extrapolate_table,
     observed_order,
-    richardson_error,
 )
 
 
 def test_richardson_error_frozen_value():
-    got = richardson_error(1.234124, 1.232972, 2)
+    # the first refined entry is the fine value plus its error estimate
+    table = extrapolate_table((40, 80), (1.234124, 1.232972), print_decimals=6)
+    got = table.columns[1][0] - 1.232972
     assert got == pytest.approx(-0.000384, abs=1e-12)
 
 
-def test_richardson_error_validation():
-    with pytest.raises(ValueError):
-        richardson_error(1.0, 2.0, 0)
-    with pytest.raises(ValueError):
-        richardson_error(1.0, 2.0, -2)
-
-
 def test_richardson_error_cancels_power_law():
+    # the order-2 column removes an exact n**-2 error; the input column
+    # is rounded to 17 decimals, below the bound
     rng = np.random.default_rng(29)
     for _ in range(30):
         limit = float(rng.uniform(-5.0, 5.0))
         amplitude = float(rng.uniform(-2.0, 2.0))
-        p = float(rng.uniform(0.5, 4.0))
-        n = float(rng.integers(4, 200))
-        t_coarse = limit + amplitude * n ** -p
-        t_fine = limit + amplitude * (2.0 * n) ** -p
-        corrected = t_fine + richardson_error(t_coarse, t_fine, p)
-        assert corrected == pytest.approx(limit, abs=1e-12)
+        n = int(rng.integers(4, 200))
+        t_coarse = limit + amplitude * n ** -2.0
+        t_fine = limit + amplitude * (2.0 * n) ** -2.0
+        table = extrapolate_table((n, 2 * n), (t_coarse, t_fine), print_decimals=17)
+        assert table.columns[1][0] == pytest.approx(limit, abs=1e-12)
 
 
 def test_observed_order_frozen_value():
@@ -84,8 +79,8 @@ def test_extrapolation_stops_when_column_entries_repeat():
     table = extrapolate_table(ns, values, print_decimals=6)
     assert table.stop_rule == "iterate"
     assert tuple(len(col) for col in table.columns) == (3, 2)
-    assert round(table.cell(1, 1), 6) == 1.232588
-    assert round(table.cell(2, 1), 6) == 1.232588
+    assert round(table.columns[1][0], 6) == 1.232588
+    assert round(table.columns[1][1], 6) == 1.232588
     assert round(table.columns[-1][-1], 6) == 1.232588
 
 
@@ -94,9 +89,9 @@ def test_extrapolation_stops_when_column_repeats_parent():
     table = extrapolate_table(ns, values, print_decimals=6)
     assert table.stop_rule == "nest"
     assert tuple(len(col) for col in table.columns) == (3, 2, 1)
-    assert round(table.cell(1, 1), 6) == -0.808147
-    assert round(table.cell(2, 1), 6) == -0.808149
-    assert round(table.cell(2, 2), 6) == -0.808149
+    assert round(table.columns[1][0], 6) == -0.808147
+    assert round(table.columns[1][1], 6) == -0.808149
+    assert round(table.columns[2][0], 6) == -0.808149
 
 
 def test_extrapolation_input_column_is_rounded():
@@ -115,16 +110,15 @@ def test_extrapolation_recovers_power_law_limit():
 
 
 def test_table_cell_geometry():
-    ns, values = (40, 80, 160), (-0.807934, -0.808094, -0.808135)
-    table = extrapolate_table(ns, values, print_decimals=6)
-    assert table.cell(0, 1) is None
-    assert table.cell(1, 2) is None
-    assert table.cell(0, 9) is None
-    assert table.cell(0, 0) == -0.807934
-    with pytest.raises(ValueError):
-        table.cell(3, 0)
-    with pytest.raises(ValueError):
-        table.cell(-1, 0)
+    # column k holds the grid rows k.. of the series, whichever rule
+    # stopped it, so row i reads columns[k][i - k]
+    for values, rule in (((-0.807934, -0.808094, -0.808135), "nest"),
+                         ((1.234124, 1.232972, 1.232684), "iterate"),
+                         ((1.0, 2.0, 4.0), None)):
+        table = extrapolate_table((40, 80, 160), values, print_decimals=6)
+        assert table.stop_rule == rule
+        assert table.columns[0][0] == values[0]
+        assert [len(column) for column in table.columns] == [3, 2, 1][:len(table.columns)]
 
 
 def test_table_is_frozen():

@@ -155,15 +155,26 @@ def test_field_validation():
         assemble_residual(problem, grid, np.zeros((7, 2)))
 
 
-def test_wrong_f_shape_is_reported():
-    problem = BvpProblem(
-        name="wrong-shape", d=2,
-        f=lambda x, u: np.zeros(3),
-        g=lambda u0, u_inf: np.zeros(2),
-        initial_iterate=lambda x: np.zeros(2))
+RIGHT_SHAPES = {"f": lambda x, u: np.zeros_like(u), "g": lambda u0, u_inf: np.zeros(2),
+                "df_du": lambda x, u: np.zeros((2, 2)), "dg": (np.eye(2), np.eye(2))}
+
+
+@pytest.mark.parametrize("callback, wrong, message", [
+    ("f", lambda x, u: np.zeros(3), r"f returned shape \(3,\), expected \(2, 4\)"),
+    ("g", lambda u0, u_inf: np.zeros(3), r"g returned shape \(3,\), expected \(2,\)"),
+    ("df_du", lambda x, u: np.zeros((2, 3)),
+     r"df_du returned shape \(2, 3\), expected \(2, 2, 4\) or \(2, 2\)"),
+    ("dg", (np.eye(2), np.eye(3)), "dg must be a pair of d x d matrices"),
+], ids=["f", "g", "df_du", "dg"])
+def test_wrong_f_shape_is_reported(callback, wrong, message):
+    # every problem callback has its shape checked; f and g by the
+    # residual, df_du and dg by the analytic Jacobian
+    problem = BvpProblem(name="wrong-shape", d=2, initial_iterate=lambda x: np.zeros(2),
+                         **{**RIGHT_SHAPES, callback: wrong})
     grid = build_grid(GridMap("log", 1.0), 4)
-    with pytest.raises(ValueError):
-        assemble_residual(problem, grid, np.zeros((5, 2)))
+    assemble = assemble_residual if callback in ("f", "g") else assemble_jacobian
+    with pytest.raises(ValueError, match=message):
+        assemble(problem, grid, np.zeros((5, 2)))
 
 
 def test_analytic_jacobian_matches_finite_differences():
