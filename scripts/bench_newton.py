@@ -2,13 +2,16 @@
 
     python3 scripts/bench_newton.py PARENT_TREE [--out BENCH_newton.json]
 
-A case is one newton_solve from the problem's default iterate (a cold
-solve), default tolerance, over {falkner-skan, pile} x {log, alg} x N in
-{20, 160, 1280, 10240} x {analytic, fd Jacobian}, with c = 5. How the
-trees are loaded and timed is in twotrees.py; each side keeps the median
-of --repeats calls. One untimed call per side counts the Jacobians it
-assembles and the linear solves it runs, through counting wrappers on
-its newton module's assemble_jacobian and linear_solve.
+A case is one newton_solve with no initial field (a cold solve), default
+tolerance, over {falkner-skan, pile} x {log, alg} x N in {20, 160, 1280,
+10240} x {analytic, fd Jacobian}, with c = 5. N = 20..1280 start from
+the problem's default iterate; N = 10240 starts from the solution of
+the grid N/8, which newton_solve runs first. How the trees are loaded
+and timed is in twotrees.py; each side keeps the median of --repeats
+calls. One untimed call per side counts the Jacobians it assembles and
+the linear solves it runs, through counting wrappers on its newton
+module's assemble_jacobian and linear_solve, so those counts include
+the N/8 grid's solve; iterations count the case's own grid only.
 """
 
 from __future__ import annotations
@@ -75,10 +78,10 @@ def main() -> None:
                     record["speedup"] = round(medians["parent"] / medians["change"], 2)
                     cases["/".join(map(str, case))] = record
     write_record(args, __file__, (
-        "cold newton_solve from the default iterate, default tol, c = 5: per side "
-        "the iterations, Jacobians assembled and linear solves of one counted call, "
-        "and the median wall ms over repeats of uncounted calls; speedup is parent "
-        "over change"), cases)
+        "cold newton_solve (no initial field), default tol, c = 5: per side the "
+        "iterations on the case's grid, the Jacobians assembled and linear solves of "
+        "one counted call, an N/8 grid's start included, and the median wall ms over "
+        "repeats of uncounted calls; speedup is parent over change"), cases)
 
 
 if __name__ == "__main__":

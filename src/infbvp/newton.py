@@ -8,7 +8,9 @@ with the previous Jacobian's kept factors, J_old delta = -residual(U),
 and takes it only when it ends the solve at Newton accuracy. From a
 given field (a warm start) the second step is tried; otherwise a step is
 tried when the last two corrections predict the end, from a cold
-start's second correction on.
+start's second correction on. A cold start on a grid of N >= 2560
+intervals that 8 divides is made warm: it starts from the solution of
+the grid N/8, prolonged.
 
 The linear stage exploits the block structure: N interval block rows,
 each coupling two neighbouring nodes, closed by one boundary block row
@@ -37,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import QuasiUniformGrid
+from .grids import QuasiUniformGrid, build_grid
 from .problems import BvpProblem, initial_field
-from .scheme import StructuredJacobian, assemble_jacobian, assemble_residual
+from .scheme import (EvaluationError, StructuredJacobian, assemble_jacobian, assemble_residual,
+                     prolong)
 
 __all__ = [
     "SingularSystemError",
@@ -53,6 +56,10 @@ _EPS = float(np.finfo(float).eps)
 # Reduction stops at this many block rows: below it a level's fixed cost
 # of some 10 d small numpy calls outweighs one dense QR of the rest.
 _TAIL_ROWS = 16
+# Smallest grid whose cold solve starts from the grid N/8 (newton_solve):
+# below it the gain was within noise, and a jump of 64 rather than 8
+# (N = 20 to 1280) reached a different solution.
+_COARSE_START_N = 2560
 
 
 class SingularSystemError(RuntimeError):
@@ -86,7 +93,8 @@ class SolveResult:
     """Grid solution with iteration diagnostics.
 
     solution has shape (N+1, d); increments records the mean absolute
-    correction of every applied Newton step, one per iteration.
+    correction of every applied Newton step, one per iteration, on this
+    grid only: a coarse solve that started a cold one is not counted.
     """
 
     solution: np.ndarray
@@ -282,27 +290,49 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
                  config: SolverConfig | None = None) -> SolveResult:
     """Run Newton on the discrete system.
 
-    initial is a field of shape (N+1, d) or None for the problem's
-    default iterate. Convergence means the mean absolute correction fell
-    to config.tol; hitting max_iter returns converged=False instead of
-    raising. So does a correction that is not finite or that overflows
-    the iterate: it is recorded as an increment of inf, the solution is
-    the last finite iterate, and no numpy warning is raised.
+    initial is a field of shape (N+1, d) or None for a cold start. A
+    cold start on a QuasiUniformGrid with N >= 2560 that 8 divides first
+    solves the grid N/8 of the same map and rule with the same config,
+    itself through newton_solve, and starts from that solution prolonged
+    three times, as from a given initial. Newton is mesh independent
+    (Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23,
+    1986), so the coarse grid takes the fine grid's early steps at about
+    1/8 of their cost. increments and iterations count this grid's
+    steps only. Every other cold start, and one whose coarse solve does
+    not converge or raises SingularSystemError or EvaluationError,
+    starts from the problem's default iterate.
+
+    Convergence means the mean absolute correction fell to config.tol;
+    hitting max_iter returns converged=False instead of raising. So does
+    a correction that is not finite or that overflows the iterate: it is
+    recorded as an increment of inf, the solution is the last finite
+    iterate, and no numpy warning is raised.
 
     Steps are full Newton steps, except the one that should end the
     solve: it first tries the simplified step that reuses the previous
     Jacobian's factors (Deuflhard, Newton Methods for Nonlinear Problems,
     2004) and keeps it only if it ends the solve at Newton accuracy;
     otherwise the Jacobian is assembled anew at the same iterate. A
-    given initial is a warm start, such as a coarser grid's prolonged
-    solution, and tries at the second step. Otherwise the last two
+    start from a field (given, or the coarse grid's) is a warm start and
+    tries at the second step. From the default iterate the last two
     corrections m_{k-2}, m_{k-1} predict the end: the step is tried when
-    m_{k-1}**2 <= tol * m_{k-2}. A cold start predicts from its second
-    correction on, since its first measures the distance from the
-    default iterate rather than a contraction, so its first three steps
-    are always full steps.
+    m_{k-1}**2 <= tol * m_{k-2}, from the second correction on, since
+    the first measures the distance from the default iterate rather than
+    a contraction, so the first three steps are always full steps.
     """
     config = config if config is not None else SolverConfig()
+    if initial is None and isinstance(grid, QuasiUniformGrid) \
+            and grid.N >= _COARSE_START_N and grid.N % 8 == 0:
+        rule = grid.continuation
+        coarse_grid = build_grid(grid.map, grid.N // 8, continuation=rule)
+        try:
+            coarse = newton_solve(problem, coarse_grid, config=config)
+        except (SingularSystemError, EvaluationError):
+            coarse = None
+        if coarse is not None and coarse.converged:
+            initial = prolong(coarse_grid, coarse.solution)
+            for n in (grid.N // 4, grid.N // 2):
+                initial = prolong(build_grid(grid.map, n, continuation=rule), initial)
     warm = initial is not None
     if initial is None:
         U = initial_field(problem, grid)

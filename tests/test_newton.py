@@ -11,6 +11,7 @@ from conftest import (block_product, count_jacobians, dense_jacobian, linear_dec
                       toy_linear_problem)
 from infbvp import (
     BvpProblem,
+    EvaluationError,
     GridMap,
     SingularSystemError,
     SolverConfig,
@@ -23,6 +24,7 @@ from infbvp import (
     linear_solve,
     newton_solve,
     pile,
+    report_scalar,
 )
 from infbvp import newton
 
@@ -85,16 +87,23 @@ def test_cold_solve_matches_full_newton(make_problem, kind, mode, N):
     assert np.max(np.abs(result.solution - solution)) <= 1e-10
 
 
-@pytest.mark.parametrize("N", [160, 320, 640, 1280])
+@pytest.mark.parametrize("N", [160, 320, 640, 1280, 2560, 2564])
 @pytest.mark.parametrize("make_problem", [falkner_skan, pile], ids=["falkner-skan", "pile"])
 def test_cold_fd_solve_ends_on_the_kept_factors(make_problem, N, monkeypatch):
-    # the fd-jacobian benchmark's cases: the last step of each reuses the
-    # factors of the step before, so one FD Jacobian fewer per solve
+    # the fd-jacobian benchmark's cases (N <= 1280) and two larger grids:
+    # the last step of each reuses the factors of the step before, so one
+    # FD Jacobian fewer per solve. N = 2560 starts from the solve on
+    # N = 320 and assembles at most 2 Jacobians of its own; 8 does not
+    # divide 2564, which starts from the default iterate as N = 1280 does
     counts = count_jacobians(monkeypatch)
     result = newton_solve(make_problem(), build_grid(GridMap("log", 5.0), N),
                           config=SolverConfig(jacobian_mode="fd"))
     assert result.converged
     assert counts[N] == result.iterations - 1
+    if N == 2560:
+        assert set(counts) == {320, 2560} and counts[2560] <= 2
+    else:
+        assert set(counts) == {N} and counts[N] <= 3
 
 
 def test_two_step_cold_solve_assembles_every_jacobian(monkeypatch):
@@ -139,6 +148,21 @@ def test_cold_solve_tries_no_step_on_its_first_correction(mode, N, monkeypatch):
     counts = count_cold_solve(monkeypatch, falkner_skan(P=1.0),
                               build_grid(GridMap("alg", 5.0), N), mode)
     assert counts == (4, 3, 4)
+
+
+@pytest.mark.parametrize("kind", ["log", "alg"])
+@pytest.mark.parametrize("make_problem", [falkner_skan, lambda: falkner_skan(P=-0.15), pile],
+                         ids=["falkner-skan", "falkner-skan-P-0.15", "pile"])
+def test_cold_start_from_the_eighth_grid_keeps_the_answer(make_problem, kind):
+    # N = 2560 starts from the prolonged N = 320 solution; measured at
+    # most 4.4e-9 from a solve started from the default iterate
+    problem, grid = make_problem(), build_grid(GridMap(kind, 5.0), 2560)
+    result = newton_solve(problem, grid)
+    reference = newton_solve(problem, grid, initial=initial_field(problem, grid))
+    assert result.converged and reference.converged
+    for name in problem.reports:
+        assert abs(report_scalar(problem, result, name)
+                   - report_scalar(problem, reference, name)) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", ["log", "alg"])
@@ -382,13 +406,44 @@ def test_singular_boundary_closure_names_the_iteration():
         newton_solve(problem, grid)
 
 
-def test_max_iter_exhaustion_reports_failure():
+def test_a_coarse_start_that_raises_leaves_the_fine_grid_error():
+    # the N = 320 solve that would start N = 2560 raises; the error the
+    # caller sees comes from the fine grid's own solve and names its node
+    # and interval, not the coarse grid's
+    unconstrained = BvpProblem(
+        name="unconstrained", d=1, f=lambda x, u: -u, g=lambda u0, u_inf: np.zeros(1),
+        initial_iterate=lambda x: np.zeros(1), df_du=lambda x, u: np.array([[-1.0]]),
+        dg=(np.zeros((1, 1)), np.zeros((1, 1))))
+    grid = build_grid(GridMap("log", 1.0), 2560)
+    with pytest.raises(SingularSystemError, match="nodes 0 and 2560 is singular"):
+        newton_solve(unconstrained, grid)
+    blows_up = BvpProblem(
+        name="blows-up", d=1, f=lambda x, u: np.where(x > 1.0, np.inf, 0.0)[None],
+        g=lambda u0, u_inf: u0, initial_iterate=lambda x: np.zeros(1))
+    with pytest.raises(EvaluationError) as excinfo:
+        newton_solve(blows_up, grid)
+    assert excinfo.value.where == int(np.argmax(grid.fractional_nodes(0.5) > 1.0))
+
+
+@pytest.mark.parametrize("N, jacobians", [(40, {40: 2}), (2560, {320: 2, 2560: 2})],
+                         ids=["40", "2560"])
+def test_max_iter_exhaustion_reports_failure(N, jacobians, monkeypatch):
+    # at N = 2560 the N = 320 solve runs out of iterations first, so the
+    # fine grid starts from the default iterate: its first increment is
+    # one full step from there
     config = SolverConfig(max_iter=2)
-    result = newton_solve(falkner_skan(), build_grid(GridMap("log", 5.0), 40), config=config)
+    problem, grid = falkner_skan(), build_grid(GridMap("log", 5.0), N)
+    start = initial_field(problem, grid)
+    first = linear_solve(assemble_jacobian(problem, grid, start, "analytic"),
+                         -assemble_residual(problem, grid, start))
+    counts = count_jacobians(monkeypatch)
+    result = newton_solve(problem, grid, config=config)
     assert not result.converged
     assert result.iterations == 2
     assert result.final_increment > config.tol
     assert len(result.increments) == 2
+    assert result.increments[0] == float(np.mean(np.abs(first)))
+    assert counts == jacobians
 
 
 def test_auto_mode_uses_finite_differences_when_needed():
