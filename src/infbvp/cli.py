@@ -31,18 +31,25 @@ EXIT_SOLVER = 1
 EXIT_USAGE = 2
 
 
+class _Exact(float):
+    """A float that CSV prints at 17 significant digits whatever --decimals
+    says, as solve's stopping increment, read against --tol; to JSON it
+    is a plain number."""
+
+
 def _cell(value, float_format: str) -> str:
-    """The one CSV cell rule: None is empty, bools are true/false, floats
-    follow float_format (inf, -inf and nan print as those tokens) and
-    anything else prints as str(). _csv_text spells the same rule as one
-    `%` row template for a node table's int and float columns, and drops
-    the sign of a fixed-decimal float that prints as zero."""
+    """The one CSV cell rule: None is empty, bools are true/false, an
+    _Exact float prints at %.17g, other floats follow float_format (inf,
+    -inf and nan print as those tokens) and anything else prints as
+    str(). _csv_text spells the same rule as one `%` row template for a
+    node table's int and float columns, and drops the sign of a
+    fixed-decimal float that prints as zero."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return float_format % value
+        return ("%.17g" if isinstance(value, _Exact) else float_format) % value
     return str(value)
 
 
@@ -69,34 +76,35 @@ def _csv_text(rows, args, columns=()) -> str:
     return text
 
 
-def _json_safe(value):
-    """JSON has no inf/nan literals: non-finite floats, at any depth,
-    become the CSV tokens inf/-inf/nan."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if isinstance(value, dict):
-        return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    return value
+def _json_safe(values) -> list:
+    """values as a list, each non-finite float replaced by its CSV token
+    inf/-inf/nan: JSON has no literal for them."""
+    return [str(value) if isinstance(value, float) and not math.isfinite(value) else value
+            for value in values]
 
 
-def _emit(args, doc: dict, rows, summary=(), columns=()) -> None:
-    """Write a command's output: doc as JSON (indent 2) or rows and then
-    the node table columns as CSV (_csv_text), to --out or to stdout. The
-    CSV summary rows always go to stdout, after a blank line when the
-    table went there too."""
+def _emit(args, pairs, header, rows=(), columns=(), key=None, summary=False) -> None:
+    """Write a command's output, described once: scalar pairs, a header,
+    and its table as rows or as node-table columns. CSV is the header, the
+    rows and then the columns (_csv_text), to --out or to stdout; with
+    summary, the pairs follow as a key,value table, always on stdout and
+    after a blank line when the table went there too. JSON (indent 2) is
+    one object, to --out or to stdout: the pairs as keys and, under key,
+    the table as named columns, header[k] naming column k."""
     if args.format == "json":
-        text = json.dumps(_json_safe(doc), indent=2) + "\n"
+        doc = dict(zip([name for name, _ in pairs], _json_safe(value for _, value in pairs)))
+        if key:
+            doc[key] = dict(zip(header, map(_json_safe, [*zip(*rows), *columns])))
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = _csv_text(rows, args, columns)
+        text = _csv_text([header, *rows], args, columns)
     if args.out:
         with open(args.out, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
     if summary and args.format == "csv":
-        sys.stdout.write(("" if args.out else "\n") + _csv_text(summary, args))
+        sys.stdout.write(("" if args.out else "\n") + _csv_text([("key", "value"), *pairs], args))
 
 
 def _decimals(text: str) -> int:
@@ -224,26 +232,13 @@ def cmd_solve(args) -> int:
         raise ValueError("solve takes a single --N; use sweep for a family")
     grid = build_grid(grid_map, n_values[0], continuation=not args.no_continuation)
     result = newton_solve(problem, grid, config=_make_config(args))
-    reports = {name: report_scalar(problem, result, name) for name in sorted(problem.reports)}
-    doc = {
-        "problem": problem.name,
-        "map": grid_map.kind.value,
-        "c": grid_map.c,
-        "N": grid.N,
-        "converged": result.converged,
-        "iterations": result.iterations,
-    }
-    # The stopping increment, read against --tol, prints at 17 significant
-    # digits whatever --decimals says.
-    summary = [("key", "value"), *doc.items(),
-               ("final_increment", "%.17g" % result.final_increment), *reports.items()]
-    doc.update(final_increment=float(result.final_increment), reports=reports)
-    # the columns n, x, u1, ..., ud; the JSON node records only when asked for
-    columns = [grid.indices.tolist(), grid.nodes.tolist(), *result.solution.T.tolist()]
-    if args.format == "json":
-        doc["nodes"] = [{"n": n, "x": x, "u": u} for n, x, *u in zip(*columns)]
+    pairs = [("problem", problem.name), ("map", grid_map.kind.value), ("c", grid_map.c),
+             ("N", grid.N), ("converged", result.converged), ("iterations", result.iterations),
+             ("final_increment", _Exact(result.final_increment)),
+             *((name, report_scalar(problem, result, name)) for name in sorted(problem.reports))]
     header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
-    _emit(args, doc, [header], summary, columns)
+    columns = [grid.indices.tolist(), grid.nodes.tolist(), *result.solution.T.tolist()]
+    _emit(args, pairs, header, columns=columns, key="nodes", summary=True)
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
@@ -287,11 +282,11 @@ def cmd_sweep(args) -> int:
             print(f"warning: N={n} did not converge in {result.iterations} iterations",
                   file=sys.stderr)
 
-    # Orders against the finest grid, computed from values rounded at the
-    # table precision (what a printed table shows); the first and finest
-    # rows have no entry.
+    # Orders against the finest grid, computed from the values as printed:
+    # rounded at the table precision, or in full under --raw. The first
+    # and finest rows have no entry.
     for q in quantities:
-        shown = [None if record[q] is None else round(record[q], args.decimals)
+        shown = [record[q] if record[q] is None or args.raw else round(record[q], args.decimals)
                  for record in records]
         ref = shown[-1]
         if ref is None:
@@ -300,8 +295,8 @@ def cmd_sweep(args) -> int:
             if shown[i - 1] is not None and shown[i] is not None:
                 records[i][f"{q}_order"] = observed_order(shown[i - 1], shown[i], ref)
 
-    _emit(args, {"problem": problem.name, "rows": records},
-          [list(records[0])] + [list(record.values()) for record in records])
+    _emit(args, [("problem", problem.name)], list(records[0]),
+          [list(record.values()) for record in records], key="rows")
     return EXIT_OK if all(record["converged"] for record in records) else EXIT_SOLVER
 
 
@@ -337,18 +332,13 @@ def _read_sweep_column(path: str, quantity: str):
 def cmd_extrapolate(args) -> int:
     ns, values = _read_sweep_column(args.input, args.quantity)
     table = extrapolate_table(ns, values, print_decimals=args.decimals)
-    doc = {
-        "quantity": args.quantity,
-        "print_decimals": args.decimals,
-        "stop_rule": table.stop_rule,
-        "ns": ns,
-        "columns": table.columns,
-    }
+    pairs = [("quantity", args.quantity), ("print_decimals", args.decimals),
+             ("stop_rule", table.stop_rule), ("ns", ns),
+             ("columns", [_json_safe(column) for column in table.columns])]
     ks = range(len(table.columns))
-    rows = [["N"] + [f"T{k}" for k in ks]]
-    rows += [[n] + [table.columns[k][i - k] if i >= k else None for k in ks]
-             for i, n in enumerate(ns)]
-    _emit(args, doc, rows)
+    rows = [[n] + [table.columns[k][i - k] if i >= k else None for k in ks]
+            for i, n in enumerate(ns)]
+    _emit(args, pairs, ["N"] + [f"T{k}" for k in ks], rows)
     return EXIT_OK
 
 
@@ -358,11 +348,9 @@ def cmd_grid(args) -> int:
     if len(n_values) != 1:
         raise ValueError("grid takes a single --N")
     grid = build_grid(grid_map, n_values[0])
+    pairs = [("map", grid_map.kind.value), ("c", grid_map.c), ("N", grid.N)]
     columns = [grid.indices.tolist(), grid.uniform_params.tolist(), grid.nodes.tolist()]
-    doc = {"map": grid_map.kind.value, "c": grid_map.c, "N": grid.N}
-    if args.format == "json":
-        doc["nodes"] = [{"n": n, "xi": xi, "x": x} for n, xi, x in zip(*columns)]
-    _emit(args, doc, [("n", "xi", "x")], columns=columns)
+    _emit(args, pairs, ["n", "xi", "x"], columns=columns, key="nodes")
     return EXIT_OK
 
 

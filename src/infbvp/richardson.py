@@ -73,6 +73,8 @@ def extrapolate_table(ns, values, print_decimals: int = 6) -> ExtrapolationTable
         raise ValueError("ns and values must have equal length")
     if len(values) < 2:
         raise ValueError("need at least two sweep entries to extrapolate")
+    if min(ns) < 1:
+        raise ValueError(f"grid sizes must be at least 1, got {min(ns)}")
     for coarse, fine in zip(ns, ns[1:]):
         if fine != 2 * coarse:
             raise ValueError(f"grid family must double: {coarse} is followed by {fine}")

@@ -70,8 +70,8 @@ def test_grid_json_uses_infinity_tokens():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["map"] == "log" and doc["c"] == 5.0 and doc["N"] == 4
-    assert doc["nodes"][-1]["x"] == "inf"
-    assert isinstance(doc["nodes"][0]["x"], float)
+    assert doc["nodes"]["x"][-1] == "inf"
+    assert isinstance(doc["nodes"]["x"][0], float)
 
 
 def test_solve_writes_node_table_and_summary():
@@ -113,10 +113,10 @@ def test_solve_json_document():
     doc = json.loads(proc.stdout)
     assert doc["problem"] == "falkner-skan"
     assert doc["converged"] is True
-    assert doc["reports"]["fpp0"] == pytest.approx(1.238724, abs=2e-5)
-    assert doc["nodes"][-1]["x"] == "inf"
-    assert len(doc["nodes"]) == 21
-    assert len(doc["nodes"][0]["u"]) == 3
+    assert doc["fpp0"] == pytest.approx(1.238724, abs=2e-5)
+    assert doc["nodes"]["x"][-1] == "inf"
+    assert list(doc["nodes"]) == ["n", "x", "u1", "u2", "u3"]
+    assert all(len(column) == 21 for column in doc["nodes"].values())
 
 
 def test_solve_raw_round_trips_full_precision():
@@ -125,8 +125,8 @@ def test_solve_raw_round_trips_full_precision():
     summary = {row[0]: row[1] for row in rows if len(row) == 2}
     json_proc = run_cli("solve", "--problem", "falkner-skan", "--N", "20",
                         "--format", "json")
-    reports = json.loads(json_proc.stdout)["reports"]
-    assert float(summary["fpp0"]) == reports["fpp0"]
+    doc = json.loads(json_proc.stdout)
+    assert float(summary["fpp0"]) == doc["fpp0"]
 
 
 def test_solve_raw_out_round_trips_every_node_value(tmp_path, monkeypatch, capsys):
@@ -184,6 +184,18 @@ def test_sweep_table_layout_and_orders():
     assert rows[2][4] == f"{expected:.6f}"
 
 
+def test_sweep_raw_orders_come_from_the_printed_values(capsys):
+    # under --raw the order column agrees, bitwise, with the 17-digit
+    # values printed beside it, not with values rounded to --decimals
+    code, out, _ = run_main(capsys, "sweep", "--problem", "pile", "--N", "20,40,80", "--raw")
+    assert code == 0
+    header, *rows = parse_csv(out)
+    for q in ("u0", "du0"):
+        printed = [float(row[header.index(q)]) for row in rows]
+        order = float(rows[1][header.index(f"{q}_order")])
+        assert order.hex() == observed_order(*printed).hex()
+
+
 def test_sweep_requires_doubling():
     proc = run_cli("sweep", "--problem", "pile", "--N", "20,50")
     assert proc.returncode == 2
@@ -206,11 +218,11 @@ def test_sweep_json_rows():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["problem"] == "pile"
-    assert [row["N"] for row in doc["rows"]] == [20, 40]
-    assert all(row["converged"] for row in doc["rows"])
-    assert doc["rows"][0]["u0"] == pytest.approx(1.420337, abs=2e-5)
+    assert doc["rows"]["N"] == [20, 40]
+    assert all(doc["rows"]["converged"])
+    assert doc["rows"]["u0"][0] == pytest.approx(1.420337, abs=2e-5)
     # two rows have no interior entry, so no orders are defined
-    assert all(row["u0_order"] is None for row in doc["rows"])
+    assert all(order is None for order in doc["rows"]["u0_order"])
 
 
 def test_sweep_then_extrapolate_round_trip(tmp_path):
@@ -262,6 +274,14 @@ def test_extrapolate_reports_bad_line(tmp_path):
     proc = run_cli("extrapolate", str(sweep_file), "--quantity", "u0")
     assert proc.returncode == 2
     assert "line 3" in proc.stderr
+
+
+def test_extrapolate_refuses_grid_sizes_below_one(tmp_path, capsys):
+    # N = 0, 0, 0 "doubles", but no grid has zero intervals
+    source = tmp_path / "sweep.csv"
+    source.write_text("N,u0\n0,1.0\n0,1.1\n0,1.2\n")
+    assert run_main(capsys, "extrapolate", str(source), "--quantity", "u0") == (
+        2, "", "error: grid sizes must be at least 1, got 0\n")
 
 
 def test_extrapolate_missing_file(tmp_path):
@@ -466,7 +486,7 @@ def test_solve_json_stays_valid_for_a_nonfinite_iterate(monkeypatch, capsys):
     assert cli.main(["solve", "--problem", "pile", "--N", "4", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert doc["converged"] is False and doc["final_increment"] == "inf"
-    assert [node["u"][:3] for node in doc["nodes"][1:4]] == [
+    assert [[doc["nodes"][f"u{k}"][n] for k in (1, 2, 3)] for n in (1, 2, 3)] == [
         ["inf", 0.0, 0.0], [0.0, "-inf", 0.0], [0.0, 0.0, "nan"]]
 
 
@@ -495,6 +515,30 @@ SOLVE_PILE_8_SUMMARY = (
     "key,value\r\nproblem,pile\r\nmap,log\r\nc,5.000000\r\nN,8\r\nconverged,true\r\n"
     "iterations,3\r\nfinal_increment,9.5194938767889558e-07\r\ndu0,-0.802084\r\n"
     "u0,1.413440\r\n")
+SOLVE_PILE_8_JSON = (
+    '{\n  "problem": "pile",\n  "map": "log",\n  "c": 5.0,\n  "N": 8,\n'
+    '  "converged": true,\n  "iterations": 3,\n'
+    '  "final_increment": 9.519493876788956e-07,\n  "du0": -0.80208356302185,\n'
+    '  "u0": 1.413440487445804,\n  "nodes": {\n    "n": [\n      0,\n      1,\n      2,\n'
+    '      3,\n      4,\n      5,\n      6,\n      7,\n      8\n    ],\n    "x": [\n'
+    '      0.0,\n      0.6676569631226131,\n      1.4384103622589044,\n'
+    '      2.350018146228678,\n      3.4657359027997265,\n      4.904146265058631,\n'
+    '      6.931471805599453,\n      10.39720770839918,\n      "inf"\n    ],\n    "u1": [\n'
+    '      1.413440487445804,\n      0.9032931309349784,\n      0.4235311034378553,\n'
+    '      0.0695245971158244,\n      -0.10021279722165895,\n      -0.09636673158794903,\n'
+    '      -0.018523131272510825,\n      0.02069038418486672,\n'
+    '      -1.2271177796522528e-23\n    ],\n    "u2": [\n      -0.80208356302185,\n'
+    '      -0.7252277458741287,\n      -0.5133822415837128,\n      -0.2530455544567394,\n'
+    '      -0.04032489568099113,\n      0.05234201371015206,\n      0.02220748531150922,\n'
+    '      -0.0032195566853990124,\n      9.484548974486071e-24\n    ],\n    "u3": [\n'
+    '      -6.622100276485832e-24,\n      0.2384357899876441,\n      0.315040048470654,\n'
+    '      0.25455277273249394,\n      0.12048662768431916,\n      0.0004205054471478018,\n'
+    '      -0.03391076918112907,\n      0.02958666958698257,\n      -0.04099397182287162\n'
+    '    ],\n    "u4": [\n      0.5,\n      0.20520869189140495,\n'
+    '      -0.014598346558702987,\n      -0.12333119860095573,\n'
+    '      -0.11740973622269307,\n      -0.04522264508495551,\n'
+    '      0.017300955010297808,\n      0.021085116578844144,\n      -0.04519719157841208\n'
+    '    ]\n  }\n}\n')
 
 # argv ("{input}" is the extrapolate input file, "{out}" an --out path),
 # expected stdout, expected --out file contents or None
@@ -505,12 +549,11 @@ FROZEN_OUTPUT = {
         "3,0.750000,6.931472\r\n4,1.000000,inf\r\n", None),
     "grid-json": (
         ["grid", "--map", "log", "--c", "5", "--N", "4", "--format", "json"],
-        '{\n  "map": "log",\n  "c": 5.0,\n  "N": 4,\n  "nodes": [\n'
-        '    {\n      "n": 0,\n      "xi": 0.0,\n      "x": 0.0\n    },\n'
-        '    {\n      "n": 1,\n      "xi": 0.25,\n      "x": 1.4384103622589044\n    },\n'
-        '    {\n      "n": 2,\n      "xi": 0.5,\n      "x": 3.4657359027997265\n    },\n'
-        '    {\n      "n": 3,\n      "xi": 0.75,\n      "x": 6.931471805599453\n    },\n'
-        '    {\n      "n": 4,\n      "xi": 1.0,\n      "x": "inf"\n    }\n  ]\n}\n', None),
+        '{\n  "map": "log",\n  "c": 5.0,\n  "N": 4,\n  "nodes": {\n    "n": [\n      0,\n'
+        '      1,\n      2,\n      3,\n      4\n    ],\n    "xi": [\n      0.0,\n'
+        '      0.25,\n      0.5,\n      0.75,\n      1.0\n    ],\n    "x": [\n      0.0,\n'
+        '      1.4384103622589044,\n      3.4657359027997265,\n      6.931471805599453,\n'
+        '      "inf"\n    ]\n  }\n}\n', None),
     "grid-raw": (
         ["grid", "--map", "log", "--c", "2", "--N", "3", "--raw"],
         "n,xi,x\r\n0,0,0\r\n1,0.33333333333333331,0.81093021621632866\r\n"
@@ -532,10 +575,20 @@ FROZEN_OUTPUT = {
     "solve-out": (
         ["solve", "--problem", "pile", "--N", "8", "--out", "{out}"],
         SOLVE_PILE_8_SUMMARY, SOLVE_PILE_8_TABLE),
+    "solve-json": (
+        ["solve", "--problem", "pile", "--N", "8", "--format", "json"], SOLVE_PILE_8_JSON, None),
     "sweep-csv": (
         ["sweep", "--problem", "pile", "--N", "20,40"],
         "N,iterations,converged,du0,du0_order,u0,u0_order\r\n"
         "20,4,true,-0.807289,,1.420337,\r\n40,2,true,-0.807934,,1.421243,\r\n", None),
+    "sweep-json": (
+        ["sweep", "--problem", "pile", "--N", "20,40", "--format", "json"],
+        '{\n  "problem": "pile",\n  "rows": {\n    "N": [\n      20,\n      40\n    ],\n'
+        '    "iterations": [\n      4,\n      2\n    ],\n    "converged": [\n      true,\n'
+        '      true\n    ],\n    "du0": [\n      -0.8072891571918911,\n'
+        '      -0.8079336378726136\n    ],\n    "du0_order": [\n      null,\n      null\n'
+        '    ],\n    "u0": [\n      1.4203374354812217,\n      1.4212429637552384\n    ],\n'
+        '    "u0_order": [\n      null,\n      null\n    ]\n  }\n}\n', None),
 }
 
 
@@ -550,6 +603,45 @@ def test_output_bytes_are_frozen(case, tmp_path, capsys):
         assert not out.exists()
     else:
         assert out.read_bytes() == file_text.encode()
+
+
+def cell_reads_as(cell: str, value) -> bool:
+    """Whether a --raw CSV cell holds the JSON value: "" is null, true and
+    false are booleans, strings (inf, -inf and nan among them) are
+    themselves, and a number is float() of the cell, bitwise."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == str(value).lower()
+    if isinstance(value, str):
+        return cell == value
+    return float(cell).hex() == float(value).hex()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "pile", "--N", "8"],
+    ["grid", "--map", "alg", "--c", "2", "--N", "5"],
+    ["sweep", "--problem", "pile", "--N", "20,40,80"],
+])
+def test_json_table_is_the_raw_csv_table(argv, tmp_path, capsys):
+    # one table, two formats: JSON's named columns hold what --raw CSV
+    # prints cell by cell, and solve's top-level keys its summary pairs
+    csv_out, json_out = tmp_path / "table.csv", tmp_path / "table.json"
+    code, summary, _ = run_main(capsys, *argv, "--raw", "--out", str(csv_out))
+    assert run_main(capsys, *argv, "--raw", "--format", "json", "--out", str(json_out)) == (
+        code, "", "")
+    header, *rows = parse_csv(csv_out.read_text())
+    doc = json.loads(json_out.read_text())
+    table = doc["rows" if argv[0] == "sweep" else "nodes"]
+    assert list(table) == header
+    assert all(len(column) == len(rows) for column in table.values())
+    assert all(cell_reads_as(cell, value)
+               for row, values in zip(rows, zip(*table.values()))
+               for cell, value in zip(row, values))
+    if argv[0] == "solve":
+        pairs = parse_csv(summary)[1:]
+        assert [key for key, _ in pairs] == list(doc)[:-1]
+        assert all(cell_reads_as(cell, doc[key]) for key, cell in pairs)
 
 
 # int(1e300) exactly: the default table prints every digit of a float

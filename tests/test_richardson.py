@@ -58,6 +58,11 @@ def test_extrapolate_table_validation():
         extrapolate_table((10, 20), (1.0,))
     with pytest.raises(ValueError, match="at least two"):
         extrapolate_table((), ())
+    # zero and negative sizes pass the doubling check but are no grids
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        extrapolate_table((0, 0, 0), (1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="at least 1, got -10"):
+        extrapolate_table((-5, -10), (1.0, 2.0))
     table = extrapolate_table([10, 20], [1.0, 2.0])
     assert table.columns[0] == (1.0, 2.0)
 
