@@ -66,10 +66,13 @@ COMMANDS = [
     ["solve", "--problem", "pile", "--N", "8", "--tol", "inf"],
     ["solve", "--problem", "falkner-skan", "--N", "8", "--P", "nan"],
     ["solve", "--problem", "falkner-skan", "--N", "8", "--P1", "3"],
+    ["solve", "--problem", "pile", "--P3=-1e3", "--N", "8"],
     ["sweep", "--problem", "pile", "--N", "8,16,32"],
     ["sweep", "--problem", "falkner-skan", "--N", "10,20,40", "--jacobian", "fd"],
     ["sweep", "--problem", "pile", "--N", "8,16", "--max-iter", "1"],
     ["sweep", "--problem", "pile", "--N", "8,12"],
+    ["sweep", "--problem", "pile", "--P3=-1e3", "--N", "8,16"],
+    ["sweep", "--problem", "falkner-skan", "--P", "1e200", "--N", "20,40"],
     ["grid", "--N", "4"],
     ["grid", "--map", "alg", "--c", "1", "--N", "5"],
     ["grid", "--map", "tan", "--c", "2", "--N", "3"],

@@ -3,8 +3,8 @@
 Subcommands: solve one grid, sweep a doubling family of grids,
 extrapolate a sweep file, or dump grid coordinates. Output is CSV
 (default) or JSON; infinities appear as the literal tokens inf/-inf and
-undefined entries as nan. Exit codes: 0 success, 1 solver failure or
-non-convergence, 2 bad arguments or unparseable input.
+undefined entries as nan. Exit codes: 0 success, 1 a solve that did not
+converge, 2 bad arguments or unparseable input.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import re
 import sys
 
 from .grids import GridMap, MapKind, build_grid
-from .newton import SingularSystemError, SolverConfig, newton_solve
+from .newton import SolverConfig, newton_solve
 from .problems import PROBLEMS, report_scalar
 from .richardson import extrapolate_table, observed_order
-from .scheme import EvaluationError, prolong
+from .scheme import prolong
 
 __all__ = ["main", "run"]
 
@@ -239,7 +239,10 @@ def cmd_solve(args) -> int:
     header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
     columns = [grid.indices.tolist(), grid.nodes.tolist(), *result.solution.T.tolist()]
     _emit(args, pairs, header, columns=columns, key="nodes", summary=True)
-    return EXIT_OK if result.converged else EXIT_SOLVER
+    if result.converged:
+        return EXIT_OK
+    print(f"warning: {result.reason}", file=sys.stderr)
+    return EXIT_SOLVER
 
 
 def cmd_sweep(args) -> int:
@@ -249,7 +252,8 @@ def cmd_sweep(args) -> int:
     The first grid starts from the problem's initial iterate; every later
     grid starts from the previous grid's converged solution, prolonged to
     the doubled grid with the stencil weights. A grid after a row that
-    failed or did not converge starts from the initial iterate again.
+    did not converge starts from the initial iterate again; such a row
+    reports the values of the solution its solve returned.
     """
     problem = _make_problem(args)
     grid_map = GridMap(args.map, args.c)
@@ -260,40 +264,28 @@ def cmd_sweep(args) -> int:
     config = _make_config(args)
     quantities = sorted(problem.reports)
 
-    records = []  # one output row per grid; None where a value is undefined
+    records = []  # one output row per grid; None where an order is undefined
     previous = None  # (grid, solution) of the row before, if it converged
     for n in n_values:
-        record = {"N": n, "iterations": None, "converged": False}
-        record.update((key, None) for q in quantities for key in (q, f"{q}_order"))
-        records.append(record)
         grid = build_grid(grid_map, n, continuation=not args.no_continuation)
         initial = None if previous is None else prolong(*previous)
-        previous = None
-        try:
-            result = newton_solve(problem, grid, initial=initial, config=config)
-        except (EvaluationError, SingularSystemError) as exc:
-            print(f"warning: N={n} failed: {exc}", file=sys.stderr)
-            continue
-        record.update(iterations=result.iterations, converged=result.converged)
-        record.update((q, report_scalar(problem, result, q)) for q in quantities)
-        if result.converged:
-            previous = (grid, result.solution)
-        else:
-            print(f"warning: N={n} did not converge in {result.iterations} iterations",
-                  file=sys.stderr)
+        result = newton_solve(problem, grid, initial=initial, config=config)
+        record = {"N": n, "iterations": result.iterations, "converged": result.converged}
+        for q in quantities:
+            record[q], record[f"{q}_order"] = report_scalar(problem, result, q), None
+        records.append(record)
+        previous = (grid, result.solution) if result.converged else None
+        if not result.converged:
+            print(f"warning: N={n} {result.reason}", file=sys.stderr)
 
     # Orders against the finest grid, computed from the values as printed:
-    # rounded at the table precision, or in full under --raw. The first
-    # and finest rows have no entry.
+    # in full under --raw and in JSON, else rounded at the table precision.
+    # The first and finest rows have no entry.
+    full = args.raw or args.format == "json"
     for q in quantities:
-        shown = [record[q] if record[q] is None or args.raw else round(record[q], args.decimals)
-                 for record in records]
-        ref = shown[-1]
-        if ref is None:
-            continue
+        shown = [record[q] if full else round(record[q], args.decimals) for record in records]
         for i in range(1, len(records) - 1):
-            if shown[i - 1] is not None and shown[i] is not None:
-                records[i][f"{q}_order"] = observed_order(shown[i - 1], shown[i], ref)
+            records[i][f"{q}_order"] = observed_order(shown[i - 1], shown[i], shown[-1])
 
     _emit(args, [("problem", problem.name)], list(records[0]),
           [list(record.values()) for record in records], key="rows")
@@ -367,9 +359,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (EvaluationError, SingularSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -95,11 +95,13 @@ class SolveResult:
     solution has shape (N+1, d); increments records the mean absolute
     correction of every applied Newton step, one per iteration, on this
     grid only: a coarse solve that started a cold one is not counted.
+    reason is None for a converged solve and says why any other stopped.
     """
 
     solution: np.ndarray
     converged: bool
     increments: list[float]
+    reason: str | None = None
 
     @property
     def iterations(self) -> int:
@@ -299,14 +301,16 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     1986), so the coarse grid takes the fine grid's early steps at about
     1/8 of their cost. increments and iterations count this grid's
     steps only. Every other cold start, and one whose coarse solve does
-    not converge or raises SingularSystemError or EvaluationError,
-    starts from the problem's default iterate.
+    not converge, starts from the problem's default iterate.
 
-    Convergence means the mean absolute correction fell to config.tol;
-    hitting max_iter returns converged=False instead of raising. So does
-    a correction that is not finite or that overflows the iterate: it is
-    recorded as an increment of inf, the solution is the last finite
-    iterate, and no numpy warning is raised.
+    Convergence means the mean absolute correction fell to config.tol.
+    Every other exit returns converged=False with a reason, raising no
+    exception and no numpy warning: "did not converge in M iterations"
+    at max_iter, else "iteration k: " and the message of the
+    EvaluationError or SingularSystemError iteration k met, or
+    "correction is not finite" when its correction is not finite or
+    overflows the iterate. Those record an increment of inf and keep the
+    last finite iterate. Malformed input still raises ValueError.
 
     Steps are full Newton steps, except the one that should end the
     solve: it first tries the simplified step that reuses the previous
@@ -325,11 +329,8 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
             and grid.N >= _COARSE_START_N and grid.N % 8 == 0:
         rule = grid.continuation
         coarse_grid = build_grid(grid.map, grid.N // 8, continuation=rule)
-        try:
-            coarse = newton_solve(problem, coarse_grid, config=config)
-        except (SingularSystemError, EvaluationError):
-            coarse = None
-        if coarse is not None and coarse.converged:
+        coarse = newton_solve(problem, coarse_grid, config=config)
+        if coarse.converged:
             initial = prolong(coarse_grid, coarse.solution)
             for n in (grid.N // 4, grid.N // 2):
                 initial = prolong(build_grid(grid.map, n, continuation=rule), initial)
@@ -350,38 +351,41 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
 
     tol = config.tol
     increments: list[float] = []
-    converged = False
+    reason = f"did not converge in {int(config.max_iter)} iterations"
     jacobian = None
     for iteration in range(1, int(config.max_iter) + 1):
-        residual = assemble_residual(problem, grid, U)
-        delta = None
-        # Tried only where it should end the solve (see the docstring).
-        # With theta = |delta| / |previous delta| estimating the
-        # contraction, a tried step is kept when it is below tol and
-        # leaves an error theta*|delta| below tol**2.
-        if jacobian is not None and (warm if len(increments) == 1
-                                     else (warm or len(increments) > 2)
-                                     and increments[-1] ** 2 <= tol * increments[-2]):
-            delta = linear_solve(jacobian, -residual)
-            m = float(np.mean(np.abs(delta)))
-            if not (m <= tol and m * (m / increments[-1]) <= tol * tol):
-                delta = None
-        if delta is None:
-            # rebinding frees the old factors before the new ones are built
-            jacobian = assemble_jacobian(problem, grid, U, mode)
-            try:
+        try:
+            residual = assemble_residual(problem, grid, U)
+            delta = None
+            # Tried only where it should end the solve (see the docstring).
+            # With theta = |delta| / |previous delta| estimating the
+            # contraction, a tried step is kept when it is below tol and
+            # leaves an error theta*|delta| below tol**2.
+            if jacobian is not None and (warm if len(increments) == 1
+                                         else (warm or len(increments) > 2)
+                                         and increments[-1] ** 2 <= tol * increments[-2]):
                 delta = linear_solve(jacobian, -residual)
-            except SingularSystemError as exc:
-                raise SingularSystemError(f"iteration {iteration}: {exc}") from exc
-        with np.errstate(over="ignore", invalid="ignore"):
-            update = U + delta
-            m = float(np.mean(np.abs(delta)))
-        if not np.all(np.isfinite(update)):
+                m = float(np.mean(np.abs(delta)))
+                if not (m <= tol and m * (m / increments[-1]) <= tol * tol):
+                    delta = None
+            if delta is None:
+                # rebinding frees the old factors before the new ones are built
+                jacobian = assemble_jacobian(problem, grid, U, mode)
+                delta = linear_solve(jacobian, -residual)
+        except (EvaluationError, SingularSystemError) as exc:
+            failure = str(exc)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                update = U + delta
+                m = float(np.mean(np.abs(delta)))
+            failure = None if np.all(np.isfinite(update)) else "correction is not finite"
+        if failure is not None:
             increments.append(math.inf)
+            reason = f"iteration {iteration}: {failure}"
             break
         U = update
         increments.append(m)
         if m <= tol:
-            converged = True
+            reason = None
             break
-    return SolveResult(solution=U, converged=converged, increments=increments)
+    return SolveResult(solution=U, converged=reason is None, increments=increments, reason=reason)

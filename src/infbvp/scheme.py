@@ -120,8 +120,9 @@ def assemble_residual(problem, grid: QuasiUniformGrid, U) -> np.ndarray:
     """
     U, a, _, _, x_mid, u_mid = _midpoints(problem, grid, U)
     res = np.empty_like(U)
-    res[:-1] = U[1:] - U[:-1] - a[:, None] * _eval_f(problem, x_mid, u_mid)
-    res[-1] = _eval_g(problem, U[0], U[-1])
+    with np.errstate(all="ignore"):  # a non-finite f or g raises EvaluationError
+        res[:-1] = U[1:] - U[:-1] - a[:, None] * _eval_f(problem, x_mid, u_mid)
+        res[-1] = _eval_g(problem, U[0], U[-1])
     return res.ravel()
 
 
@@ -197,19 +198,21 @@ def assemble_jacobian(problem, grid: QuasiUniformGrid, U,
     U, a, b, c_w, x_mid, u_mid = _midpoints(problem, grid, U)
     N, d = u_mid.shape
 
-    if mode == "analytic":
-        F = _df_du_analytic(problem, x_mid, u_mid)
-        dg_0 = np.array(problem.dg[0], dtype=float)
-        dg_N = np.array(problem.dg[1], dtype=float)
-        if dg_0.shape != (d, d) or dg_N.shape != (d, d):
-            raise ValueError("dg must be a pair of d x d matrices")
-    else:
-        F = _forward_difference(lambda u: _eval_f(problem, x_mid, u), u_mid,
-                                _eval_f(problem, x_mid, u_mid))
-        g_base = _eval_g(problem, U[0], U[N])
-        dg_0 = _forward_difference(lambda u: _eval_g(problem, u, U[N]), U[0], g_base)
-        dg_N = _forward_difference(lambda u: _eval_g(problem, U[0], u), U[N], g_base)
-    eye = np.eye(d)
-    dU_n = -eye - (a * c_w)[:, None, None] * F
-    dU_next = eye - (a * b)[:, None, None] * F
+    # a non-finite f or g raises EvaluationError; a non-finite F reaches delta
+    with np.errstate(all="ignore"):
+        if mode == "analytic":
+            F = _df_du_analytic(problem, x_mid, u_mid)
+            dg_0 = np.array(problem.dg[0], dtype=float)
+            dg_N = np.array(problem.dg[1], dtype=float)
+            if dg_0.shape != (d, d) or dg_N.shape != (d, d):
+                raise ValueError("dg must be a pair of d x d matrices")
+        else:
+            F = _forward_difference(lambda u: _eval_f(problem, x_mid, u), u_mid,
+                                    _eval_f(problem, x_mid, u_mid))
+            g_base = _eval_g(problem, U[0], U[N])
+            dg_0 = _forward_difference(lambda u: _eval_g(problem, u, U[N]), U[0], g_base)
+            dg_N = _forward_difference(lambda u: _eval_g(problem, U[0], u), U[N], g_base)
+        eye = np.eye(d)
+        dU_n = -eye - (a * c_w)[:, None, None] * F
+        dU_next = eye - (a * b)[:, None, None] * F
     return StructuredJacobian(dU_n=dU_n, dU_next=dU_next, dg_0=dg_0, dg_N=dg_N)

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import infbvp
 from conftest import count_jacobians
-from infbvp import (PROBLEMS, EvaluationError, GridMap, SolveResult, SolverConfig, build_grid,
-                    cli, newton_solve, observed_order, report_scalar)
+from infbvp import (PROBLEMS, GridMap, SolveResult, SolverConfig, build_grid, cli,
+                    initial_field, newton_solve, observed_order, pile, report_scalar)
 
 EXE = [sys.executable, "-m", "infbvp"]
 # The child interpreter imports the same infbvp as this process, which
@@ -185,15 +185,21 @@ def test_sweep_table_layout_and_orders():
 
 
 def test_sweep_raw_orders_come_from_the_printed_values(capsys):
-    # under --raw the order column agrees, bitwise, with the 17-digit
-    # values printed beside it, not with values rounded to --decimals
-    code, out, _ = run_main(capsys, "sweep", "--problem", "pile", "--N", "20,40,80", "--raw")
-    assert code == 0
-    header, *rows = parse_csv(out)
-    for q in ("u0", "du0"):
-        printed = [float(row[header.index(q)]) for row in rows]
-        order = float(rows[1][header.index(f"{q}_order")])
-        assert order.hex() == observed_order(*printed).hex()
+    # under --raw, and in JSON, which prints every value in full, the
+    # order column agrees, bitwise, with the values printed beside it,
+    # not with values rounded to --decimals
+    for mode in ("--raw", "--format=json"):
+        code, out, _ = run_main(capsys, "sweep", "--problem", "pile", "--N", "20,40,80", mode)
+        assert code == 0
+        if mode == "--raw":
+            header, *rows = parse_csv(out)
+            columns = {name: [row[k] for row in rows] for k, name in enumerate(header)}
+        else:
+            columns = json.loads(out)["rows"]
+        for q in ("u0", "du0"):
+            printed = [float(value) for value in columns[q]]
+            order = float(columns[f"{q}_order"][1])
+            assert order.hex() == observed_order(*printed).hex(), (mode, q)
 
 
 def test_sweep_requires_doubling():
@@ -210,6 +216,45 @@ def test_sweep_keeps_rows_on_nonconvergence():
     rows = parse_csv(proc.stdout)
     assert [row[0] for row in rows[1:]] == ["20", "40"]
     assert all(row[2] == "false" for row in rows[1:])
+
+
+def test_sweep_reports_a_failed_row_like_an_unconverged_one(capsys):
+    # P = 1e200 overflows the first correction on every grid: each row
+    # gets one warning with the solve's reason, its iterations, false and
+    # the report values of the start it kept
+    code, out, err = run_main(capsys, "sweep", "--problem", "falkner-skan", "--P", "1e200",
+                              "--N", "20,40")
+    assert code == 1
+    assert err == ("warning: N=20 iteration 1: correction is not finite\n"
+                   "warning: N=40 iteration 1: correction is not finite\n")
+    assert parse_csv(out)[1:] == [["20", "1", "false", "0.300000", "", "0.000000", ""],
+                                  ["40", "1", "false", "0.300000", "", "0.000000", ""]]
+
+
+def test_solve_prints_its_table_and_a_warning_when_it_does_not_converge(capsys):
+    code, out, err = run_main(capsys, "solve", "--problem", "pile", "--N", "16", "--max-iter", "2")
+    assert code == 1
+    assert err == "warning: did not converge in 2 iterations\n"
+    rows = parse_csv(out)
+    assert rows[0] == ["n", "x", "u1", "u2", "u3", "u4"] and rows[17][:2] == ["16", "inf"]
+    summary = {row[0]: row[1] for row in rows[19:]}
+    assert summary["converged"] == "false" and summary["iterations"] == "2"
+
+
+@pytest.mark.parametrize("jacobian", ["analytic", "fd"])
+def test_a_solve_whose_problem_overflows_warns_without_a_runtime_warning(jacobian, capsys):
+    # P3 = -1e3 overflows exp(-P2*u1) at the pile's start; the run-wide
+    # filter turns a leaked RuntimeWarning into an error. The table is
+    # the start, the one finite iterate.
+    code, out, err = run_main(capsys, "solve", "--problem", "pile", "--P3=-1e3", "--N", "20",
+                              "--jacobian", jacobian, "--raw")
+    assert code == 1
+    assert err == "warning: iteration 1: non-finite right-hand side on interval 0\n"
+    rows = parse_csv(out)
+    start = initial_field(pile(P3=-1e3), build_grid(GridMap("log", 5.0), 20))
+    assert np.array_equal([[float(v) for v in row[2:]] for row in rows[1:22]], start)
+    summary = {row[0]: row[1] for row in rows[23:]}
+    assert summary["converged"] == "false" and summary["final_increment"] == "inf"
 
 
 def test_sweep_json_rows():
@@ -347,15 +392,19 @@ def test_problem_option_help_states_the_factory_defaults():
                 assert Fraction(stated) == parameters[name].default, (command, name)
 
 
-def record_newton_solve(monkeypatch, raise_on=()):
+def record_newton_solve(monkeypatch, fail_on=()):
     """Replace cli.newton_solve by a recorder of (N, initial, result);
-    grids whose N is in raise_on raise EvaluationError instead."""
+    grids whose N is in fail_on fail in their first iteration instead,
+    keeping their start."""
     calls = []
 
     def recorder(problem, grid, initial=None, config=None):
-        if grid.N in raise_on:
-            calls.append((grid.N, initial, None))
-            raise EvaluationError("injected failure", where=0)
+        if grid.N in fail_on:
+            start = initial_field(problem, grid) if initial is None else initial.copy()
+            result = SolveResult(solution=start, converged=False, increments=[math.inf],
+                                 reason="iteration 1: injected failure")
+            calls.append((grid.N, initial, result))
+            return result
         result = newton_solve(problem, grid, initial=initial, config=config)
         calls.append((grid.N, None if initial is None else initial.copy(), result))
         return result
@@ -384,9 +433,9 @@ def test_sweep_starts_cold_after_a_nonconverged_row(monkeypatch, capsys):
 
 
 def test_sweep_starts_cold_after_a_failed_row(monkeypatch, capsys):
-    calls = record_newton_solve(monkeypatch, raise_on=(40,))
+    calls = record_newton_solve(monkeypatch, fail_on=(40,))
     assert cli.main(["sweep", "--problem", "pile", "--N", "20,40,80,160"]) == 1
-    assert "N=40 failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "warning: N=40 iteration 1: injected failure\n"
     assert [n for n, _, _ in calls] == [20, 40, 80, 160]
     assert calls[0][1] is None and calls[2][1] is None
     assert calls[1][1].shape == (41, 4)
@@ -477,7 +526,8 @@ def test_solve_json_stays_valid_for_a_nonfinite_iterate(monkeypatch, capsys):
     def diverged(problem, grid, initial=None, config=None):
         solution = np.zeros((grid.N + 1, problem.d))
         solution[1, 0], solution[2, 1], solution[3, 2] = np.inf, -np.inf, np.nan
-        return SolveResult(solution=solution, converged=False, increments=[np.inf])
+        return SolveResult(solution=solution, converged=False, increments=[np.inf],
+                           reason="iteration 1: correction is not finite")
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")

@@ -11,7 +11,6 @@ from conftest import (block_product, count_jacobians, dense_jacobian, linear_dec
                       toy_linear_problem)
 from infbvp import (
     BvpProblem,
-    EvaluationError,
     GridMap,
     SingularSystemError,
     SolverConfig,
@@ -267,21 +266,25 @@ def test_nonfinite_jacobian_stops_newton_unconverged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = newton_solve(problem, build_grid(GridMap("log", 4.0), 30))
-    assert not result.converged
+    assert not result.converged and result.reason == "iteration 1: correction is not finite"
     assert result.increments[-1] == math.inf
     assert result.final_increment == math.inf
 
 
+def overflow_problem():
+    """The first correction is 1e308 at every node: finite, but it
+    overflows the start of 1e308."""
+    return BvpProblem(name="overflow", d=1,
+                      f=lambda x, u: np.zeros_like(u),
+                      g=lambda u0, u_inf: 0.5 * u0 - 1e308,
+                      initial_iterate=lambda x: np.array([1e308]),
+                      df_du=lambda x, u: np.zeros((1, 1)),
+                      dg=(np.array([[0.5]]), np.array([[0.0]])))
+
+
 def test_overflowing_step_stops_newton_unconverged():
-    # the first correction is 1e308 at every node: finite, but it
-    # overflows the start of 1e308; the run-wide filter turns a leaked
-    # RuntimeWarning into an error
-    problem = BvpProblem(name="overflow", d=1,
-                         f=lambda x, u: np.zeros_like(u),
-                         g=lambda u0, u_inf: 0.5 * u0 - 1e308,
-                         initial_iterate=lambda x: np.array([1e308]),
-                         df_du=lambda x, u: np.zeros((1, 1)),
-                         dg=(np.array([[0.5]]), np.array([[0.0]])))
+    # the run-wide filter turns a leaked RuntimeWarning into an error
+    problem = overflow_problem()
     grid = build_grid(GridMap("log", 1.0), 8)
     result = newton_solve(problem, grid)
     assert not result.converged
@@ -391,38 +394,82 @@ def test_all_zero_small_system_is_reported_as_end_system():
             linear_solve(jac, np.zeros(3))
 
 
-def test_singular_boundary_closure_names_the_iteration():
-    # a boundary function that constrains nothing leaves the closure
-    # system singular on the very first Newton step
-    problem = BvpProblem(
-        name="unconstrained", d=1,
-        f=lambda x, u: -u,
-        g=lambda u0, u_inf: np.zeros(1),
-        initial_iterate=lambda x: np.zeros(1),
-        df_du=lambda x, u: np.array([[-1.0]]),
-        dg=(np.zeros((1, 1)), np.zeros((1, 1))))
-    grid = build_grid(GridMap("log", 1.0), 4)
-    with pytest.raises(SingularSystemError, match="iteration 1"):
-        newton_solve(problem, grid)
-
-
-def test_a_coarse_start_that_raises_leaves_the_fine_grid_error():
-    # the N = 320 solve that would start N = 2560 raises; the error the
-    # caller sees comes from the fine grid's own solve and names its node
-    # and interval, not the coarse grid's
-    unconstrained = BvpProblem(
+def unconstrained_problem():
+    """A boundary function that constrains nothing: the closure system is
+    singular on the very first Newton step."""
+    return BvpProblem(
         name="unconstrained", d=1, f=lambda x, u: -u, g=lambda u0, u_inf: np.zeros(1),
         initial_iterate=lambda x: np.zeros(1), df_du=lambda x, u: np.array([[-1.0]]),
         dg=(np.zeros((1, 1)), np.zeros((1, 1))))
+
+
+def test_singular_boundary_closure_names_the_iteration():
+    grid = build_grid(GridMap("log", 1.0), 4)
+    result = newton_solve(unconstrained_problem(), grid)
+    assert not result.converged
+    assert result.reason == "iteration 1: end system on nodes 0 and 4 is singular"
+
+
+def test_a_coarse_start_that_raises_leaves_the_fine_grid_error():
+    # the N = 320 solve that would start N = 2560 fails; the reason the
+    # caller sees comes from the fine grid's own solve and names its node
+    # and interval, not the coarse grid's
     grid = build_grid(GridMap("log", 1.0), 2560)
-    with pytest.raises(SingularSystemError, match="nodes 0 and 2560 is singular"):
-        newton_solve(unconstrained, grid)
+    result = newton_solve(unconstrained_problem(), grid)
+    assert result.reason == "iteration 1: end system on nodes 0 and 2560 is singular"
     blows_up = BvpProblem(
         name="blows-up", d=1, f=lambda x, u: np.where(x > 1.0, np.inf, 0.0)[None],
         g=lambda u0, u_inf: u0, initial_iterate=lambda x: np.zeros(1))
-    with pytest.raises(EvaluationError) as excinfo:
-        newton_solve(blows_up, grid)
-    assert excinfo.value.where == int(np.argmax(grid.fractional_nodes(0.5) > 1.0))
+    interval = int(np.argmax(grid.fractional_nodes(0.5) > 1.0))
+    assert newton_solve(blows_up, grid).reason == \
+        f"iteration 1: non-finite right-hand side on interval {interval}"
+
+
+def failing_problems():
+    """name -> (problem, jacobian mode, max_iter, reason) of solves on the
+    log map, c = 1, N = 8, that end unconverged. The toy problem's first
+    step reaches its discrete solution with u0 = 2, where the poisoned f
+    (u > 1) and the poisoned g (u0 beyond 2 + 1e-9, which only the FD
+    Jacobian's step reaches) turn non-finite."""
+    toy = toy_linear_problem()
+    poisoned_f = dataclasses.replace(toy, f=lambda x, u: np.where(u > 1.0, np.inf, -u))
+    poisoned_g = dataclasses.replace(
+        toy, g=lambda u0, u_inf: np.array([u0[0] - 2.0 + (np.inf if u0[0] > 2.0 + 1e-9 else 0.0)]))
+    f_reason = "iteration 2: non-finite right-hand side on interval 0"
+    return {
+        "f-analytic": (poisoned_f, "analytic", 50, f_reason),
+        "f-fd": (poisoned_f, "fd", 50, f_reason),
+        "g-fd": (poisoned_g, "fd", 50, "iteration 2: non-finite boundary function value"),
+        "singular": (unconstrained_problem(), None, 50,
+                     "iteration 1: end system on nodes 0 and 8 is singular"),
+        "nonfinite": (overflow_problem(), None, 50, "iteration 1: correction is not finite"),
+        "max-iter": (falkner_skan(), None, 2, "did not converge in 2 iterations"),
+    }
+
+
+@pytest.mark.parametrize("name", list(failing_problems()))
+def test_every_failure_returns_unconverged_with_its_reason(name):
+    # a failed iteration k records an increment of inf and keeps the
+    # iterate of step k - 1, the one a solve capped at k - 1 returns
+    problem, mode, max_iter, reason = failing_problems()[name]
+    grid = build_grid(GridMap("log", 1.0), 8)
+    config = SolverConfig(max_iter=max_iter, jacobian_mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = newton_solve(problem, grid, config=config)
+    assert not result.converged and result.reason == reason
+    if name == "max-iter":
+        assert result.iterations == max_iter and all(map(math.isfinite, result.increments))
+        assert np.all(np.isfinite(result.solution))
+        return
+    failed = int(reason.split()[1].rstrip(":"))
+    assert result.iterations == failed and result.increments[-1] == math.inf
+    if failed == 1:
+        before = initial_field(problem, grid)
+    else:
+        capped = dataclasses.replace(config, max_iter=failed - 1)
+        before = newton_solve(problem, grid, config=capped).solution
+    assert np.array_equal(result.solution, before)
 
 
 @pytest.mark.parametrize("N, jacobians", [(40, {40: 2}), (2560, {320: 2, 2560: 2})],

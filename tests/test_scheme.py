@@ -146,6 +146,21 @@ def test_evaluation_error_flags_boundary_block():
     assert excinfo.value.where == "boundary"
 
 
+def test_an_overflowing_problem_leaks_no_runtime_warning():
+    # P3 = -1e3 overflows exp(-P2*u1) at the pile's start: f and its FD
+    # columns raise EvaluationError and the analytic df_du gives
+    # non-finite blocks, all without a RuntimeWarning, which the run-wide
+    # filter would turn into an error
+    problem = pile(P3=-1e3)
+    grid = build_grid(GridMap("log", 5.0), 20)
+    start = initial_field(problem, grid)
+    for assemble in (assemble_residual, lambda *args: assemble_jacobian(*args, "fd")):
+        with pytest.raises(EvaluationError, match="interval 0$"):
+            assemble(problem, grid, start)
+    jac = assemble_jacobian(problem, grid, start, "analytic")
+    assert not np.all(np.isfinite(jac.dU_n))
+
+
 def test_field_validation():
     problem = falkner_skan()
     grid = build_grid(GridMap("log", 5.0), 6)
