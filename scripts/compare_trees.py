@@ -73,6 +73,8 @@ COMMANDS = [
     ["sweep", "--problem", "pile", "--N", "8,12"],
     ["sweep", "--problem", "pile", "--P3=-1e3", "--N", "8,16"],
     ["sweep", "--problem", "falkner-skan", "--P", "1e200", "--N", "20,40"],
+    ["sweep", "--problem", "falkner-skan", "--N", "20,40,80", "--max-iter", "2"],
+    ["sweep", "--problem", "pile", "--N", "1280,2560"],
     ["grid", "--N", "4"],
     ["grid", "--map", "alg", "--c", "1", "--N", "5"],
     ["grid", "--map", "tan", "--c", "2", "--N", "3"],

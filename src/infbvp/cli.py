@@ -19,10 +19,9 @@ import re
 import sys
 
 from .grids import GridMap, MapKind, build_grid
-from .newton import SolverConfig, newton_solve
+from .newton import SolverConfig, newton_solve, sweep
 from .problems import PROBLEMS, report_scalar
 from .richardson import extrapolate_table, observed_order
-from .scheme import prolong
 
 __all__ = ["main", "run"]
 
@@ -246,50 +245,38 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Solve on each grid of a doubling family and tabulate the report
-    scalars with observed orders.
-
-    The first grid starts from the problem's initial iterate; every later
-    grid starts from the previous grid's converged solution, prolonged to
-    the doubled grid with the stencil weights. A grid after a row that
-    did not converge starts from the initial iterate again; such a row
-    reports the values of the solution its solve returned.
-    """
+    """Solve a doubling family with infbvp.sweep and tabulate the report
+    scalars with observed orders; a row that did not converge warns on
+    stderr and reports the values of the solution its solve returned."""
     problem = _make_problem(args)
     grid_map = GridMap(args.map, args.c)
-    n_values = _parse_n_values(args.N)
-    for coarse, fine in zip(n_values, n_values[1:]):
-        if fine != 2 * coarse:
-            raise ValueError(f"sweep grids must double: {coarse} is followed by {fine}")
-    config = _make_config(args)
+    grids = [build_grid(grid_map, n, continuation=not args.no_continuation)
+             for n in _parse_n_values(args.N)]
+    results = sweep(problem, grids, _make_config(args))
     quantities = sorted(problem.reports)
 
     records = []  # one output row per grid; None where an order is undefined
-    previous = None  # (grid, solution) of the row before, if it converged
-    for n in n_values:
-        grid = build_grid(grid_map, n, continuation=not args.no_continuation)
-        initial = None if previous is None else prolong(*previous)
-        result = newton_solve(problem, grid, initial=initial, config=config)
-        record = {"N": n, "iterations": result.iterations, "converged": result.converged}
+    for grid, result in zip(grids, results):
+        if not result.converged:
+            print(f"warning: N={grid.N} {result.reason}", file=sys.stderr)
+        record = {"N": grid.N, "iterations": result.iterations, "converged": result.converged}
         for q in quantities:
             record[q], record[f"{q}_order"] = report_scalar(problem, result, q), None
         records.append(record)
-        previous = (grid, result.solution) if result.converged else None
-        if not result.converged:
-            print(f"warning: N={n} {result.reason}", file=sys.stderr)
 
     # Orders against the finest grid, computed from the values as printed:
     # in full under --raw and in JSON, else rounded at the table precision.
-    # The first and finest rows have no entry.
+    # Row i has one if rows i - 1, i and the finest converged; the first and finest have none.
     full = args.raw or args.format == "json"
     for q in quantities:
         shown = [record[q] if full else round(record[q], args.decimals) for record in records]
         for i in range(1, len(records) - 1):
-            records[i][f"{q}_order"] = observed_order(shown[i - 1], shown[i], shown[-1])
+            if all(results[j].converged for j in (i - 1, i, -1)):
+                records[i][f"{q}_order"] = observed_order(shown[i - 1], shown[i], shown[-1])
 
     _emit(args, [("problem", problem.name)], list(records[0]),
           [list(record.values()) for record in records], key="rows")
-    return EXIT_OK if all(record["converged"] for record in records) else EXIT_SOLVER
+    return EXIT_OK if all(result.converged for result in results) else EXIT_SOLVER
 
 
 def _read_sweep_column(path: str, quantity: str):

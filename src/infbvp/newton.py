@@ -50,6 +50,7 @@ __all__ = [
     "SolveResult",
     "linear_solve",
     "newton_solve",
+    "sweep",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -95,13 +96,16 @@ class SolveResult:
     solution has shape (N+1, d); increments records the mean absolute
     correction of every applied Newton step, one per iteration, on this
     grid only: a coarse solve that started a cold one is not counted.
-    reason is None for a converged solve and says why any other stopped.
+    converged means reason is None; reason says why any other solve stopped.
     """
 
     solution: np.ndarray
-    converged: bool
     increments: list[float]
     reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.reason is None
 
     @property
     def iterations(self) -> int:
@@ -388,4 +392,23 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         if m <= tol:
             reason = None
             break
-    return SolveResult(solution=U, converged=reason is None, increments=increments, reason=reason)
+    return SolveResult(solution=U, increments=increments, reason=reason)
+
+
+def sweep(problem: BvpProblem, grids, config: SolverConfig | None = None) -> list[SolveResult]:
+    """Solve on each grid of a doubling family, in order; one result each.
+
+    The first grid starts cold, as in newton_solve; every later grid from
+    the previous grid's converged solution, prolonged, or cold again after
+    a row that did not converge. Raises ValueError before any solve unless
+    each grid has twice the intervals of the one before.
+    """
+    for coarse, fine in zip(grids, grids[1:]):
+        if fine.N != 2 * coarse.N:
+            raise ValueError(f"sweep grids must double: {coarse.N} is followed by {fine.N}")
+    results: list[SolveResult] = []
+    for k, grid in enumerate(grids):
+        warm = k > 0 and results[-1].converged
+        initial = prolong(grids[k - 1], results[-1].solution) if warm else None
+        results.append(newton_solve(problem, grid, initial=initial, config=config))
+    return results

@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "SolveResult", "SolverConfig", "StructuredJacobian",
     "assemble_jacobian", "assemble_residual", "build_grid", "extrapolate_table",
     "falkner_skan", "initial_field", "linear_solve", "newton_solve", "observed_order",
-    "pile", "prolong", "report_scalar",
+    "pile", "prolong", "report_scalar", "sweep",
 ]
 
 

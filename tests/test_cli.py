@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import infbvp
 from conftest import count_jacobians
 from infbvp import (PROBLEMS, GridMap, SolveResult, SolverConfig, build_grid, cli,
-                    initial_field, newton_solve, observed_order, pile, report_scalar)
+                    initial_field, newton, newton_solve, observed_order, pile, report_scalar)
 
 EXE = [sys.executable, "-m", "infbvp"]
 # The child interpreter imports the same infbvp as this process, which
@@ -136,7 +136,7 @@ def test_solve_raw_out_round_trips_every_node_value(tmp_path, monkeypatch, capsy
     rng = np.random.default_rng(18)
     solution = rng.standard_normal((N + 1, 4)) * 10.0 ** rng.integers(-300, 300, (N + 1, 4))
     monkeypatch.setattr(cli, "newton_solve", lambda problem, grid, initial=None, config=None:
-                        SolveResult(solution=solution, converged=True, increments=[0.1]))
+                        SolveResult(solution=solution, increments=[0.1]))
     out = tmp_path / "out.csv"
     assert run_main(capsys, "solve", "--problem", "pile", "--N", str(N), "--raw",
                     "--out", str(out))[0] == 0
@@ -229,6 +229,37 @@ def test_sweep_reports_a_failed_row_like_an_unconverged_one(capsys):
                    "warning: N=40 iteration 1: correction is not finite\n")
     assert parse_csv(out)[1:] == [["20", "1", "false", "0.300000", "", "0.000000", ""],
                                   ["40", "1", "false", "0.300000", "", "0.000000", ""]]
+
+
+def test_sweep_orders_read_only_converged_rows(capsys):
+    # every row stops at max_iter: no order cell is filled, in CSV or JSON
+    argv = ["sweep", "--problem", "falkner-skan", "--N", "20,40,80", "--max-iter", "2"]
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 1
+    header, *rows = parse_csv(out)
+    assert [row[2] for row in rows] == ["false"] * 3
+    for q in ("fpp0", "fpp_inf"):
+        assert [row[header.index(f"{q}_order")] for row in rows] == [""] * 3
+    code, out, _ = run_main(capsys, *argv, "--format", "json")
+    assert code == 1
+    columns = json.loads(out)["rows"]
+    assert columns["fpp0_order"] == columns["fpp_inf_order"] == [None] * 3
+
+
+@pytest.mark.parametrize("fail_on, ordered", [
+    ((), [False, True, True, True, False]),
+    ((40,), [False, False, False, True, False]),
+    ((320,), [False] * 5),
+], ids=["none", "N=40", "finest"])
+def test_sweep_orders_need_the_row_before_and_the_finest_converged(fail_on, ordered,
+                                                                   monkeypatch, capsys):
+    record_newton_solve(monkeypatch, fail_on=fail_on)
+    code, out, _ = run_main(capsys, "sweep", "--problem", "pile", "--N", "20,40,80,160,320",
+                            "--format", "json")
+    assert code == (1 if fail_on else 0)
+    columns = json.loads(out)["rows"]
+    for q in ("u0", "du0"):
+        assert [order is not None for order in columns[f"{q}_order"]] == ordered, q
 
 
 def test_solve_prints_its_table_and_a_warning_when_it_does_not_converge(capsys):
@@ -393,15 +424,15 @@ def test_problem_option_help_states_the_factory_defaults():
 
 
 def record_newton_solve(monkeypatch, fail_on=()):
-    """Replace cli.newton_solve by a recorder of (N, initial, result);
-    grids whose N is in fail_on fail in their first iteration instead,
-    keeping their start."""
+    """Replace newton_solve, as sweep looks it up, by a recorder of (N,
+    initial, result); grids whose N is in fail_on fail in their first
+    iteration instead, keeping their start."""
     calls = []
 
     def recorder(problem, grid, initial=None, config=None):
         if grid.N in fail_on:
             start = initial_field(problem, grid) if initial is None else initial.copy()
-            result = SolveResult(solution=start, converged=False, increments=[math.inf],
+            result = SolveResult(solution=start, increments=[math.inf],
                                  reason="iteration 1: injected failure")
             calls.append((grid.N, initial, result))
             return result
@@ -409,7 +440,7 @@ def record_newton_solve(monkeypatch, fail_on=()):
         calls.append((grid.N, None if initial is None else initial.copy(), result))
         return result
 
-    monkeypatch.setattr(cli, "newton_solve", recorder)
+    monkeypatch.setattr(newton, "newton_solve", recorder)
     return calls
 
 
@@ -478,8 +509,9 @@ def test_warm_started_grids_reuse_one_jacobian(argv, kept_end, monkeypatch, caps
 
 
 def record_grid_rules(monkeypatch):
-    """Replace cli.newton_solve by a pass-through that records (N,
-    grid.continuation) of every grid it is handed."""
+    """Replace newton_solve, as solve and sweep look it up, by a
+    pass-through that records (N, grid.continuation) of every grid it is
+    handed."""
     seen = []
 
     def recorder(problem, grid, initial=None, config=None):
@@ -487,6 +519,7 @@ def record_grid_rules(monkeypatch):
         return newton_solve(problem, grid, initial=initial, config=config)
 
     monkeypatch.setattr(cli, "newton_solve", recorder)
+    monkeypatch.setattr(newton, "newton_solve", recorder)
     return seen
 
 
@@ -526,7 +559,7 @@ def test_solve_json_stays_valid_for_a_nonfinite_iterate(monkeypatch, capsys):
     def diverged(problem, grid, initial=None, config=None):
         solution = np.zeros((grid.N + 1, problem.d))
         solution[1, 0], solution[2, 1], solution[3, 2] = np.inf, -np.inf, np.nan
-        return SolveResult(solution=solution, converged=False, increments=[np.inf],
+        return SolveResult(solution=solution, increments=[np.inf],
                            reason="iteration 1: correction is not finite")
 
     def reject(token):
@@ -732,7 +765,7 @@ def test_csv_writer_pins_edge_values(mode, tmp_path, monkeypatch, capsys):
         solution = np.array([[-4e-25, 1e-300, 0.5, -0.0],
                              [np.inf, -np.inf, np.nan, 1e300],
                              [-0.0, 1.25, -4e-25, 2.0]])
-        return SolveResult(solution=solution, converged=True, increments=[0.4, 0.2, 0.1])
+        return SolveResult(solution=solution, increments=[0.4, 0.2, 0.1])
 
     extra, table, summary = EDGE_VALUE_OUTPUT[mode]
     out = tmp_path / "out.csv"

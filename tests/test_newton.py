@@ -24,6 +24,7 @@ from infbvp import (
     newton_solve,
     pile,
     report_scalar,
+    sweep,
 )
 from infbvp import newton
 
@@ -491,6 +492,79 @@ def test_max_iter_exhaustion_reports_failure(N, jacobians, monkeypatch):
     assert len(result.increments) == 2
     assert result.increments[0] == float(np.mean(np.abs(first)))
     assert counts == jacobians
+
+
+def record_sweep(monkeypatch, cap=(), poison=()):
+    """Replace newton_solve, as sweep looks it up, by a recorder of (N,
+    initial, result) around the real solve. A grid whose N is in cap is
+    solved with max_iter=1, and one in poison with an f that is inf
+    everywhere, so either fails the way a solve fails."""
+    calls = []
+
+    def recorder(problem, grid, initial=None, config=None):
+        if grid.N in cap:
+            config = SolverConfig(max_iter=1)
+        if grid.N in poison:
+            problem = dataclasses.replace(problem, f=lambda x, u: np.full_like(u, np.inf))
+        start = None if initial is None else initial.copy()
+        result = newton_solve(problem, grid, initial=initial, config=config)
+        calls.append((grid.N, start, result))
+        return result
+
+    monkeypatch.setattr(newton, "newton_solve", recorder)
+    return calls
+
+
+def test_sweep_warm_starts_each_grid_from_the_previous_solution(monkeypatch):
+    calls = record_sweep(monkeypatch)
+    grids = [build_grid(GridMap("log", 5.0), n) for n in (20, 40, 80, 160)]
+    results = sweep(falkner_skan(), grids)
+    assert [result for _, _, result in calls] == results
+    assert [n for n, _, _ in calls] == [20, 40, 80, 160] and calls[0][1] is None
+    for (_, _, previous), (n, initial, result) in zip(calls, calls[1:]):
+        assert result.converged and initial.shape == (n + 1, 3)
+        assert initial[0::2].tobytes() == previous.solution.tobytes()
+
+
+@pytest.mark.parametrize("failure, reason", [
+    ("cap", "did not converge in 1 iterations"),
+    ("poison", "iteration 1: non-finite right-hand side on interval 0"),
+], ids=["max-iter", "reason"])
+def test_sweep_starts_cold_after_a_row_that_did_not_converge(failure, reason, monkeypatch):
+    calls = record_sweep(monkeypatch, **{failure: (40,)})
+    grids = [build_grid(GridMap("log", 5.0), n) for n in (20, 40, 80, 160)]
+    results = sweep(pile(), grids)
+    assert [result.reason for result in results] == [None, reason, None, None]
+    assert calls[0][1] is None and calls[2][1] is None
+    assert calls[1][1][0::2].tobytes() == results[0].solution.tobytes()
+    assert calls[3][1][0::2].tobytes() == results[2].solution.tobytes()
+
+
+def test_sweep_refuses_grids_that_do_not_double_before_any_solve(monkeypatch):
+    calls = record_sweep(monkeypatch)
+    grids = [build_grid(GridMap("log", 5.0), n) for n in (20, 40, 60)]
+    with pytest.raises(ValueError) as exc:
+        sweep(pile(), grids)
+    assert str(exc.value) == "sweep grids must double: 40 is followed by 60"
+    assert calls == []
+
+
+@pytest.mark.parametrize("N", [20, 2560])
+def test_a_one_grid_sweep_is_newton_solve(N):
+    # N = 2560 also takes the coarse start from N = 320
+    grid = build_grid(GridMap("log", 5.0), N)
+    (swept,) = sweep(falkner_skan(), [grid])
+    solved = newton_solve(falkner_skan(), grid)
+    assert swept.solution.tobytes() == solved.solution.tobytes()
+    assert (swept.increments, swept.reason) == (solved.increments, solved.reason)
+
+
+def test_a_warm_sweep_row_skips_the_coarse_start(monkeypatch):
+    # N = 2560 starts from the N = 1280 row, so no N = 320 solve runs
+    counts = count_jacobians(monkeypatch)
+    grids = [build_grid(GridMap("log", 5.0), n) for n in (1280, 2560)]
+    assert all(result.converged for result in sweep(pile(), grids))
+    assert set(counts) == {1280, 2560}
 
 
 def test_auto_mode_uses_finite_differences_when_needed():
