@@ -9,8 +9,8 @@ json cases time the JSON document in place of the CSV table. For the
 solve cases each tree's `cli.newton_solve` is replaced by a stub that
 returns one precomputed result, so the time is argument parsing, the
 grid build and the output layer, not the solve. How the trees are loaded
-and timed is in twotrees.py; each side keeps the median of --repeats
-calls. Every case asserts that the two trees write identical bytes, to
+and timed, and what a case's timing fields mean, is in twotrees.py.
+Every case asserts that the two trees write identical bytes, to
 the file and to stdout.
 """
 
@@ -22,7 +22,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from twotrees import c5_grid, load_sides, median_of, parse_args, timing, write_record
+from twotrees import c5_grid, load_sides, paired_rounds, parse_args, timing, write_record
 
 COMMANDS = ("solve falkner-skan", "solve pile", "grid log")
 SIZES = (160, 1280, 10240)
@@ -74,14 +74,16 @@ def main() -> None:
                         seconds, *written[side] = run_case(lib, argv)
                         return seconds
 
-                    medians = median_of(sides, args.repeats, call)
+                    seconds = paired_rounds(sides, args.repeats, call)
                     if written["parent"] != written["change"]:
                         raise SystemExit(f"{' '.join(argv)}: the trees write different bytes")
                     stdout, table = written["change"]
                     cases[f"{command}/{N}/{mode}"] = {
-                        **timing(medians), "bytes": len(stdout.encode()) + len(table)}
+                        **timing(seconds), "bytes": len(stdout.encode()) + len(table)}
     write_record(args, __file__, (
-        "median wall ms over repeats of one cli.main call writing its table with --out, "
+        "median and quartile wall ms over repeats of one cli.main call writing its "
+        "table with --out, with the rounds the change won and whether that gain is "
+        "resolved (twotrees.py), "
         "newton_solve stubbed to a precomputed result, log map, c = 5; "
         "bytes are stdout plus the --out file, identical on both trees"), cases)
 

@@ -5,8 +5,8 @@
 A case is the linear system of the first Newton step, the analytic
 Jacobian and minus the residual at the problem's default iterate, over
 {falkner-skan, pile} x {log, alg} x N in {20, 40, 80, 160, 320, 1280, 10240}
-with c = 5. How the trees are loaded and timed is in twotrees.py; each
-side keeps the median of --repeats calls.
+with c = 5. How the trees are loaded and timed, and what a case's
+timing fields mean, is in twotrees.py.
 
 linear_solve keeps its factors on the Jacobian it is given, so every
 timed cold call gets a fresh StructuredJacobian built, outside the timer,
@@ -21,7 +21,7 @@ import statistics
 import time
 
 # twotrees pins BLAS to one thread, so it is imported before numpy
-from twotrees import (c5_grid, load_sides, median_of, ms, parse_args, timing,
+from twotrees import (c5_grid, load_sides, ms, paired_rounds, parse_args, timing,
                       write_record)
 
 import numpy as np
@@ -72,15 +72,16 @@ def main() -> None:
                         replays.append(time_solve(lib, jacobian, other_rhs)[0])
                     return seconds
 
-                medians = median_of(sides, args.repeats, cold)
+                seconds = paired_rounds(sides, args.repeats, cold)
                 replay = statistics.median(replays) if replays else float("inf")
                 cases[f"{problem}/{kind}/{N}"] = {
-                    **timing(medians), "replay_ms": ms(replay),
-                    "replay_share": round(replay / medians["change"], 2),
+                    **timing(seconds), "replay_ms": ms(replay),
+                    "replay_share": round(replay / statistics.median(seconds["change"]), 2),
                     "parent_outcome": outcomes["parent"], "change_outcome": outcomes["change"]}
     write_record(args, __file__, (
-        "median wall ms over repeats of one newton.linear_solve on the first Newton "
-        "step's system, analytic Jacobian at the default iterate, c = 5, each call "
+        "median and quartile wall ms over repeats of one newton.linear_solve, with the "
+        "rounds the change won and whether that gain is resolved (twotrees.py), on the "
+        "first Newton step's system, analytic Jacobian at the default iterate, c = 5, each call "
         "on a fresh Jacobian; replay_ms is the change's second call on that "
         "Jacobian with another rhs, replay_share its ratio to change_ms"), cases)
 

@@ -7,8 +7,8 @@ tolerance, over {falkner-skan, pile} x {log, alg} x N in {20, 160, 1280,
 10240} x {analytic, fd Jacobian}, with c = 5. N = 20..1280 start from
 the problem's default iterate; N = 10240 starts from the solution of
 the grid N/8, which newton_solve runs first. How the trees are loaded
-and timed is in twotrees.py; each side keeps the median of --repeats
-calls. One untimed call per side counts the Jacobians it assembles and
+and timed, and what a case's timing fields mean, is in twotrees.py. One
+untimed call per side counts the Jacobians it assembles and
 the linear solves it runs, through counting wrappers on its newton
 module's assemble_jacobian and linear_solve, so those counts include
 the N/8 grid's solve; iterations count the case's own grid only.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from twotrees import c5_grid, load_sides, median_of, ms, parse_args, write_record
+from twotrees import c5_grid, load_sides, paired_rounds, parse_args, timing, write_record
 
 PROBLEMS = ("falkner-skan", "pile")
 MAPS = ("log", "alg")
@@ -68,17 +68,15 @@ def main() -> None:
                 for mode in MODES:
                     case = (problem, kind, N, mode)
                     record = {side: counted_solve(lib, *case) for side, lib in sides.items()}
-                    medians = median_of(sides, args.repeats,
-                                        lambda side, lib: solve(lib, *case)[0])
-                    for side in sides:
-                        record[side]["median_ms"] = ms(medians[side])
-                    record["speedup"] = round(medians["parent"] / medians["change"], 2)
+                    record.update(timing(paired_rounds(
+                        sides, args.repeats, lambda side, lib: solve(lib, *case)[0])))
                     cases["/".join(map(str, case))] = record
     write_record(args, __file__, (
         "cold newton_solve (no initial field), default tol, c = 5: per side the "
         "iterations on the case's grid, the Jacobians assembled and linear solves of "
-        "one counted call, an N/8 grid's start included, and the median wall ms over "
-        "repeats of uncounted calls; speedup is parent over change"), cases)
+        "one counted call, an N/8 grid's start included; then the median wall ms and "
+        "quartiles over repeats of uncounted calls, speedup (parent over change), "
+        "rounds the change won and whether that gain is resolved"), cases)
 
 
 if __name__ == "__main__":

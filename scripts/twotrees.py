@@ -9,11 +9,15 @@ imported into one interpreter under the names infbvp_parent and
 infbvp_change, with BLAS pinned to one thread before numpy loads. A bench
 script runs each case for --repeats rounds; in each round both sides make
 one call, the parent first in even rounds and the change first in odd
-ones, so that a drift in CPU speed hits both alike, and each side keeps
-the median of its calls: on a shared host one call in a few is slowed by
-the host or the garbage collector, and the best call of each side moves
-with such swings more than the median does. The record it writes holds
-what was timed, the command, the host and the cases.
+ones, so that a drift in CPU speed hits both alike. Each side reports the
+median and quartiles of its calls: on a shared host one call in a few is
+slowed by the host or the garbage collector, and the best call of each
+side moves with such swings more than the median does. A round is won by
+the side whose call was faster, a tie by neither; a case is "resolved"
+only when the change won at least nine tenths of its rounds and its
+median beats the parent's by more than the parent's interquartile range,
+so a speedup without it is not a measured gain. The record a script
+writes holds what was timed, the command, the host and the cases.
 """
 
 from __future__ import annotations
@@ -65,13 +69,14 @@ def parse_args(doc: str, out: str | None = None, repeats: int | None = None):
     return parser.parse_args()
 
 
-def median_of(sides: dict, repeats: int, call) -> dict:
-    """Each side's median call(side, lib) seconds over alternating rounds."""
+def paired_rounds(sides: dict, repeats: int, call) -> dict:
+    """Each side's call(side, lib) seconds, one per round, over
+    alternating rounds."""
     seconds = {side: [] for side in sides}
     for repeat in range(repeats):
         for side in (list(sides) if repeat % 2 == 0 else list(reversed(sides))):
             seconds[side].append(call(side, sides[side]))
-    return {side: statistics.median(times) for side, times in seconds.items()}
+    return seconds
 
 
 def c5_grid(lib, kind: str, N: int, **options):
@@ -83,10 +88,23 @@ def ms(seconds: float) -> float:
     return round(seconds * 1e3, 3)
 
 
-def timing(medians: dict) -> dict:
-    """parent_ms, change_ms and speedup (parent over change) of medians."""
+def timing(seconds: dict) -> dict:
+    """Summary of paired_rounds' seconds: each side's median ms and
+    quartiles, speedup (parent over change in medians), the rounds the
+    change won and whether its gain is resolved."""
+    medians = {side: statistics.median(times) for side, times in seconds.items()}
+    quartiles = {side: statistics.quantiles(times, n=4)[::2] for side, times in seconds.items()}
+    parent_spread = quartiles["parent"][1] - quartiles["parent"][0]
+    rounds = len(seconds["change"])
+    wins = sum(change < parent for change, parent in
+               zip(seconds["change"], seconds["parent"], strict=True))
     return {"parent_ms": ms(medians["parent"]), "change_ms": ms(medians["change"]),
-            "speedup": round(medians["parent"] / medians["change"], 2)}
+            "parent_quartiles_ms": [ms(q) for q in quartiles["parent"]],
+            "change_quartiles_ms": [ms(q) for q in quartiles["change"]],
+            "speedup": round(medians["parent"] / medians["change"], 2),
+            "wins": wins, "rounds": rounds,
+            "resolved": 10 * wins >= 9 * rounds
+                        and medians["parent"] - medians["change"] > parent_spread}
 
 
 def _cpu_model() -> str:

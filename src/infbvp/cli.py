@@ -4,7 +4,9 @@ Subcommands: solve one grid, sweep a doubling family of grids,
 extrapolate a sweep file, or dump grid coordinates. Output is CSV
 (default) or JSON; infinities appear as the literal tokens inf/-inf and
 undefined entries as nan. Exit codes: 0 success, 1 a solve that did not
-converge, 2 bad arguments or unparseable input.
+converge, 2 bad arguments, unparseable input or a grid too large for
+memory, 141 (128 + SIGPIPE) a reader that closed stdout early, as in
+`infbvp grid --N 200000 | head -1`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -28,6 +31,7 @@ __all__ = ["main", "run"]
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # the status a shell reports for a tool killed by SIGPIPE
 
 
 class _Exact(float):
@@ -345,8 +349,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: stop quietly, and point stdout at devnull
+        # so that the flush at interpreter exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,13 +3,15 @@
 A strictly monotone generating map sends the uniform parameter xi in
 [0, 1] to the physical coordinate x; the image of xi_n = n/N is a
 quasi-uniform grid with x_N = inf. Everything downstream is built from
-fractional nodes x_{n+alpha} with 0 < alpha < 1, which are finite on
-every interval, so the infinite coordinate never enters any arithmetic.
+the finite nodes and the fractional nodes x_{n+1/4}, x_{n+1/2} and
+x_{n+3/4}, which are finite on every interval, so the infinite
+coordinate never enters any arithmetic. build_grid gets all of them
+from one evaluation of the map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -71,16 +73,16 @@ class QuasiUniformGrid:
     """Image of a uniform parameter grid under a generating map.
 
     The nodes are x_n = x(n/N), n = 0..N, with x_N = inf. The infinite
-    coordinate is kept for output only. The field continuation holds the
-    last-interval rule of stencil_arrays. Use build_grid() for a
-    validated instance.
+    coordinate is kept for output only. stencils holds the arrays that
+    stencil_arrays returns, and continuation the last-interval rule they
+    were built with. Use build_grid() for a validated instance.
     """
 
     map: GridMap
     N: int
     nodes: np.ndarray
+    stencils: tuple
     continuation: bool = True
-    _stencils: tuple | None = field(default=None, init=False, repr=False)  # built on first use
 
     @property
     def indices(self) -> np.ndarray:
@@ -90,17 +92,9 @@ class QuasiUniformGrid:
     def uniform_params(self) -> np.ndarray:
         return self.indices / self.N
 
-    def fractional_nodes(self, alpha: float) -> np.ndarray:
-        """x_{n+alpha} for every interval at once, recomputed from the map
-        rather than interpolated from stored nodes; finite on every
-        interval, the last one included."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"fractional offset must lie in (0, 1), got {alpha}")
-        return self.map.values((self.indices[:-1] + alpha) / self.N)
-
     def stencil_arrays(self):
-        """Midpoint formula coefficients (a, b, c_w, x_mid), each an array
-        with one entry per interval n = 0..N-1.
+        """Midpoint formula coefficients (a, b, c_w, x_mid), each a
+        read-only array with one entry per interval n = 0..N-1.
 
         a = 2*(x_{n+3/4} - x_{n+1/4}) is the derivative denominator and
         x_mid = x_{n+1/2}; b and c_w are the interpolation weights of
@@ -111,39 +105,36 @@ class QuasiUniformGrid:
         infinity node coupled to the rest of the system, and one with
         continuation=False keeps the literal weights. Only fractional
         nodes and finite nodes enter, so every entry is finite.
-
-        Computed once per grid, returned read-only on every later call.
         """
-        if self._stencils is not None:
-            return self._stencils
-        N = self.N
-        a = 2.0 * (self.fractional_nodes(0.75) - self.fractional_nodes(0.25))
-        x_mid = self.fractional_nodes(0.5)
-        b = np.empty(N)
-        b[: N - 1] = (x_mid[: N - 1] - self.nodes[: N - 1]) / (self.nodes[1:N] - self.nodes[: N - 1])
-        b[N - 1] = b[N - 2] if self.continuation else 0.0
-        arrays = (a, b, 1.0 - b, x_mid)
-        for array in arrays:
-            array.flags.writeable = False
-        object.__setattr__(self, "_stencils", arrays)
-        return arrays
+        return self.stencils
 
 
 def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> QuasiUniformGrid:
     """Grid with N intervals and N+1 nodes, the last at infinity.
     Requires N >= 2, a finite x_{N-1/4} and strict monotonicity.
     continuation sets the grid's last-interval rule (see stencil_arrays),
-    which the residual, the Jacobian and prolong all follow."""
+    which the residual, the Jacobian and prolong all follow.
+
+    The map is evaluated once, at q/(4N) for q = 0..4N: x[4n + k] is
+    x_{n+k/4}, the same double as the map at (n + k/4)/N, since both
+    quotients round one rational."""
     N = int(N)
     if N < 2:
         raise ValueError(f"need at least 2 intervals, got {N}")
+    x = grid_map.values(np.arange(4 * N + 1) / (4 * N))
     # x_{N-1/4} is the largest coordinate the scheme reads; the map is
     # monotone, so every other fractional and finite node is below it.
-    if not np.isfinite(grid_map.values((N - 0.25) / N)):
+    if not np.isfinite(x[4 * N - 1]):
         raise ValueError(f"map parameter c = {grid_map.c} overflows a grid of {N} intervals")
-    params = np.arange(N + 1) / N
-    nodes = grid_map.values(params)
+    nodes = x[0::4].copy()
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError("generating map produced a non-monotone grid")
-    nodes.flags.writeable = False
-    return QuasiUniformGrid(map=grid_map, N=N, nodes=nodes, continuation=bool(continuation))
+    x_mid = x[2::4].copy()
+    b = np.empty(N)
+    b[: N - 1] = (x_mid[: N - 1] - nodes[: N - 1]) / (nodes[1:N] - nodes[: N - 1])
+    b[N - 1] = b[N - 2] if continuation else 0.0
+    stencils = (2.0 * (x[3::4] - x[1::4]), b, 1.0 - b, x_mid)
+    for array in (nodes, *stencils):
+        array.flags.writeable = False
+    return QuasiUniformGrid(map=grid_map, N=N, nodes=nodes, stencils=stencils,
+                            continuation=bool(continuation))

@@ -379,6 +379,37 @@ def test_usage_errors_exit_two():
     assert proc.stderr == "error: map parameter c = 1e+308 overflows a grid of 4 intervals\n"
 
 
+def test_a_reader_that_closes_stdout_ends_the_command_quietly():
+    # `infbvp grid --N 200000 --raw | head -1`: the write that finds the pipe
+    # closed ends the command with 141, the shell's status for SIGPIPE, and
+    # nothing on stderr, not even at interpreter exit. The child runs with
+    # buffered stdout, as from a shell: unbuffered, a write cut short by the
+    # reader's exit returns its partial count and the rest is dropped unseen
+    env = {name: value for name, value in ENV.items() if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(EXE + ["grid", "--N", "200000", "--raw"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,xi,x\r\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
+def test_a_grid_too_large_for_memory_is_a_usage_error(monkeypatch, capsys):
+    # the allocation failure of a huge --N, raised by a stand-in so that
+    # nothing is allocated
+    message = ("Unable to allocate 89.4 GiB for an array with shape (12000000001,) "
+               "and data type float64")
+
+    def out_of_memory(grid_map, N, continuation=True):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_grid", out_of_memory)
+    for argv in (["solve", "--problem", "pile"], ["sweep", "--problem", "pile"], ["grid"]):
+        assert run_main(capsys, *argv, "--N", "3000000000") == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--problem", "pile", "--tol", "inf"], "tolerance must be positive and finite, got inf"),
     (["--problem", "falkner-skan", "--P", "nan"],

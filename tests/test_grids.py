@@ -8,6 +8,26 @@ import pytest
 from infbvp import GridMap, MapKind, QuasiUniformGrid, build_grid
 
 
+def fractional_nodes(grid_map, N, alpha):
+    """x_{n+alpha} on every interval from a map evaluation of its own at
+    (n + alpha)/N: the reference for build_grid's quarter nodes."""
+    return grid_map.values((np.arange(N) + alpha) / N)
+
+
+def reference_grid(grid_map, N, continuation):
+    """(nodes, (a, b, c_w, x_mid)) by the formulas of one map evaluation
+    per array, None where x_{N-1/4} overflows."""
+    if not np.isfinite(grid_map.values((N - 0.25) / N)):
+        return None
+    nodes = grid_map.values(np.arange(N + 1) / N)
+    x_mid = fractional_nodes(grid_map, N, 0.5)
+    b = np.empty(N)
+    b[: N - 1] = (x_mid[: N - 1] - nodes[: N - 1]) / (nodes[1:N] - nodes[: N - 1])
+    b[N - 1] = b[N - 2] if continuation else 0.0
+    a = 2.0 * (fractional_nodes(grid_map, N, 0.75) - fractional_nodes(grid_map, N, 0.25))
+    return nodes, (a, b, 1.0 - b, x_mid)
+
+
 def test_log_map_frozen_values():
     x = GridMap("log", 5.0).values([0.0, 0.5, 0.95, 0.025, 1.0])
     assert x[0] == 0.0
@@ -81,19 +101,12 @@ def test_grid_nodes_are_read_only():
 
 def test_fractional_nodes():
     grid = build_grid(GridMap("alg", 1.0), 2)
-    vec = grid.fractional_nodes(0.5)
-    assert vec.shape == (2,)
-    assert vec[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert vec[1] == pytest.approx(3.0, abs=1e-15)
-    # the last interval's fractional nodes stay finite
-    assert np.all(np.isfinite(grid.fractional_nodes(0.75)))
-
-
-def test_fractional_node_validation():
-    grid = build_grid(GridMap("log", 5.0), 4)
-    for alpha in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            grid.fractional_nodes(alpha)
+    a, _, _, x_mid = grid.stencil_arrays()
+    assert x_mid.shape == (2,)
+    assert x_mid[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert x_mid[1] == pytest.approx(3.0, abs=1e-15)
+    # the last interval's quarter nodes stay finite: x_{7/4} = 7, x_{5/4} = 5/3
+    assert a[1] == 2.0 * (7.0 - 5.0 / 3.0)
 
 
 def test_stencil_frozen_values():
@@ -110,7 +123,8 @@ def test_last_interval_continuation_copies_weights():
     assert b[19] == b[18]
     assert c_w[19] == c_w[18]
     # a comes from fractional nodes of the last interval itself
-    expected_a = 2.0 * (grid.fractional_nodes(0.75)[19] - grid.fractional_nodes(0.25)[19])
+    expected_a = 2.0 * (fractional_nodes(grid.map, 20, 0.75)[19]
+                        - fractional_nodes(grid.map, 20, 0.25)[19])
     assert a[19] == pytest.approx(expected_a, abs=1e-12)
     assert np.isfinite(a[19])
 
@@ -159,25 +173,25 @@ def test_stencil_arrays_frozen_entries():
         assert b.tolist() == want_b
         assert c_w.tolist() == [1.0 - v for v in want_b]
         assert x_mid.tolist() == ALG_3_9_X_MID
-        assert np.array_equal(x_mid, grid.fractional_nodes(0.5))
+        assert np.array_equal(x_mid, fractional_nodes(grid.map, 9, 0.5))
 
 
 def test_stencil_arrays_are_built_once_per_flag_and_read_only(monkeypatch):
-    # one grid per flag, each building its arrays once: 3 map evaluations
+    # one grid per flag, each built from one map evaluation; stencil_arrays
+    # evaluates nothing and returns the same arrays on every call
     evaluations = []
     values = GridMap.values
+    monkeypatch.setattr(GridMap, "values",
+                        lambda self, xi: evaluations.append(xi) or values(self, xi))
     for continuation in (True, False):
+        evaluations.clear()
         grid = build_grid(GridMap("log", 5.0), 20, continuation=continuation)
         assert grid.continuation is continuation
-        with monkeypatch.context() as patched:
-            evaluations.clear()
-            patched.setattr(GridMap, "values",
-                            lambda self, xi: evaluations.append(xi) or values(self, xi))
-            first = grid.stencil_arrays()
-            assert len(evaluations) == 3
-            assert grid.stencil_arrays() is first
-            assert len(evaluations) == 3
-        for array in first:
+        assert len(evaluations) == 1
+        first = grid.stencil_arrays()
+        assert grid.stencil_arrays() is first
+        assert len(evaluations) == 1
+        for array in (grid.nodes, *first):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -191,7 +205,6 @@ def test_stencil_interval_bounds():
     for continuation in (True, False):
         grid = build_grid(GridMap("log", 5.0), 5, continuation=continuation)
         assert all(len(entry) == 5 for entry in grid.stencil_arrays())
-    assert len(grid.fractional_nodes(0.5)) == 5
 
 
 def test_algebraic_map_dominates_logarithmic():
@@ -219,6 +232,29 @@ def test_direct_construction_is_possible_for_diagnostics():
     # build_grid is the validated path, but the dataclass itself stays
     # open so instrumented grids can be assembled in tests
     base = build_grid(GridMap("log", 5.0), 4)
-    clone = QuasiUniformGrid(map=base.map, N=base.N, nodes=base.nodes)
+    clone = QuasiUniformGrid(map=base.map, N=base.N, nodes=base.nodes,
+                             stencils=base.stencil_arrays())
     for mine, theirs in zip(clone.stencil_arrays(), base.stencil_arrays()):
         assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("kind", ["log", "alg"])
+def test_one_map_evaluation_matches_the_per_array_formulas(kind):
+    # x_{n+k/4} read from the quarter parameters (4n + k)/(4N) is the same
+    # double as the map at (n + k/4)/N, so nodes and stencils are bitwise
+    # those of one evaluation per array; a huge c is refused where the
+    # reference overflows x_{N-1/4} (1e306 on alg and 5e307 on log from a
+    # size between those listed)
+    for c in (0.3, 1.0, 5.0, 17.3, 1e300, 1e306, 5e307):
+        for N in (2, 3, 7, 20, 33, 160, 1023, 1280, 2560, 10240):
+            for continuation in (True, False):
+                grid_map = GridMap(kind, c)
+                want = reference_grid(grid_map, N, continuation)
+                if want is None:
+                    with pytest.raises(ValueError, match="overflows"):
+                        build_grid(grid_map, N, continuation=continuation)
+                    continue
+                grid = build_grid(grid_map, N, continuation=continuation)
+                assert np.array_equal(grid.nodes, want[0]), (c, N)
+                for got, expected in zip(grid.stencil_arrays(), want[1], strict=True):
+                    assert np.array_equal(got, expected), (c, N, continuation)

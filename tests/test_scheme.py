@@ -32,7 +32,7 @@ def test_midpoint_value_is_exact_for_affine_data():
     slope, offset = 2.0, -3.0
     u = slope * grid.nodes[:, None] + offset
     got = prolong(grid, u)[1::2, 0]
-    want = slope * grid.fractional_nodes(0.5) + offset
+    want = slope * grid.stencil_arrays()[3] + offset
     # interior intervals have finite endpoints
     assert got[:15] == pytest.approx(want[:15], abs=1e-12)
 
@@ -109,7 +109,7 @@ def test_infinite_node_coordinate_is_never_read():
         poisoned_nodes = grid.nodes.copy()
         poisoned_nodes[-1] = np.nan
         poisoned = QuasiUniformGrid(map=grid.map, N=grid.N, nodes=poisoned_nodes,
-                                    continuation=continuation)
+                                    stencils=grid.stencil_arrays(), continuation=continuation)
         res_true = assemble_residual(problem, grid, field)
         res_poisoned = assemble_residual(problem, poisoned, field)
         assert np.array_equal(res_true, res_poisoned)
@@ -358,7 +358,7 @@ def test_doubled_grid_nests_the_coarse_grid(kind):
         for N in [*range(2, 300), 640, 1280, 5120]:
             coarse, fine = build_grid(grid_map, N), build_grid(grid_map, 2 * N)
             assert np.array_equal(fine.nodes[0::2], coarse.nodes), (c, N)
-            assert np.array_equal(fine.nodes[1::2], coarse.fractional_nodes(0.5)), (c, N)
+            assert np.array_equal(fine.nodes[1::2], coarse.stencil_arrays()[3]), (c, N)
 
 
 @pytest.mark.parametrize("continuation", [True, False])

@@ -1,4 +1,5 @@
-"""The two-tree scripts import their shared harness and parse arguments."""
+"""The two-tree scripts import their shared harness and parse arguments, and
+the harness summarizes paired rounds."""
 
 import subprocess
 import sys
@@ -16,3 +17,59 @@ def test_script_help_runs(name):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"usage: {name}.py")
+
+
+@pytest.fixture
+def twotrees(monkeypatch):
+    """scripts/twotrees.py, imported with the BLAS variables it sets at
+    import restored afterwards."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import twotrees
+    return twotrees
+
+
+def scripted_timing(twotrees, parent, change):
+    """timing() of paired_rounds over scripted seconds, one per call, and
+    the order in which the sides were called."""
+    scripts = {"parent": iter(parent), "change": iter(change)}
+    order = []
+
+    def call(side, lib):
+        assert lib == f"lib of {side}"
+        order.append(side)
+        return next(scripts[side])
+
+    sides = {side: f"lib of {side}" for side in ("parent", "change")}
+    seconds = twotrees.paired_rounds(sides, len(parent), call)
+    assert seconds == {"parent": list(parent), "change": list(change)}
+    return twotrees.timing(seconds), order
+
+
+def test_timing_records_quartiles_and_wins(twotrees):
+    parent = [0.010, 0.012, 0.011, 0.013, 0.010, 0.011, 0.012, 0.011, 0.010, 0.014]
+    change = [0.008, 0.009, 0.008, 0.009, 0.008, 0.009, 0.008, 0.009, 0.008, 0.009]
+    summary, order = scripted_timing(twotrees, parent, change)
+    # the parent calls first in even rounds, the change in odd ones
+    assert order == ["parent", "change", "change", "parent"] * 5
+    assert summary == {"parent_ms": 11.0, "change_ms": 8.5,
+                       "parent_quartiles_ms": [10.0, 12.25], "change_quartiles_ms": [8.0, 9.0],
+                       "speedup": 1.29, "wins": 10, "rounds": 10, "resolved": True}
+
+
+STEADY = [10, 10, 10, 10, 10, 9.8, 10.2, 11, 9.6, 10]
+
+
+@pytest.mark.parametrize("parent, change, wins", [
+    # 8 of 10 rounds won: short of nine tenths
+    (STEADY, [8, 8, 8, 8, 8, 8, 8, 8, 20, 20], 8),
+    # a tie counts for neither side
+    (STEADY, [8, 8, 8, 8, 8, 8, 8, 8, 9.6, 10], 8),
+    # every round won, but by less than the parent's quartile spread
+    ([10, 9, 11, 10, 9, 11, 10, 9, 11, 12], [8.9] * 10, 10),
+])
+def test_timing_leaves_a_small_or_unsteady_gain_unresolved(twotrees, parent, change, wins):
+    summary, _ = scripted_timing(twotrees, parent, change)
+    assert summary["change_ms"] < summary["parent_ms"]
+    assert (summary["wins"], summary["rounds"], summary["resolved"]) == (wins, 10, False)
