@@ -75,6 +75,9 @@ COMMANDS = [
     ["sweep", "--problem", "falkner-skan", "--P", "1e200", "--N", "20,40"],
     ["sweep", "--problem", "falkner-skan", "--N", "20,40,80", "--max-iter", "2"],
     ["sweep", "--problem", "pile", "--N", "1280,2560"],
+    # warm-started from N = 20, the N = 40 row runs out of iterations
+    ["sweep", "--problem", "falkner-skan", "--P", "-0.15", "--map", "alg",
+     "--N", "20,40,80,160,320"],
     ["grid", "--N", "4"],
     ["grid", "--map", "alg", "--c", "1", "--N", "5"],
     ["grid", "--map", "tan", "--c", "2", "--N", "3"],

@@ -86,6 +86,21 @@ def _json_safe(values) -> list:
             for value in values]
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout in full, or raise BrokenPipeError. An unbuffered
+    binary layer (PYTHONUNBUFFERED, python -u) may take part of a write and
+    drop the rest unseen, so its count is looped on; a stdout with no
+    binary layer, such as a StringIO, takes the text as it is."""
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[binary.write(data):]
+
+
 def _emit(args, pairs, header, rows=(), columns=(), key=None, summary=False) -> None:
     """Write a command's output, described once: scalar pairs, a header,
     and its table as rows or as node-table columns. CSV is the header, the
@@ -105,9 +120,9 @@ def _emit(args, pairs, header, rows=(), columns=(), key=None, summary=False) -> 
         with open(args.out, "w", newline="") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     if summary and args.format == "csv":
-        sys.stdout.write(("" if args.out else "\n") + _csv_text([("key", "value"), *pairs], args))
+        _write_stdout(("" if args.out else "\n") + _csv_text([("key", "value"), *pairs], args))
 
 
 def _decimals(text: str) -> int:
@@ -184,6 +199,11 @@ def _add_solver_options(parser) -> None:
                         help="keep the degenerate last-interval weights b=0, c_w=1")
 
 
+def _add_extrapolate_options(parser) -> None:
+    parser.add_argument("input", help="sweep CSV produced by the sweep subcommand")
+    parser.add_argument("--quantity", required=True, help="sweep column to extrapolate")
+
+
 def _add_output_options(parser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", default=None, help="write to this file instead of stdout")
@@ -193,47 +213,18 @@ def _add_output_options(parser) -> None:
                         help="serialize floats at full precision (17 significant digits)")
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing never mutates it, and
-    --problem's choices are read from PROBLEMS, to which nothing adds a
-    key after import."""
-    parser = argparse.ArgumentParser(
-        prog="infbvp",
-        description="Solve nonlinear two-point boundary value problems on [0, inf] "
-                    "using grids whose last node is exactly at infinity.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve on a single grid")
-    _add_problem_options(p_solve)
-    _add_grid_options(p_solve)
-    _add_solver_options(p_solve)
-    _add_output_options(p_solve)
-
-    p_sweep = sub.add_parser("sweep", help="solve on a doubling family of grids")
-    _add_problem_options(p_sweep)
-    _add_grid_options(p_sweep)
-    _add_solver_options(p_sweep)
-    _add_output_options(p_sweep)
-
-    p_extra = sub.add_parser("extrapolate", help="extrapolate a sweep CSV file")
-    p_extra.add_argument("input", help="sweep CSV produced by the sweep subcommand")
-    p_extra.add_argument("--quantity", required=True, help="sweep column to extrapolate")
-    _add_output_options(p_extra)
-
-    p_grid = sub.add_parser("grid", help="dump grid coordinates")
-    _add_grid_options(p_grid)
-    _add_output_options(p_grid)
-    return parser
+def _single_n(args, refusal: str) -> int:
+    n_values = _parse_n_values(args.N)
+    if len(n_values) != 1:
+        raise ValueError(refusal)
+    return n_values[0]
 
 
 def cmd_solve(args) -> int:
     problem = _make_problem(args)
     grid_map = GridMap(args.map, args.c)
-    n_values = _parse_n_values(args.N)
-    if len(n_values) != 1:
-        raise ValueError("solve takes a single --N; use sweep for a family")
-    grid = build_grid(grid_map, n_values[0], continuation=not args.no_continuation)
+    n = _single_n(args, "solve takes a single --N; use sweep for a family")
+    grid = build_grid(grid_map, n, continuation=not args.no_continuation)
     result = newton_solve(problem, grid, config=_make_config(args))
     pairs = [("problem", problem.name), ("map", grid_map.kind.value), ("c", grid_map.c),
              ("N", grid.N), ("converged", result.converged), ("iterations", result.iterations),
@@ -292,14 +283,10 @@ def _read_sweep_column(path: str, quantity: str):
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        try:
-            n_col = header.index("N")
-        except ValueError:
-            raise ValueError(f"{path}: line 1: no 'N' column in header") from None
-        try:
-            q_col = header.index(quantity)
-        except ValueError:
-            raise ValueError(f"{path}: line 1: no {quantity!r} column in header") from None
+        for name in ("N", quantity):
+            if name not in header:
+                raise ValueError(f"{path}: line 1: no {name!r} column in header")
+        n_col, q_col = header.index("N"), header.index(quantity)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -327,29 +314,45 @@ def cmd_extrapolate(args) -> int:
 
 def cmd_grid(args) -> int:
     grid_map = GridMap(args.map, args.c)
-    n_values = _parse_n_values(args.N)
-    if len(n_values) != 1:
-        raise ValueError("grid takes a single --N")
-    grid = build_grid(grid_map, n_values[0])
+    grid = build_grid(grid_map, _single_n(args, "grid takes a single --N"))
     pairs = [("map", grid_map.kind.value), ("c", grid_map.c), ("N", grid.N)]
     columns = [grid.indices.tolist(), grid.uniform_params.tolist(), grid.nodes.tolist()]
     _emit(args, pairs, ["n", "xi", "x"], columns=columns, key="nodes")
     return EXIT_OK
 
 
-_HANDLERS = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "extrapolate": cmd_extrapolate,
-    "grid": cmd_grid,
-}
+_SOLVE_GROUPS = (_add_problem_options, _add_grid_options, _add_solver_options)
+# One row per subcommand, in --help order; each takes the output options after its groups.
+_COMMANDS = (
+    ("solve", "solve on a single grid", cmd_solve, _SOLVE_GROUPS),
+    ("sweep", "solve on a doubling family of grids", cmd_sweep, _SOLVE_GROUPS),
+    ("extrapolate", "extrapolate a sweep CSV file", cmd_extrapolate, (_add_extrapolate_options,)),
+    ("grid", "dump grid coordinates", cmd_grid, (_add_grid_options,)),
+)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never mutates it, and
+    --problem's choices are read from PROBLEMS, to which nothing adds a
+    key after import."""
+    parser = argparse.ArgumentParser(
+        prog="infbvp",
+        description="Solve nonlinear two-point boundary value problems on [0, inf] "
+                    "using grids whose last node is exactly at infinity.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, groups in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for add_options in (*groups, _add_output_options):
+            add_options(command)
+        command.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code
     except BrokenPipeError:

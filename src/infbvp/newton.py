@@ -400,15 +400,23 @@ def sweep(problem: BvpProblem, grids, config: SolverConfig | None = None) -> lis
 
     The first grid starts cold, as in newton_solve; every later grid from
     the previous grid's converged solution, prolonged, or cold again after
-    a row that did not converge. Raises ValueError before any solve unless
-    each grid has twice the intervals of the one before.
+    a row that did not converge. A warm start that does not converge is
+    solved again from the cold start, whose result is the row's: on a
+    stretched map the prolonged solution can be a worse start than the
+    default iterate (Falkner-Skan P = -0.15 on alg, N = 40 from N = 20).
+    Raises ValueError before any solve unless each grid has twice the
+    intervals of the one before.
     """
     for coarse, fine in zip(grids, grids[1:]):
         if fine.N != 2 * coarse.N:
             raise ValueError(f"sweep grids must double: {coarse.N} is followed by {fine.N}")
     results: list[SolveResult] = []
     for k, grid in enumerate(grids):
-        warm = k > 0 and results[-1].converged
-        initial = prolong(grids[k - 1], results[-1].solution) if warm else None
-        results.append(newton_solve(problem, grid, initial=initial, config=config))
+        result = None
+        if k > 0 and results[-1].converged:
+            initial = prolong(grids[k - 1], results[-1].solution)
+            result = newton_solve(problem, grid, initial=initial, config=config)
+        if result is None or not result.converged:
+            result = newton_solve(problem, grid, config=config)
+        results.append(result)
     return results

@@ -38,14 +38,8 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 class EvaluationError(ValueError):
-    """A problem function returned a non-finite value.
-
-    .where holds the offending interval index, or the string "boundary".
-    """
-
-    def __init__(self, message: str, where=None):
-        super().__init__(message)
-        self.where = where
+    """A problem function returned a non-finite value; the message names
+    the offending interval, or the boundary function."""
 
 
 class MissingDerivativeError(ValueError):
@@ -71,7 +65,7 @@ def _eval_f(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
     bad = ~np.all(np.isfinite(fx), axis=0)
     if bad.any():
         n = int(np.argmax(bad))
-        raise EvaluationError(f"non-finite right-hand side on interval {n}", where=n)
+        raise EvaluationError(f"non-finite right-hand side on interval {n}")
     return fx.T
 
 
@@ -80,7 +74,7 @@ def _eval_g(problem, u0: np.ndarray, u_inf: np.ndarray) -> np.ndarray:
     if gv.shape != (problem.d,):
         raise ValueError(f"g returned shape {gv.shape}, expected ({problem.d},)")
     if not np.all(np.isfinite(gv)):
-        raise EvaluationError("non-finite boundary function value", where="boundary")
+        raise EvaluationError("non-finite boundary function value")
     return gv
 
 

@@ -383,17 +383,18 @@ def test_a_reader_that_closes_stdout_ends_the_command_quietly():
     # `infbvp grid --N 200000 --raw | head -1`: the write that finds the pipe
     # closed ends the command with 141, the shell's status for SIGPIPE, and
     # nothing on stderr, not even at interpreter exit. The child runs with
-    # buffered stdout, as from a shell: unbuffered, a write cut short by the
-    # reader's exit returns its partial count and the rest is dropped unseen
-    env = {name: value for name, value in ENV.items() if name != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen(EXE + ["grid", "--N", "200000", "--raw"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"n,xi,x\r\n"
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert stderr == b""
+    # buffered stdout, as from a shell, and unbuffered: there a write cut
+    # short by the reader's exit returns its partial count, which the CLI
+    # must not take for the whole
+    buffered = {name: value for name, value in ENV.items() if name != "PYTHONUNBUFFERED"}
+    for env in (buffered, dict(buffered, PYTHONUNBUFFERED="1")):
+        proc = subprocess.Popen(EXE + ["grid", "--N", "200000", "--raw"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"n,xi,x\r\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), stderr) == (141, b""), env.get("PYTHONUNBUFFERED")
 
 
 def test_a_grid_too_large_for_memory_is_a_usage_error(monkeypatch, capsys):
@@ -498,10 +499,25 @@ def test_sweep_starts_cold_after_a_failed_row(monkeypatch, capsys):
     calls = record_newton_solve(monkeypatch, fail_on=(40,))
     assert cli.main(["sweep", "--problem", "pile", "--N", "20,40,80,160"]) == 1
     assert capsys.readouterr().err == "warning: N=40 iteration 1: injected failure\n"
-    assert [n for n, _, _ in calls] == [20, 40, 80, 160]
-    assert calls[0][1] is None and calls[2][1] is None
+    # the failed warm row is solved again cold, then the next row starts cold
+    assert [(n, initial is None) for n, initial, _ in calls] == [
+        (20, True), (40, False), (40, True), (80, True), (160, False)]
     assert calls[1][1].shape == (41, 4)
-    assert np.array_equal(calls[3][1][0::2], calls[2][2].solution)
+    assert np.array_equal(calls[4][1][0::2], calls[3][2].solution)
+
+
+def test_a_warm_row_that_does_not_converge_reports_its_cold_solve(capsys):
+    # warm-started from N = 20, the N = 40 row of this alg sweep runs out of
+    # iterations; a cold start converges
+    argv = ["--problem", "falkner-skan", "--P", "-0.15", "--map", "alg", "--raw"]
+    assert cli.main(["sweep", *argv, "--N", "20,40,80,160,320"]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert cli.main(["solve", *argv, "--N", "40"]) == 0
+    summary = {row[0]: row[1] for row in parse_csv(capsys.readouterr().out) if len(row) == 2}
+    row = dict(zip(rows[0], rows[2]))
+    assert row["N"] == "40" and row["converged"] == "true"
+    for name in ("iterations", "fpp0", "fpp_inf"):
+        assert row[name] == summary[name], name
 
 
 @pytest.mark.parametrize("jacobian", ["analytic", "fd"])

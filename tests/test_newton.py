@@ -23,6 +23,7 @@ from infbvp import (
     linear_solve,
     newton_solve,
     pile,
+    prolong,
     report_scalar,
     sweep,
 )
@@ -535,9 +536,26 @@ def test_sweep_starts_cold_after_a_row_that_did_not_converge(failure, reason, mo
     grids = [build_grid(GridMap("log", 5.0), n) for n in (20, 40, 80, 160)]
     results = sweep(pile(), grids)
     assert [result.reason for result in results] == [None, reason, None, None]
-    assert calls[0][1] is None and calls[2][1] is None
+    # the failed warm row is solved again cold, and that solve is its result
+    assert [(n, start is None) for n, start, _ in calls] == [
+        (20, True), (40, False), (40, True), (80, True), (160, False)]
+    assert calls[2][2] is results[1]
     assert calls[1][1][0::2].tobytes() == results[0].solution.tobytes()
-    assert calls[3][1][0::2].tobytes() == results[2].solution.tobytes()
+    assert calls[4][1][0::2].tobytes() == results[2].solution.tobytes()
+
+
+def test_a_warm_row_that_does_not_converge_is_solved_cold():
+    # Falkner-Skan P = -0.15 on alg: warm-started from N = 20, the N = 40
+    # solve runs out of iterations; the cold solve converges
+    problem = falkner_skan(P=-0.15)
+    grids = [build_grid(GridMap("alg", 5.0), n) for n in (20, 40)]
+    start = prolong(grids[0], newton_solve(problem, grids[0]).solution)
+    assert newton_solve(problem, grids[1], initial=start).reason == (
+        "did not converge in 50 iterations")
+    cold = newton_solve(problem, grids[1])
+    _, swept = sweep(problem, grids)
+    assert cold.converged and swept.solution.tobytes() == cold.solution.tobytes()
+    assert (swept.increments, swept.reason) == (cold.increments, cold.reason)
 
 
 def test_sweep_refuses_grids_that_do_not_double_before_any_solve(monkeypatch):

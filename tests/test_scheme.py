@@ -129,9 +129,8 @@ def test_evaluation_error_carries_interval_index():
         initial_iterate=lambda x: np.zeros(1))
     grid = build_grid(GridMap("alg", 1.0), 4)
     # midpoints are at x(1/8), x(3/8), x(5/8), x(7/8) = 1/7, 3/5, 5/3, 7
-    with pytest.raises(EvaluationError) as excinfo:
+    with pytest.raises(EvaluationError, match="^non-finite right-hand side on interval 2$"):
         assemble_residual(problem, grid, np.zeros((5, 1)))
-    assert excinfo.value.where == 2
 
 
 def test_evaluation_error_flags_boundary_block():
@@ -141,9 +140,8 @@ def test_evaluation_error_flags_boundary_block():
         g=lambda u0, u_inf: np.array([np.nan]),
         initial_iterate=lambda x: np.zeros(1))
     grid = build_grid(GridMap("alg", 1.0), 4)
-    with pytest.raises(EvaluationError) as excinfo:
+    with pytest.raises(EvaluationError, match="^non-finite boundary function value$"):
         assemble_residual(problem, grid, np.zeros((5, 1)))
-    assert excinfo.value.where == "boundary"
 
 
 def test_an_overflowing_problem_leaks_no_runtime_warning():
