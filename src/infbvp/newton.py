@@ -173,12 +173,14 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
     the QR factors of the dense tail.
 
     Returns the factors (levels, Q, R) and the rhs rows left for the
-    tail. levels holds per level the (2d, 3d+1, p) slab and, per
-    reflection j, the diagonal alpha_j of length p and the scaled
-    reflection vector v / (alpha_j v_1) of shape (2d-j, p); the vectors
-    v themselves stay in the slab's columns.
+    tail. levels holds per level the (2d, 3d+1, p) slab, the diagonals
+    alpha as one (d, p) array, row j for reflection j, and per
+    reflection j the scaled reflection vector v / (alpha_j v_1) of shape
+    (2d-j, p); the vectors v themselves stay in the slab's columns.
+    Raises SingularSystemError at the first level with a rank-deficient
+    pair block, naming the node its first such pair shares.
     """
-    d, N = jacobian.d, jacobian.N
+    d = jacobian.d
     # Row k of a level reads left[k] @ x[k] + right[k] @ x[k+1] = r[k] on
     # the level's own nodes, held components first with rows on the last
     # axis: left[:, :, k]. Rows 2k and 2k+1 share node 2k+1. Their slab
@@ -189,9 +191,6 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
     left = jacobian.dU_n.transpose(1, 2, 0)
     right = jacobian.dU_next.transpose(1, 2, 0)
     levels = []
-    # every pair removes one row: fewer than N pairs over all levels
-    pivots, scale = np.empty((d, N - 1)), np.empty((d, N - 1))
-    done = 0
     while r.shape[-1] > _TAIL_ROWS:
         m = r.shape[-1]
         p = m // 2
@@ -203,35 +202,32 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
         slab[d:, d: 2 * d] = right[..., 1: 2 * p: 2]
         slab[d:, 3 * d] = r[..., 1: 2 * p: 2]
         shared = slab[:, :d]
-        np.sqrt(np.einsum("ijk,ijk->jk", shared, shared), out=scale[:, done: done + p])
-        alphas, scaled = [], []
+        scale = np.sqrt(np.einsum("ijk,ijk->jk", shared, shared))
+        alphas, scaled = np.empty((d, p)), []
         for j in range(d):
             # H = I - 2 v v^T / (v^T v) with v = x + alpha e_1 maps
             # column x to -alpha e_1, and v^T v = 2 alpha v_1. Column j
             # keeps v, and alpha = -R_jj is kept for back-substitution.
             v = slab[j:, j]
-            pivot = np.sqrt(np.einsum("ik,ik->k", v, v), out=pivots[j, done: done + p])
-            alpha = np.copysign(pivot, v[0])
+            alpha = np.copysign(np.sqrt(np.einsum("ik,ik->k", v, v)), v[0], out=alphas[j])
             v[0] += alpha
             rest = slab[j:, j + 1:]
             scaled.append(v / (alpha * v[0]))
             rest -= scaled[j][:, None] * np.einsum("ik,ijk->jk", v, rest)
-            alphas.append(alpha)
+        # |alpha| is the pivot, and one at roundoff of its column's norm
+        # leaves the shared node undetermined. Only a level's last node is
+        # ever carried, so pair k of level l shares grid node (2k+1) 2^l.
+        deficient = (np.abs(alphas) <= (2 * d * _EPS) * scale) & np.isfinite(scale)
+        if deficient.any():
+            pair = int(np.argmax(deficient.any(axis=0)))
+            raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
+                                      f"{(2 * pair + 1) << len(levels)}")
         levels.append((slab, alphas, scaled))
-        done += p
         rows = (slab[d:, d: 2 * d], slab[d:, 2 * d: 3 * d], slab[d:, 3 * d])
         if m > 2 * p:
             rows = [np.concatenate((new, old[..., 2 * p:]), axis=-1)
                     for new, old in zip(rows, (right, left, r))]
         right, left, r = rows
-
-    # A pivot at roundoff of its column's norm leaves the shared node
-    # undetermined; the first such pair is the one to report.
-    pivots, scale = pivots[:, :done], scale[:, :done]
-    rank_deficient = ((pivots <= (2 * d * _EPS) * scale) & np.isfinite(scale)).any(axis=0)
-    if rank_deficient.any():
-        raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
-                                  f"{_shared_node(N, int(np.argmax(rank_deficient)))}")
 
     # The m remaining rows and the boundary row, in grid order, as one
     # dense system; only an exactly zero pivot of R is refused.
@@ -268,7 +264,7 @@ def _back_substitute(levels, x: np.ndarray) -> np.ndarray:
     top row i reads -alpha_i z[i] + sum_{c>i} slab[i, c] z[c] = 0.
     """
     for slab, alphas, _ in reversed(levels):
-        d, p = len(alphas), slab.shape[-1]
+        d, p = alphas.shape
         z = np.empty((3 * d + 1, p))
         z[d: 2 * d] = x[:, 1: p + 1]
         z[2 * d: 3 * d] = x[:, :p]
@@ -281,15 +277,6 @@ def _back_substitute(levels, x: np.ndarray) -> np.ndarray:
         finer[:, 2 * p + 1:] = x[:, p + 1:]
         x = finer
     return x
-
-
-def _shared_node(N: int, pair: int) -> int:
-    """Grid node shared by the given pair, counting pairs over all levels."""
-    nodes = np.arange(N + 1)
-    while pair >= (p := (len(nodes) - 1) // 2):
-        pair -= p
-        nodes = np.concatenate((nodes[: 2 * p + 1: 2], nodes[2 * p + 1:]))
-    return int(nodes[2 * pair + 1])
 
 
 def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,

@@ -368,13 +368,17 @@ def test_singular_interval_block_is_reported():
             linear_solve(jac, np.zeros(3))
 
 
-@pytest.mark.parametrize("N, row, node", [(40, 16, 17), (128, 1, 2), (128, 3, 4)],
-                         ids=["level1", "level2", "level3"])
+@pytest.mark.parametrize("N, row, node",
+                         [(40, 16, 17), (128, 1, 2), (128, 3, 4), (35, 33, 34), (67, 65, 66)],
+                         ids=["level1", "level2", "level3", "carried35", "carried67"])
 def test_rank_deficient_pair_block_is_reported(N, row, node):
     # zeroing both blocks of a node, in rows row and row + 1, leaves it in
     # no row at all: rows 16 and 17 of a chain longer than the dense tail
     # form a pair of the first level; on 128 intervals node 2 is shared
-    # by a pair of the second level and node 4 by one of the third
+    # by a pair of the second level and node 4 by one of the third; on 35
+    # and 67 intervals the last row is carried up from the first level,
+    # and the node before the last is shared by it and its second-level
+    # partner
     jac = random_chain(np.random.default_rng(29), N, 2)
     jac.dU_next[row] = 0.0
     jac.dU_n[row + 1] = 0.0
