@@ -67,6 +67,7 @@ COMMANDS = [
     ["solve", "--problem", "falkner-skan", "--N", "8", "--P", "nan"],
     ["solve", "--problem", "falkner-skan", "--N", "8", "--P1", "3"],
     ["solve", "--problem", "pile", "--P3=-1e3", "--N", "8"],
+    ["solve", "--problem", "pile", "--N", "8", "--P1", "2", "--P2", "0.25", "--P3", "1"],
     ["sweep", "--problem", "pile", "--N", "8,16,32"],
     ["sweep", "--problem", "falkner-skan", "--N", "10,20,40", "--jacobian", "fd"],
     ["sweep", "--problem", "pile", "--N", "8,16", "--max-iter", "1"],

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -146,8 +147,11 @@ def _parse_n_values(spec: str) -> list[int]:
     return values
 
 
-# The problem options each problem takes: its factory's parameters.
-PROBLEM_OPTIONS = {"falkner-skan": ("P",), "pile": ("P1", "P2", "P3")}
+# Each problem's options are its factory's parameters, read at import: perfbench's tracer
+# swaps every PROBLEMS entry for a (*args, **kwargs) wrapper, maybe before main first runs.
+PROBLEM_OPTIONS = {problem: inspect.signature(factory).parameters
+                   for problem, factory in PROBLEMS.items()}
+_DEFAULT_CONFIG = SolverConfig()
 
 
 def _make_problem(args):
@@ -158,8 +162,8 @@ def _make_problem(args):
     taken = PROBLEM_OPTIONS[args.problem]
     stray = [name for name in given if name not in taken]
     if stray:
-        raise ValueError(f"problem {args.problem} takes no --{stray[0]}; "
-                         f"its options: --{', --'.join(taken)}")
+        options = f"its options: --{', --'.join(taken)}" if taken else "it takes no options"
+        raise ValueError(f"problem {args.problem} takes no --{stray[0]}; {options}")
     return PROBLEMS[args.problem](**given)
 
 
@@ -168,15 +172,11 @@ def _make_config(args) -> SolverConfig:
 
 
 def _add_problem_options(parser) -> None:
-    parser.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
-    parser.add_argument("--P", type=float, default=None,
-                        help="pressure-gradient parameter of falkner-skan (default 1)")
-    parser.add_argument("--P1", type=float, default=None,
-                        help="pile soil reaction amplitude (default 1)")
-    parser.add_argument("--P2", type=float, default=None,
-                        help="pile soil reaction decay rate (default 1/2)")
-    parser.add_argument("--P3", type=float, default=None,
-                        help="pile shear at the origin (default 1/2)")
+    parser.add_argument("--problem", choices=sorted(PROBLEM_OPTIONS), required=True)
+    for problem, parameters in PROBLEM_OPTIONS.items():
+        for name, parameter in parameters.items():
+            parser.add_argument(f"--{name}", type=type(parameter.default), default=None,
+                                help=f"{problem} parameter (default {parameter.default:g})")
 
 
 def _add_grid_options(parser) -> None:
@@ -190,9 +190,10 @@ def _add_grid_options(parser) -> None:
 
 
 def _add_solver_options(parser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="mean-increment stopping tolerance (default 1e-6)")
-    parser.add_argument("--max-iter", type=int, default=50)
+    parser.add_argument("--tol", type=float, default=_DEFAULT_CONFIG.tol,
+                        help=f"mean-increment stopping tolerance (default {_DEFAULT_CONFIG.tol:g})")
+    parser.add_argument("--max-iter", type=int, default=_DEFAULT_CONFIG.max_iter,
+                        help=f"Newton iteration limit (default {_DEFAULT_CONFIG.max_iter})")
     parser.add_argument("--jacobian", choices=["analytic", "fd"], default=None,
                         help="default: analytic when the problem provides derivatives")
     parser.add_argument("--no-continuation", action="store_true",
@@ -334,8 +335,7 @@ _COMMANDS = (
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing never mutates it, and
-    --problem's choices are read from PROBLEMS, to which nothing adds a
-    key after import."""
+    what it shows of the problems and the solver is read at import."""
     parser = argparse.ArgumentParser(
         prog="infbvp",
         description="Solve nonlinear two-point boundary value problems on [0, inf] "

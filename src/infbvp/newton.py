@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import QuasiUniformGrid, build_grid
+from . import grids
+from .grids import QuasiUniformGrid
 from .problems import BvpProblem, initial_field
 from .scheme import (EvaluationError, StructuredJacobian, assemble_jacobian, assemble_residual,
                      prolong)
@@ -319,12 +320,14 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     if initial is None and isinstance(grid, QuasiUniformGrid) \
             and grid.N >= _COARSE_START_N and grid.N % 8 == 0:
         rule = grid.continuation
-        coarse_grid = build_grid(grid.map, grid.N // 8, continuation=rule)
+        # grids.build_grid is looked up at call time, so that a rebinding
+        # of it (perfbench's tracer) also sees these grids
+        coarse_grid = grids.build_grid(grid.map, grid.N // 8, continuation=rule)
         coarse = newton_solve(problem, coarse_grid, config=config)
         if coarse.converged:
             initial = prolong(coarse_grid, coarse.solution)
             for n in (grid.N // 4, grid.N // 2):
-                initial = prolong(build_grid(grid.map, n, continuation=rule), initial)
+                initial = prolong(grids.build_grid(grid.map, n, continuation=rule), initial)
     warm = initial is not None
     if initial is None:
         U = initial_field(problem, grid)

@@ -437,8 +437,48 @@ def test_bad_problem_and_solver_options_exit_two(capsys, command, argv, message)
 
 
 def test_problem_options_are_the_factory_parameters():
-    assert cli.PROBLEM_OPTIONS == {name: tuple(inspect.signature(factory).parameters)
-                                   for name, factory in PROBLEMS.items()}
+    assert {name: tuple(options) for name, options in cli.PROBLEM_OPTIONS.items()} == {
+        name: tuple(inspect.signature(factory).parameters) for name, factory in PROBLEMS.items()}
+
+
+PILE_OPTIONS = ["solve", "--problem", "pile", "--P1", "2", "--P2", "0.25", "--P3", "1",
+                "--N", "8", "--raw"]
+
+
+def test_each_pile_option_reaches_the_factory(capsys):
+    code, out, _ = run_main(capsys, *PILE_OPTIONS)
+    assert code == 0
+    result = newton_solve(pile(2.0, 0.25, 1.0), build_grid(GridMap("log", 5.0), 8))
+    rows = parse_csv(out)
+    values = np.array([[float(cell) for cell in row[2:]] for row in rows[1:10]])
+    assert values.tobytes() == result.solution.tobytes()
+    summary = {row[0]: row[1] for row in rows if len(row) == 2}
+    assert int(summary["iterations"]) == result.iterations
+    assert float(summary["final_increment"]) == result.final_increment
+
+
+def test_options_follow_the_factories_registered_before_import():
+    # stand-ins registered before infbvp.cli is imported: an int default
+    # gives an int option, and a factory without parameters takes none
+    script = "\n".join([
+        "import contextlib, io, json",
+        "from infbvp import problems",
+        "seen = []",
+        "def rings(n=3):",
+        "    seen.append(n)",
+        "    return problems.pile(P3=0.5 * n)",
+        "problems.PROBLEMS.update(rings=rings, bare=lambda: problems.pile())",
+        "from infbvp import cli",
+        "err = io.StringIO()",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):",
+        "    codes = [cli.main(['solve', '--problem', 'rings', '--n', '2', '--N', '8']),",
+        "             cli.main(['solve', '--problem', 'bare', '--P', '1', '--N', '8'])]",
+        "print(json.dumps([codes, [type(n).__name__ for n in seen], err.getvalue()]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [0, 2], ["int"], "error: problem bare takes no --P; it takes no options\n"]
 
 
 def test_problem_option_help_states_the_factory_defaults():
@@ -897,12 +937,19 @@ def test_negative_decimals_is_a_usage_error(argv, capsys):
     assert captured.out == "" and "--decimals" in captured.err
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def import_tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
+    return importlib.import_module("tracing")
+
+
 def test_trace_hooks_find_the_names_they_patch(tmp_path, monkeypatch, capsys):
     # perfbench/tracing.py rebinds CLI, Newton and grid names by attribute;
     # renaming one of them would make the traced benchmark run raise
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
-    tracing = importlib.import_module("tracing")
+    tracing = import_tracing(monkeypatch)
     from infbvp import grids, newton, problems
 
     patched = [(cli, "main"), (cli, "build_grid"), (cli, "newton_solve"),
@@ -931,6 +978,35 @@ def test_trace_hooks_find_the_names_they_patch(tmp_path, monkeypatch, capsys):
     assert all(getattr(owner, attr) is original
                for (owner, attr), original in zip(patched, originals))
     assert problems.PROBLEMS == factories
+
+
+def test_traced_solve_records_the_coarse_start_grids(monkeypatch, capsys):
+    # the CLI's grid, its N/8 start and the two grids it is prolonged through
+    tracing = import_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert cli.main(["solve", "--problem", "pile", "--N", "2560"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    assert [span[0] for span in tracer.spans].count("grids.build") == 4
+
+
+def test_problem_options_survive_a_tracer_installed_before_the_first_main(capsys):
+    # the tracer wraps every PROBLEMS entry in a (*args, **kwargs) lambda;
+    # the options were read from the factories before that
+    script = "\n".join([
+        "import sys",
+        "import tracing",
+        "from infbvp import cli",
+        "tracing.install(tracing.Tracer())",
+        f"sys.exit(cli.main({PILE_OPTIONS!r}))",
+    ])
+    env = dict(ENV, PYTHONPATH=os.pathsep.join([str(PERFBENCH), ENV["PYTHONPATH"]]))
+    proc = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == run_main(capsys, *PILE_OPTIONS)[1]
 
 
 def test_parser_is_built_once_and_keeps_no_option(capsys):
