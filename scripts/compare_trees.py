@@ -117,6 +117,7 @@ def run_cli(lib, argv):
                 try:
                     code = lib.cli.main(list(argv))
                 except SystemExit as exc:
+                    # a parent tree's main may still raise it on --help and usage errors
                     code = exc.code
             out = Path("out.txt")
             out_bytes = out.read_bytes() if out.exists() else None

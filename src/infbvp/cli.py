@@ -3,10 +3,11 @@
 Subcommands: solve one grid, sweep a doubling family of grids,
 extrapolate a sweep file, or dump grid coordinates. Output is CSV
 (default) or JSON; infinities appear as the literal tokens inf/-inf and
-undefined entries as nan. Exit codes: 0 success, 1 a solve that did not
-converge, 2 bad arguments, unparseable input or a grid too large for
-memory, 141 (128 + SIGPIPE) a reader that closed stdout early, as in
-`infbvp grid --N 200000 | head -1`.
+undefined entries as nan. main(argv) returns the exit code of every
+outcome, --help and usage errors included; run() and `python -m infbvp`
+exit with it: 0 success or --help, 1 a solve that did not converge, 2 bad
+arguments, unparseable input or a grid too large for memory, 141 (128 +
+SIGPIPE) a reader that closed stdout early, as in `infbvp grid --N 200000 | head -1`.
 """
 
 from __future__ import annotations
@@ -350,7 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return exc.code
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit

@@ -1,4 +1,8 @@
-"""Command line interface: formats, exit codes, round trips."""
+"""Command line interface: formats, exit codes, round trips.
+
+Every test runs cli.main in this process through run_main, except those
+whose subject is the process itself: the module entry point, a reader
+that closes stdout, and imports in a fresh interpreter."""
 
 import argparse
 import csv
@@ -31,8 +35,12 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, (str(Path(infbvp.__file__).parent.parent), os.environ.get("PYTHONPATH")))))
 
 
-def run_cli(*args):
-    return subprocess.run(EXE + list(args), capture_output=True, text=True, env=ENV)
+def run_main(capsys, *argv):
+    """cli.main in-process; returns (exit code, stdout, stderr) with the
+    line endings exactly as written."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def parse_csv(text):
@@ -40,16 +48,28 @@ def parse_csv(text):
 
 
 def test_module_entry_point_help():
-    proc = run_cli("--help")
+    # the shell sees main's exit code: 0 after --help, 2 after a usage error
+    proc = subprocess.run(EXE + ["--help"], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     for word in ("solve", "sweep", "extrapolate", "grid"):
         assert word in proc.stdout
+    proc = subprocess.run(EXE + ["bogus"], capture_output=True, text=True, env=ENV)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: infbvp") and "invalid choice: 'bogus'" in proc.stderr
 
 
-def test_grid_table_frozen_rows():
-    proc = run_cli("grid", "--map", "log", "--c", "5", "--N", "20")
-    assert proc.returncode == 0
-    rows = parse_csv(proc.stdout)
+def test_help_returns_zero_in_process(capsys):
+    code, out, err = run_main(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: infbvp")
+    for word in ("solve", "sweep", "extrapolate", "grid"):
+        assert word in out
+
+
+def test_grid_table_frozen_rows(capsys):
+    code, out, _ = run_main(capsys, "grid", "--map", "log", "--c", "5", "--N", "20")
+    assert code == 0
+    rows = parse_csv(out)
     assert rows[0] == ["n", "xi", "x"]
     assert rows[1] == ["0", "0.000000", "0.000000"]
     assert rows[20] == ["19", "0.950000", "14.978661"]
@@ -57,27 +77,19 @@ def test_grid_table_frozen_rows():
     assert len(rows) == 22
 
 
-def test_grid_whole_line_table():
-    # there is no whole-line map: tan is an unknown --map choice
-    proc = run_cli("grid", "--map", "tan", "--c", "2", "--N", "3")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "invalid choice: 'tan'" in proc.stderr
+def test_an_unknown_map_is_a_usage_error(capsys):
+    # --map is one option of every command that builds a grid, and there
+    # is no whole-line map: tan is an unknown choice
+    for command in (["grid"], ["solve", "--problem", "pile"], ["sweep", "--problem", "pile"]):
+        code, out, err = run_main(capsys, *command, "--map", "tan", "--c", "2", "--N", "20")
+        assert (code, out) == (2, ""), command
+        assert "invalid choice: 'tan'" in err, command
 
 
-def test_grid_json_uses_infinity_tokens():
-    proc = run_cli("grid", "--map", "log", "--c", "5", "--N", "4", "--format", "json")
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["map"] == "log" and doc["c"] == 5.0 and doc["N"] == 4
-    assert doc["nodes"]["x"][-1] == "inf"
-    assert isinstance(doc["nodes"]["x"][0], float)
-
-
-def test_solve_writes_node_table_and_summary():
-    proc = run_cli("solve", "--problem", "pile", "--N", "80")
-    assert proc.returncode == 0
-    rows = parse_csv(proc.stdout)
+def test_solve_writes_node_table_and_summary(capsys):
+    code, out, _ = run_main(capsys, "solve", "--problem", "pile", "--N", "80")
+    assert code == 0
+    rows = parse_csv(out)
     assert rows[0] == ["n", "x"] + [f"u{k}" for k in (1, 2, 3, 4)]
     assert rows[1][:2] == ["0", "0.000000"]
     summary = {row[0]: row[1] for row in rows if len(row) == 2}
@@ -106,27 +118,17 @@ def test_solving_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_solve_json_document():
-    proc = run_cli("solve", "--problem", "falkner-skan", "--N", "20",
-                   "--format", "json")
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+def test_solve_json_document(capsys):
+    code, out, _ = run_main(capsys, "solve", "--problem", "falkner-skan", "--N", "20",
+                            "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
     assert doc["problem"] == "falkner-skan"
     assert doc["converged"] is True
     assert doc["fpp0"] == pytest.approx(1.238724, abs=2e-5)
     assert doc["nodes"]["x"][-1] == "inf"
     assert list(doc["nodes"]) == ["n", "x", "u1", "u2", "u3"]
     assert all(len(column) == 21 for column in doc["nodes"].values())
-
-
-def test_solve_raw_round_trips_full_precision():
-    proc = run_cli("solve", "--problem", "falkner-skan", "--N", "20", "--raw")
-    rows = parse_csv(proc.stdout)
-    summary = {row[0]: row[1] for row in rows if len(row) == 2}
-    json_proc = run_cli("solve", "--problem", "falkner-skan", "--N", "20",
-                        "--format", "json")
-    doc = json.loads(json_proc.stdout)
-    assert float(summary["fpp0"]) == doc["fpp0"]
 
 
 def test_solve_raw_out_round_trips_every_node_value(tmp_path, monkeypatch, capsys):
@@ -150,28 +152,21 @@ def test_solve_raw_out_round_trips_every_node_value(tmp_path, monkeypatch, capsy
     assert values.tobytes() == solution.tobytes()
 
 
-def test_solve_rejects_multiple_grids():
-    proc = run_cli("solve", "--problem", "pile", "--N", "20,40")
-    assert proc.returncode == 2
-    assert "single" in proc.stderr
+def test_solve_rejects_multiple_grids(capsys):
+    code, _, err = run_main(capsys, "solve", "--problem", "pile", "--N", "20,40")
+    assert code == 2
+    assert "single" in err
 
 
-def test_solve_rejects_whole_line_map():
-    proc = run_cli("solve", "--problem", "pile", "--map", "tan", "--N", "20")
-    assert proc.returncode == 2
-    assert "invalid choice: 'tan'" in proc.stderr
+def test_solve_nonconvergence_exit_code(capsys):
+    assert run_main(capsys, "solve", "--problem", "falkner-skan", "--N", "20",
+                    "--max-iter", "1")[0] == 1
 
 
-def test_solve_nonconvergence_exit_code():
-    proc = run_cli("solve", "--problem", "falkner-skan", "--N", "20",
-                   "--max-iter", "1")
-    assert proc.returncode == 1
-
-
-def test_sweep_table_layout_and_orders():
-    proc = run_cli("sweep", "--problem", "falkner-skan", "--N", "20,40,80")
-    assert proc.returncode == 0
-    rows = parse_csv(proc.stdout)
+def test_sweep_table_layout_and_orders(capsys):
+    code, out, _ = run_main(capsys, "sweep", "--problem", "falkner-skan", "--N", "20,40,80")
+    assert code == 0
+    rows = parse_csv(out)
     assert rows[0] == ["N", "iterations", "converged",
                        "fpp0", "fpp0_order", "fpp_inf", "fpp_inf_order"]
     assert [row[0] for row in rows[1:]] == ["20", "40", "80"]
@@ -202,18 +197,18 @@ def test_sweep_raw_orders_come_from_the_printed_values(capsys):
             assert order.hex() == observed_order(*printed).hex(), (mode, q)
 
 
-def test_sweep_requires_doubling():
-    proc = run_cli("sweep", "--problem", "pile", "--N", "20,50")
-    assert proc.returncode == 2
-    assert "double" in proc.stderr
+def test_sweep_requires_doubling(capsys):
+    code, _, err = run_main(capsys, "sweep", "--problem", "pile", "--N", "20,50")
+    assert code == 2
+    assert "double" in err
 
 
-def test_sweep_keeps_rows_on_nonconvergence():
-    proc = run_cli("sweep", "--problem", "falkner-skan", "--N", "20,40",
-                   "--max-iter", "2")
-    assert proc.returncode == 1
-    assert "did not converge" in proc.stderr
-    rows = parse_csv(proc.stdout)
+def test_sweep_keeps_rows_on_nonconvergence(capsys):
+    code, out, err = run_main(capsys, "sweep", "--problem", "falkner-skan", "--N", "20,40",
+                              "--max-iter", "2")
+    assert code == 1
+    assert "did not converge" in err
+    rows = parse_csv(out)
     assert [row[0] for row in rows[1:]] == ["20", "40"]
     assert all(row[2] == "false" for row in rows[1:])
 
@@ -288,68 +283,53 @@ def test_a_solve_whose_problem_overflows_warns_without_a_runtime_warning(jacobia
     assert summary["converged"] == "false" and summary["final_increment"] == "inf"
 
 
-def test_sweep_json_rows():
-    proc = run_cli("sweep", "--problem", "pile", "--N", "20,40",
-                   "--format", "json")
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["problem"] == "pile"
-    assert doc["rows"]["N"] == [20, 40]
-    assert all(doc["rows"]["converged"])
-    assert doc["rows"]["u0"][0] == pytest.approx(1.420337, abs=2e-5)
-    # two rows have no interior entry, so no orders are defined
-    assert all(order is None for order in doc["rows"]["u0_order"])
-
-
-def test_sweep_then_extrapolate_round_trip(tmp_path):
+def test_sweep_then_extrapolate_round_trip(tmp_path, capsys):
     sweep_file = tmp_path / "sweep.csv"
-    proc = run_cli("sweep", "--problem", "pile", "--N", "40,80,160",
-                   "--raw", "--out", str(sweep_file))
-    assert proc.returncode == 0
+    assert run_main(capsys, "sweep", "--problem", "pile", "--N", "40,80,160",
+                    "--raw", "--out", str(sweep_file))[0] == 0
     assert sweep_file.exists()
 
-    extra = run_cli("extrapolate", str(sweep_file), "--quantity", "u0")
-    assert extra.returncode == 0
-    rows = parse_csv(extra.stdout)
+    code, out, _ = run_main(capsys, "extrapolate", str(sweep_file), "--quantity", "u0")
+    assert code == 0
+    rows = parse_csv(out)
     assert rows[0] == ["N", "T0", "T1", "T2"]
     assert rows[1] == ["40", "1.421243", "", ""]
     assert rows[2] == ["80", "1.421469", "1.421544", ""]
     assert rows[3] == ["160", "1.421526", "1.421545", "1.421545"]
 
-    slope = run_cli("extrapolate", str(sweep_file), "--quantity", "du0")
-    rows = parse_csv(slope.stdout)
+    rows = parse_csv(run_main(capsys, "extrapolate", str(sweep_file), "--quantity", "du0")[1])
     assert rows[2][2] == "-0.808147"
     assert rows[3][2] == "-0.808149"
     assert rows[3][3] == "-0.808149"
 
 
-def test_extrapolate_json_reports_stop_rule(tmp_path):
+def test_extrapolate_json_reports_stop_rule(tmp_path, capsys):
     sweep_file = tmp_path / "sweep.csv"
-    run_cli("sweep", "--problem", "pile", "--N", "40,80,160",
-            "--raw", "--out", str(sweep_file))
-    proc = run_cli("extrapolate", str(sweep_file), "--quantity", "u0",
-                   "--format", "json")
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+    run_main(capsys, "sweep", "--problem", "pile", "--N", "40,80,160",
+             "--raw", "--out", str(sweep_file))
+    code, out, _ = run_main(capsys, "extrapolate", str(sweep_file), "--quantity", "u0",
+                            "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
     assert doc["stop_rule"] == "nest"
     assert doc["ns"] == [40, 80, 160]
     assert doc["columns"][0] == [1.421243, 1.421469, 1.421526]
 
 
-def test_extrapolate_unknown_column(tmp_path):
+def test_extrapolate_unknown_column(tmp_path, capsys):
     sweep_file = tmp_path / "sweep.csv"
     sweep_file.write_text("N,u0\n40,1.0\n80,1.1\n")
-    proc = run_cli("extrapolate", str(sweep_file), "--quantity", "bogus")
-    assert proc.returncode == 2
-    assert "bogus" in proc.stderr
+    code, _, err = run_main(capsys, "extrapolate", str(sweep_file), "--quantity", "bogus")
+    assert code == 2
+    assert "bogus" in err
 
 
-def test_extrapolate_reports_bad_line(tmp_path):
+def test_extrapolate_reports_bad_line(tmp_path, capsys):
     sweep_file = tmp_path / "sweep.csv"
     sweep_file.write_text("N,u0\n40,1.0\n80,oops\n")
-    proc = run_cli("extrapolate", str(sweep_file), "--quantity", "u0")
-    assert proc.returncode == 2
-    assert "line 3" in proc.stderr
+    code, _, err = run_main(capsys, "extrapolate", str(sweep_file), "--quantity", "u0")
+    assert code == 2
+    assert "line 3" in err
 
 
 def test_extrapolate_refuses_grid_sizes_below_one(tmp_path, capsys):
@@ -360,23 +340,22 @@ def test_extrapolate_refuses_grid_sizes_below_one(tmp_path, capsys):
         2, "", "error: grid sizes must be at least 1, got 0\n")
 
 
-def test_extrapolate_missing_file(tmp_path):
-    proc = run_cli("extrapolate", str(tmp_path / "nope.csv"), "--quantity", "u0")
-    assert proc.returncode == 2
+def test_extrapolate_missing_file(tmp_path, capsys):
+    assert run_main(capsys, "extrapolate", str(tmp_path / "nope.csv"), "--quantity", "u0")[0] == 2
 
 
-def test_usage_errors_exit_two():
-    assert run_cli().returncode == 2
-    assert run_cli("solve", "--problem", "unknown", "--N", "8").returncode == 2
-    assert run_cli("solve", "--problem", "pile").returncode == 2
+def test_usage_errors_exit_two(capsys):
+    # argparse's refusals are returned, not raised, with the usage on stderr
+    for argv in ([], ["solve", "--problem", "unknown", "--N", "8"], ["solve", "--problem", "pile"]):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: infbvp"), argv
     # an infinite map constant is refused up front, without a leaked warning
-    proc = run_cli("grid", "--N", "4", "--c", "inf")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: map parameter c must be positive and finite, got inf\n"
+    assert run_main(capsys, "grid", "--N", "4", "--c", "inf") == (
+        2, "", "error: map parameter c must be positive and finite, got inf\n")
     # so is one that overflows the grid's last fractional node
-    proc = run_cli("grid", "--map", "alg", "--c", "1e308", "--N", "4")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: map parameter c = 1e+308 overflows a grid of 4 intervals\n"
+    assert run_main(capsys, "grid", "--map", "alg", "--c", "1e308", "--N", "4") == (
+        2, "", "error: map parameter c = 1e+308 overflows a grid of 4 intervals\n")
 
 
 def test_a_reader_that_closes_stdout_ends_the_command_quietly():
@@ -434,11 +413,6 @@ def test_bad_problem_and_solver_options_exit_two(capsys, command, argv, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-
-
-def test_problem_options_are_the_factory_parameters():
-    assert {name: tuple(options) for name, options in cli.PROBLEM_OPTIONS.items()} == {
-        name: tuple(inspect.signature(factory).parameters) for name, factory in PROBLEMS.items()}
 
 
 PILE_OPTIONS = ["solve", "--problem", "pile", "--P1", "2", "--P2", "0.25", "--P3", "1",
@@ -514,50 +488,6 @@ def record_newton_solve(monkeypatch, fail_on=()):
 
     monkeypatch.setattr(newton, "newton_solve", recorder)
     return calls
-
-
-def test_sweep_warm_starts_each_grid_from_the_previous_solution(monkeypatch, capsys):
-    calls = record_newton_solve(monkeypatch)
-    assert cli.main(["sweep", "--problem", "falkner-skan", "--N", "20,40,80"]) == 0
-    capsys.readouterr()
-    assert [n for n, _, _ in calls] == [20, 40, 80]
-    assert calls[0][1] is None
-    for (_, _, previous), (n, initial, _) in zip(calls, calls[1:]):
-        assert initial.shape == (n + 1, 3)
-        assert np.array_equal(initial[0::2], previous.solution)
-
-
-def test_sweep_starts_cold_after_a_nonconverged_row(monkeypatch, capsys):
-    calls = record_newton_solve(monkeypatch)
-    assert cli.main(["sweep", "--problem", "falkner-skan", "--N", "20,40",
-                     "--max-iter", "2"]) == 1
-    capsys.readouterr()
-    assert [(n, initial is None) for n, initial, _ in calls] == [(20, True), (40, True)]
-
-
-def test_sweep_starts_cold_after_a_failed_row(monkeypatch, capsys):
-    calls = record_newton_solve(monkeypatch, fail_on=(40,))
-    assert cli.main(["sweep", "--problem", "pile", "--N", "20,40,80,160"]) == 1
-    assert capsys.readouterr().err == "warning: N=40 iteration 1: injected failure\n"
-    # the failed warm row is solved again cold, then the next row starts cold
-    assert [(n, initial is None) for n, initial, _ in calls] == [
-        (20, True), (40, False), (40, True), (80, True), (160, False)]
-    assert calls[1][1].shape == (41, 4)
-    assert np.array_equal(calls[4][1][0::2], calls[3][2].solution)
-
-
-def test_a_warm_row_that_does_not_converge_reports_its_cold_solve(capsys):
-    # warm-started from N = 20, the N = 40 row of this alg sweep runs out of
-    # iterations; a cold start converges
-    argv = ["--problem", "falkner-skan", "--P", "-0.15", "--map", "alg", "--raw"]
-    assert cli.main(["sweep", *argv, "--N", "20,40,80,160,320"]) == 0
-    rows = parse_csv(capsys.readouterr().out)
-    assert cli.main(["solve", *argv, "--N", "40"]) == 0
-    summary = {row[0]: row[1] for row in parse_csv(capsys.readouterr().out) if len(row) == 2}
-    row = dict(zip(rows[0], rows[2]))
-    assert row["N"] == "40" and row["converged"] == "true"
-    for name in ("iterations", "fpp0", "fpp_inf"):
-        assert row[name] == summary[name], name
 
 
 @pytest.mark.parametrize("jacobian", ["analytic", "fd"])
@@ -658,14 +588,6 @@ def test_solve_json_stays_valid_for_a_nonfinite_iterate(monkeypatch, capsys):
     assert doc["converged"] is False and doc["final_increment"] == "inf"
     assert [[doc["nodes"][f"u{k}"][n] for k in (1, 2, 3)] for n in (1, 2, 3)] == [
         ["inf", 0.0, 0.0], [0.0, "-inf", 0.0], [0.0, 0.0, "nan"]]
-
-
-def run_main(capsys, *argv):
-    """cli.main in-process; returns (exit code, stdout, stderr) with the
-    line endings exactly as written."""
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 EXTRAPOLATE_INPUT = "N,u0\n40,1.421243\n80,1.421469\n160,1.421526\n"
@@ -930,26 +852,34 @@ def test_extrapolate_json_stays_valid_for_nonfinite_input(tmp_path, capsys):
     ["grid", "--N", "4"],
 ])
 def test_negative_decimals_is_a_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--decimals", "-1"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--decimals" in captured.err
+    code, out, err = run_main(capsys, *argv, "--decimals", "-1")
+    assert (code, out) == (2, "")
+    assert "--decimals" in err
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def import_tracing(monkeypatch):
+def import_perfbench(monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
-    return importlib.import_module("tracing")
+    return importlib.import_module(name)
+
+
+def test_a_usage_error_in_a_benchmark_case_is_its_exit_code(monkeypatch):
+    # perfbench calls cli.main in its own process and grades what it
+    # returns: a usage error comes back as exit 2, not as the end of the run
+    workloads = import_perfbench(monkeypatch, "workloads")
+    code, out, err, warned = workloads.call_cli(
+        ["solve", "--problem", "pile", "--N", "8", "--decimals", "-1"])
+    assert (code, out, warned) == (2, "", False)
+    assert "--decimals" in err
 
 
 def test_trace_hooks_find_the_names_they_patch(tmp_path, monkeypatch, capsys):
     # perfbench/tracing.py rebinds CLI, Newton and grid names by attribute;
     # renaming one of them would make the traced benchmark run raise
-    tracing = import_tracing(monkeypatch)
+    tracing = import_perfbench(monkeypatch, "tracing")
     from infbvp import grids, newton, problems
 
     patched = [(cli, "main"), (cli, "build_grid"), (cli, "newton_solve"),
@@ -982,7 +912,7 @@ def test_trace_hooks_find_the_names_they_patch(tmp_path, monkeypatch, capsys):
 
 def test_traced_solve_records_the_coarse_start_grids(monkeypatch, capsys):
     # the CLI's grid, its N/8 start and the two grids it is prolonged through
-    tracing = import_tracing(monkeypatch)
+    tracing = import_perfbench(monkeypatch, "tracing")
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
