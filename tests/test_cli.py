@@ -77,11 +77,18 @@ def test_grid_table_frozen_rows(capsys):
     assert len(rows) == 22
 
 
-def test_an_unknown_map_is_a_usage_error(capsys):
-    # --map is one option of every command that builds a grid, and there
-    # is no whole-line map: tan is an unknown choice
-    for command in (["grid"], ["solve", "--problem", "pile"], ["sweep", "--problem", "pile"]):
-        code, out, err = run_main(capsys, *command, "--map", "tan", "--c", "2", "--N", "20")
+def test_grid_whole_line_table(capsys):
+    # there is no whole-line map: tan is an unknown --map choice
+    code, out, err = run_main(capsys, "grid", "--map", "tan", "--c", "2", "--N", "3")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'tan'" in err
+
+
+def test_solve_rejects_whole_line_map(capsys):
+    # --map is one option of every command that solves on a grid
+    for command in ("solve", "sweep"):
+        code, out, err = run_main(capsys, command, "--problem", "pile", "--map", "tan",
+                                  "--N", "20")
         assert (code, out) == (2, ""), command
         assert "invalid choice: 'tan'" in err, command
 
