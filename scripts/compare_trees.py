@@ -76,6 +76,7 @@ COMMANDS = [
     ["sweep", "--problem", "falkner-skan", "--P", "1e200", "--N", "20,40"],
     ["sweep", "--problem", "falkner-skan", "--N", "20,40,80", "--max-iter", "2"],
     ["sweep", "--problem", "pile", "--N", "1280,2560"],
+    ["sweep", "--problem", "pile", "--N", "abc"],
     # warm-started from N = 20, the N = 40 row runs out of iterations
     ["sweep", "--problem", "falkner-skan", "--P", "-0.15", "--map", "alg",
      "--N", "20,40,80,160,320"],
@@ -83,6 +84,7 @@ COMMANDS = [
     ["grid", "--map", "alg", "--c", "1", "--N", "5"],
     ["grid", "--map", "tan", "--c", "2", "--N", "3"],
     ["grid", "--N", "1"],
+    ["grid", "--N", "4,8"],
     ["grid", "--N", "4", "--c", "inf"],
     ["grid", "--N", "4", "--c", "-1"],
     ["extrapolate", "sweep.csv", "--quantity", "u0"],
@@ -114,11 +116,7 @@ def run_cli(lib, argv):
             with warnings.catch_warnings(record=True) as caught, \
                     redirect_stdout(stdout), redirect_stderr(stderr):
                 warnings.simplefilter("always")
-                try:
-                    code = lib.cli.main(list(argv))
-                except SystemExit as exc:
-                    # a parent tree's main may still raise it on --help and usage errors
-                    code = exc.code
+                code = lib.cli.main(list(argv))
             out = Path("out.txt")
             out_bytes = out.read_bytes() if out.exists() else None
         finally:

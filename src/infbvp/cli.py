@@ -138,14 +138,9 @@ def _decimals(text: str) -> int:
     return value
 
 
-def _parse_n_values(spec: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"cannot parse --N value {spec!r}") from None
-    if not values:
-        raise ValueError("--N needs at least one value")
-    return values
+def int_list(text: str) -> list[int]:
+    """sweep's --N: a comma list of integers, such as 20,40,80; an empty item is refused."""
+    return [int(size) for size in text.split(",")]
 
 
 # Each problem's options are its factory's parameters, read at import: perfbench's tracer
@@ -180,14 +175,20 @@ def _add_problem_options(parser) -> None:
                                 help=f"{problem} parameter (default {parameter.default:g})")
 
 
-def _add_grid_options(parser) -> None:
+def _add_grid_options(parser, sizes, n_help) -> None:
     parser.add_argument("--map", choices=[kind.value for kind in MapKind], default="log",
                         help="grid generating map (default log)")
     parser.add_argument("--c", type=float, default=5.0,
                         help="map length scale (default 5)")
-    parser.add_argument("--N", required=True,
-                        help="grid intervals (nodes 0..N, x_N = inf); "
-                             "a comma list sweeps several grids")
+    parser.add_argument("--N", type=sizes, required=True, help=n_help)
+
+
+# --N takes one grid size, or sweep's doubling family of them
+_add_one_grid_options = functools.partial(
+    _add_grid_options, sizes=int, n_help="grid intervals (nodes 0..N, x_N = inf)")
+_add_grid_family_options = functools.partial(
+    _add_grid_options, sizes=int_list,
+    n_help="a comma list of grid intervals, each double the last, such as 20,40,80")
 
 
 def _add_solver_options(parser) -> None:
@@ -215,25 +216,17 @@ def _add_output_options(parser) -> None:
                         help="serialize floats at full precision (17 significant digits)")
 
 
-def _single_n(args, refusal: str) -> int:
-    n_values = _parse_n_values(args.N)
-    if len(n_values) != 1:
-        raise ValueError(refusal)
-    return n_values[0]
-
-
 def cmd_solve(args) -> int:
     problem = _make_problem(args)
     grid_map = GridMap(args.map, args.c)
-    n = _single_n(args, "solve takes a single --N; use sweep for a family")
-    grid = build_grid(grid_map, n, continuation=not args.no_continuation)
+    grid = build_grid(grid_map, args.N, continuation=not args.no_continuation)
     result = newton_solve(problem, grid, config=_make_config(args))
     pairs = [("problem", problem.name), ("map", grid_map.kind.value), ("c", grid_map.c),
              ("N", grid.N), ("converged", result.converged), ("iterations", result.iterations),
              ("final_increment", _Exact(result.final_increment)),
              *((name, report_scalar(problem, result, name)) for name in sorted(problem.reports))]
     header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
-    columns = [grid.indices.tolist(), grid.nodes.tolist(), *result.solution.T.tolist()]
+    columns = [range(grid.N + 1), grid.nodes.tolist(), *result.solution.T.tolist()]
     _emit(args, pairs, header, columns=columns, key="nodes", summary=True)
     if result.converged:
         return EXIT_OK
@@ -247,8 +240,7 @@ def cmd_sweep(args) -> int:
     stderr and reports the values of the solution its solve returned."""
     problem = _make_problem(args)
     grid_map = GridMap(args.map, args.c)
-    grids = [build_grid(grid_map, n, continuation=not args.no_continuation)
-             for n in _parse_n_values(args.N)]
+    grids = [build_grid(grid_map, n, continuation=not args.no_continuation) for n in args.N]
     results = sweep(problem, grids, _make_config(args))
     quantities = sorted(problem.reports)
 
@@ -316,20 +308,22 @@ def cmd_extrapolate(args) -> int:
 
 def cmd_grid(args) -> int:
     grid_map = GridMap(args.map, args.c)
-    grid = build_grid(grid_map, _single_n(args, "grid takes a single --N"))
+    grid = build_grid(grid_map, args.N)
     pairs = [("map", grid_map.kind.value), ("c", grid_map.c), ("N", grid.N)]
-    columns = [grid.indices.tolist(), grid.uniform_params.tolist(), grid.nodes.tolist()]
+    n = range(grid.N + 1)
+    columns = [n, [k / grid.N for k in n], grid.nodes.tolist()]
     _emit(args, pairs, ["n", "xi", "x"], columns=columns, key="nodes")
     return EXIT_OK
 
 
-_SOLVE_GROUPS = (_add_problem_options, _add_grid_options, _add_solver_options)
 # One row per subcommand, in --help order; each takes the output options after its groups.
 _COMMANDS = (
-    ("solve", "solve on a single grid", cmd_solve, _SOLVE_GROUPS),
-    ("sweep", "solve on a doubling family of grids", cmd_sweep, _SOLVE_GROUPS),
+    ("solve", "solve on a single grid", cmd_solve,
+     (_add_problem_options, _add_one_grid_options, _add_solver_options)),
+    ("sweep", "solve on a doubling family of grids", cmd_sweep,
+     (_add_problem_options, _add_grid_family_options, _add_solver_options)),
     ("extrapolate", "extrapolate a sweep CSV file", cmd_extrapolate, (_add_extrapolate_options,)),
-    ("grid", "dump grid coordinates", cmd_grid, (_add_grid_options,)),
+    ("grid", "dump grid coordinates", cmd_grid, (_add_one_grid_options,)),
 )
 
 

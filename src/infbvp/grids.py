@@ -84,14 +84,6 @@ class QuasiUniformGrid:
     stencils: tuple
     continuation: bool = True
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.N + 1)
-
-    @property
-    def uniform_params(self) -> np.ndarray:
-        return self.indices / self.N
-
     def stencil_arrays(self):
         """Midpoint formula coefficients (a, b, c_w, x_mid), each a
         read-only array with one entry per interval n = 0..N-1.

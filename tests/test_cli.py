@@ -5,6 +5,7 @@ whose subject is the process itself: the module entry point, a reader
 that closes stdout, and imports in a fresh interpreter."""
 
 import argparse
+import contextlib
 import csv
 import importlib
 import inspect
@@ -159,10 +160,34 @@ def test_solve_raw_out_round_trips_every_node_value(tmp_path, monkeypatch, capsy
     assert values.tobytes() == solution.tobytes()
 
 
+def assert_refuses_grid_sizes(capsys, command, *argv):
+    # argparse reads --N, so a bad one gets the command's usage line
+    code, out, err = run_main(capsys, command, *argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith(f"usage: infbvp {command}"), argv
+    assert "argument --N: invalid" in err, argv
+
+
 def test_solve_rejects_multiple_grids(capsys):
-    code, _, err = run_main(capsys, "solve", "--problem", "pile", "--N", "20,40")
-    assert code == 2
-    assert "single" in err
+    assert_refuses_grid_sizes(capsys, "solve", "--problem", "pile", "--N", "20,40")
+
+
+@pytest.mark.parametrize("argv", [
+    "grid --N 4,8",
+    "solve --problem pile --N abc",
+    "sweep --problem pile --N abc",
+    "sweep --problem pile --N 20,,40",
+    "sweep --problem pile --N 20,40,",
+])
+def test_a_malformed_or_misplaced_grid_size_is_a_usage_error(argv, capsys):
+    assert_refuses_grid_sizes(capsys, *argv.split())
+
+
+def test_only_sweep_help_offers_a_comma_list(capsys):
+    for command, offered in (("solve", False), ("grid", False), ("sweep", True)):
+        code, out, _ = run_main(capsys, command, "--help")
+        assert code == 0
+        assert ("comma list" in " ".join(out.split())) is offered, command
 
 
 def test_solve_nonconvergence_exit_code(capsys):
@@ -347,6 +372,20 @@ def test_extrapolate_refuses_grid_sizes_below_one(tmp_path, capsys):
         2, "", "error: grid sizes must be at least 1, got 0\n")
 
 
+def test_extrapolate_refuses_an_empty_file(tmp_path, capsys):
+    source = tmp_path / "sweep.csv"
+    source.write_text("")
+    assert run_main(capsys, "extrapolate", str(source), "--quantity", "u0") == (
+        2, "", f"error: {source}: empty file\n")
+
+
+def test_extrapolate_skips_blank_lines(tmp_path, capsys):
+    source = tmp_path / "sweep.csv"
+    source.write_text(EXTRAPOLATE_INPUT.replace("\n80,", "\n\n80,"))
+    _, stdout, _ = FROZEN_OUTPUT["extrapolate-csv"]
+    assert run_main(capsys, "extrapolate", str(source), "--quantity", "u0") == (0, stdout, "")
+
+
 def test_extrapolate_missing_file(tmp_path, capsys):
     assert run_main(capsys, "extrapolate", str(tmp_path / "nope.csv"), "--quantity", "u0")[0] == 2
 
@@ -363,6 +402,9 @@ def test_usage_errors_exit_two(capsys):
     # so is one that overflows the grid's last fractional node
     assert run_main(capsys, "grid", "--map", "alg", "--c", "1e308", "--N", "4") == (
         2, "", "error: map parameter c = 1e+308 overflows a grid of 4 intervals\n")
+    # and one so small that neighbouring nodes coincide
+    assert run_main(capsys, "grid", "--c", "5e-324", "--N", "4") == (
+        2, "", "error: generating map produced a non-monotone grid\n")
 
 
 def test_a_reader_that_closes_stdout_ends_the_command_quietly():
@@ -653,6 +695,10 @@ FROZEN_OUTPUT = {
         '      0.25,\n      0.5,\n      0.75,\n      1.0\n    ],\n    "x": [\n      0.0,\n'
         '      1.4384103622589044,\n      3.4657359027997265,\n      6.931471805599453,\n'
         '      "inf"\n    ]\n  }\n}\n', None),
+    "grid-decimals": (
+        ["grid", "--map", "log", "--c", "5", "--N", "4", "--decimals", "3"],
+        "n,xi,x\r\n0,0.000,0.000\r\n1,0.250,1.438\r\n2,0.500,3.466\r\n3,0.750,6.931\r\n"
+        "4,1.000,inf\r\n", None),
     "grid-raw": (
         ["grid", "--map", "log", "--c", "2", "--N", "3", "--raw"],
         "n,xi,x\r\n0,0,0\r\n1,0.33333333333333331,0.81093021621632866\r\n"
@@ -680,6 +726,10 @@ FROZEN_OUTPUT = {
         ["sweep", "--problem", "pile", "--N", "20,40"],
         "N,iterations,converged,du0,du0_order,u0,u0_order\r\n"
         "20,4,true,-0.807289,,1.420337,\r\n40,2,true,-0.807934,,1.421243,\r\n", None),
+    "sweep-decimals": (
+        ["sweep", "--problem", "pile", "--N", "20,40", "--decimals", "3"],
+        "N,iterations,converged,du0,du0_order,u0,u0_order\r\n"
+        "20,4,true,-0.807,,1.420,\r\n40,2,true,-0.808,,1.421,\r\n", None),
     "sweep-json": (
         ["sweep", "--problem", "pile", "--N", "20,40", "--format", "json"],
         '{\n  "problem": "pile",\n  "rows": {\n    "N": [\n      20,\n      40\n    ],\n'
@@ -702,6 +752,16 @@ def test_output_bytes_are_frozen(case, tmp_path, capsys):
         assert not out.exists()
     else:
         assert out.read_bytes() == file_text.encode()
+
+
+def test_a_stdout_without_a_binary_layer_takes_the_text(capsys):
+    # perfbench's call_cli redirects stdout to a StringIO, which has no .buffer
+    argv, stdout, _ = FROZEN_OUTPUT["solve-stdout"]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(argv) == 0
+    assert text.getvalue() == stdout
+    assert capsys.readouterr() == ("", "")
 
 
 def cell_reads_as(cell: str, value) -> bool:
@@ -862,6 +922,13 @@ def test_negative_decimals_is_a_usage_error(argv, capsys):
     code, out, err = run_main(capsys, *argv, "--decimals", "-1")
     assert (code, out) == (2, "")
     assert "--decimals" in err
+
+
+def test_non_integer_decimals_is_a_usage_error(capsys):
+    code, out, err = run_main(capsys, "grid", "--N", "4", "--decimals", "abc")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: infbvp grid")
+    assert "argument --decimals: invalid int value: 'abc'" in err
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

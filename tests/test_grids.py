@@ -80,8 +80,6 @@ def test_build_grid_semi_infinite():
     assert grid.nodes[0] == 0.0
     assert grid.nodes[-1] == np.inf
     assert np.all(np.diff(grid.nodes[:-1]) > 0.0)
-    assert np.array_equal(grid.indices, np.arange(21))
-    assert np.allclose(grid.uniform_params, np.arange(21) / 20.0)
     # last finite node of the log map sits at c*ln(N)
     assert grid.nodes[-2] == pytest.approx(5.0 * np.log(20.0), abs=1e-12)
 
