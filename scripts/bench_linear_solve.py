@@ -10,9 +10,11 @@ timing fields mean, is in twotrees.py.
 
 linear_solve keeps its factors on the Jacobian it is given, so every
 timed cold call gets a fresh StructuredJacobian built, outside the timer,
-from the same block arrays. replay_ms times the change's second call on
-that factored Jacobian, with another rhs, which replays the factors; it
-is the median of those calls too.
+from the same block arrays. Right after its cold call, in the same
+alternating rounds, each side makes a second, timed call on that factored
+Jacobian with another rhs, which replays the factors: a case's "replay"
+holds the same timing fields for those calls, and replay_share is the
+change's median replay over its median cold call.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import statistics
 import time
 
 # twotrees pins BLAS to one thread, so it is imported before numpy
-from twotrees import (c5_grid, load_sides, ms, paired_rounds, parse_args, timing,
-                      write_record)
+from twotrees import c5_grid, load_sides, paired_rounds, parse_args, timing, write_record
 
 import numpy as np
 
@@ -63,27 +64,31 @@ def main() -> None:
                 systems = {side: first_newton_system(lib, problem, kind, N)
                            for side, lib in sides.items()}
                 other_rhs = np.random.default_rng(N).standard_normal(systems["change"][1].shape)
-                outcomes, replays = {}, []
+                outcomes, replays = {}, {side: [] for side in sides}
 
                 def cold(side, lib):
                     jacobian, rhs = fresh(lib, systems[side][0]), systems[side][1]
                     seconds, outcomes[side] = time_solve(lib, jacobian, rhs)
-                    if side == "change" and outcomes[side] == "ok":
-                        replays.append(time_solve(lib, jacobian, other_rhs)[0])
+                    if outcomes[side] == "ok":
+                        replays[side].append(time_solve(lib, jacobian, other_rhs)[0])
                     return seconds
 
                 seconds = paired_rounds(sides, args.repeats, cold)
-                replay = statistics.median(replays) if replays else float("inf")
+                replay = share = None
+                if all(len(times) == args.repeats for times in replays.values()):
+                    replay = timing(replays)
+                    share = round(statistics.median(replays["change"])
+                                  / statistics.median(seconds["change"]), 2)
                 cases[f"{problem}/{kind}/{N}"] = {
-                    **timing(seconds), "replay_ms": ms(replay),
-                    "replay_share": round(replay / statistics.median(seconds["change"]), 2),
+                    **timing(seconds), "replay": replay, "replay_share": share,
                     "parent_outcome": outcomes["parent"], "change_outcome": outcomes["change"]}
     write_record(args, __file__, (
         "median and quartile wall ms over repeats of one newton.linear_solve, with the "
         "rounds the change won and whether that gain is resolved (twotrees.py), on the "
         "first Newton step's system, analytic Jacobian at the default iterate, c = 5, each call "
-        "on a fresh Jacobian; replay_ms is the change's second call on that "
-        "Jacobian with another rhs, replay_share its ratio to change_ms"), cases)
+        "on a fresh Jacobian; replay holds the same fields for each side's second call on "
+        "that Jacobian with another rhs, made right after the first in the same rounds, "
+        "and replay_share is the change's median replay over its median first call"), cases)
 
 
 if __name__ == "__main__":

@@ -59,13 +59,25 @@ def load_sides(parent: Path) -> dict:
             "change": load_tree(ROOT, "infbvp_change")}
 
 
+def _repeats(text: str) -> int:
+    """--repeats: quartiles take at least two rounds."""
+    try:
+        repeats = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if repeats < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {repeats}")
+    return repeats
+
+
 def parse_args(doc: str, out: str | None = None, repeats: int | None = None):
     """PARENT_TREE; with a record name out, also --out and --repeats."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("parent", type=Path)
     if out is not None:
         parser.add_argument("--out", type=Path, default=ROOT / out)
-        parser.add_argument("--repeats", type=int, default=repeats)
+        parser.add_argument("--repeats", type=_repeats, default=repeats,
+                            help=f"alternating rounds per case, at least 2 (default {repeats})")
     return parser.parse_args()
 
 

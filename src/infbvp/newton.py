@@ -21,9 +21,13 @@ Each level pairs adjacent block rows and removes the node they share.
 All pairs of a level sit in one augmented slab, the pair blocks with the
 rows' other blocks and right-hand sides, and d Householder reflections
 applied in place triangularize every pair block at once. This repeats
-until at most 16 block rows remain. Those rows and the boundary row form
-one dense system on the remaining nodes, solved by one Householder QR,
-and back-substitution recovers the removed nodes level by level.
+while more than 64 block rows remain. Below that a level costs numpy's
+per-call floor whatever its size, so one grouped stage takes the rest:
+the same orthogonal elimination on runs of four consecutive rows, whose
+three interior nodes go with one batched Householder QR of every group's
+interior columns. The at most 18 rows left and the boundary row form one
+dense system on the remaining nodes, solved by one Householder QR, and
+back-substitution recovers the removed nodes, the groups' first.
 Orthogonal transforms keep the growing modes of the linearization from
 being amplified, which condensation onto delta_0 (discrete shooting)
 does not, and the tail is QR rather than LU for the same reason: partial
@@ -55,9 +59,16 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-# Reduction stops at this many block rows: below it a level's fixed cost
-# of some 10 d small numpy calls outweighs one dense QR of the rest.
+# A system of at most this many block rows goes to the dense tail as it
+# is: below it a reduction's fixed cost of small numpy calls outweighs
+# one dense QR of the rest.
 _TAIL_ROWS = 16
+# Pairwise levels run while more than _GROUPED_ROWS rows remain; below
+# that a level costs numpy's per-call floor whatever its size. Then one
+# grouped stage removes the interior nodes of every _GROUP_ROWS
+# consecutive rows with one batched QR, leaving at most 16 + 3 rows.
+_GROUPED_ROWS = 64
+_GROUP_ROWS = 4
 # Smallest grid whose cold solve starts from the grid N/8 (newton_solve):
 # below it the gain was within noise, and a jump of 64 rather than 8
 # (N = 20 to 1280) reached a different solution.
@@ -120,26 +131,31 @@ class SolveResult:
 def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     """Solve jacobian @ delta = rhs; returns the correction field (N+1, d).
 
-    Structured-QR cyclic reduction: about log2(N / 16) levels and
-    O(d^3 N) work. Each level stacks its p pairs of block rows into one
-    augmented (2d, 3d+1, p) slab, pairs on the last axis, and
+    Structured-QR cyclic reduction in O(d^3 N) work. While more than 64
+    block rows remain, a pairwise level stacks its p pairs of block rows
+    into one augmented (2d, 3d+1, p) slab, pairs on the last axis, and
     triangularizes the shared node's d columns of every pair at once with
     d Householder reflections applied in place to the slab, so Q is never
-    formed. Once at most 16 rows remain, they and the boundary row make
-    one dense (m+1)d x (m+1)d system on the level's m+1 nodes, which one
-    Householder QR (np.linalg.qr) and a triangular solve finish.
+    formed. Then, if more than 16 rows remain, the grouped stage removes
+    the three interior nodes of each run of four rows at once: one batched
+    Householder QR (np.linalg.qr) of the groups' (4d, 3d) interior columns,
+    and one batched matmul that applies each group's Q.T to its rows,
+    outer nodes and rhs included. The at most 18 rows left and the boundary row make one
+    dense (m+1)d x (m+1)d system on the remaining m+1 nodes, which one
+    Householder QR and a solve with R finish.
 
-    The first call on a Jacobian factors it, with rhs carried in the
-    slabs, and keeps the factors on it: each level's slab, which holds
-    the reflection vectors, with each reflection's scaled vector and
-    diagonal, and the tail's Q and R. Its blocks become read-only. A
-    later call on the same Jacobian replays the factors on its rhs, with
-    no refactorization: the stored reflections applied to the slabs' rhs
-    column level by level, Q.T and the solve with R, then the same
-    back-substitution. That column is the one piece of a slab a solve
-    writes, so one Jacobian serves one solve at a time.
-    Raises SingularSystemError, naming the node, when a pair block is
-    rank-deficient or the dense tail has a zero pivot; such a Jacobian
+    The first call on a Jacobian factors it, with rhs carried along, and
+    keeps the factors on it: each level's slab, which holds the reflection
+    vectors, with each reflection's scaled vector and diagonal; the grouped
+    stage's Q.T, R and the top rows Q.T made of each group's rows; and the
+    tail's Q and R. Its blocks become read-only. A later call on the same
+    Jacobian replays the factors on its rhs, with no refactorization: the
+    stored reflections applied to the slabs' rhs column level by level,
+    one matmul with the groups' Q.T, Q.T and the solve with R of the tail,
+    then the same back-substitution. The rhs columns are the one piece of
+    the factors a solve writes, so one Jacobian serves one solve at a time.
+    Raises SingularSystemError, naming the node, when a pair or group block
+    is rank-deficient or the dense tail has a zero pivot; such a Jacobian
     keeps no factors, so another call raises the same error.
     """
     d, N = jacobian.d, jacobian.N
@@ -152,34 +168,36 @@ def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     # newton_solve reports as a diverged iterate, and no warning leaks.
     with np.errstate(all="ignore"):
         if factors is None:
-            (levels, Q, R), r = _factor(jacobian, r)
+            (levels, groups, Q, R), r = _factor(jacobian, r)
         else:
-            levels, Q, R = factors
-            r = _replay(levels, r)
+            levels, groups, Q, R = factors
+            r = _replay(levels, groups, r)
         try:
             x = np.linalg.solve(R, Q.T @ np.concatenate((r.T.ravel(), rhs[N * d:])))
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"end system on nodes 0 and {N} is singular") from exc
-        # x holds the solution on the tail level's nodes, components first.
-        x = _back_substitute(levels, x.reshape(-1, d).T)
+        # x holds the solution on the tail's nodes, components first.
+        x = _back_substitute(levels, groups, x.reshape(-1, d).T)
     if factors is None:
         for block in (jacobian.dU_n, jacobian.dU_next, jacobian.dg_0, jacobian.dg_N):
             block.setflags(write=False)
-        object.__setattr__(jacobian, "_factors", (levels, Q, R))
+        object.__setattr__(jacobian, "_factors", (levels, groups, Q, R))
     return x.T.copy()
 
 
 def _factor(jacobian: StructuredJacobian, r: np.ndarray):
-    """The reduction with the rhs rows r (d, N) carried in the slabs, and
-    the QR factors of the dense tail.
+    """The reduction with the rhs rows r (d, N) carried along, and the QR
+    factors of the dense tail.
 
-    Returns the factors (levels, Q, R) and the rhs rows left for the
-    tail. levels holds per level the (2d, 3d+1, p) slab, the diagonals
-    alpha as one (d, p) array, row j for reflection j, and per
+    Returns the factors (levels, groups, Q, R) and the rhs rows left for
+    the tail. levels holds per pairwise level the (2d, 3d+1, p) slab, the
+    diagonals alpha as one (d, p) array, row j for reflection j, and per
     reflection j the scaled reflection vector v / (alpha_j v_1) of shape
-    (2d-j, p); the vectors v themselves stay in the slab's columns.
-    Raises SingularSystemError at the first level with a rank-deficient
-    pair block, naming the node its first such pair shares.
+    (2d-j, p); the vectors v themselves stay in the slab's columns. groups
+    is the grouped stage's (Q.T, R, top), see _factor_groups, or None when
+    the system had at most 16 rows. Raises SingularSystemError at the first
+    level with a rank-deficient pair or group block, naming the node its
+    first such pair shares or its first such group removes.
     """
     d = jacobian.d
     # Row k of a level reads left[k] @ x[k] + right[k] @ x[k+1] = r[k] on
@@ -192,7 +210,7 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
     left = jacobian.dU_n.transpose(1, 2, 0)
     right = jacobian.dU_next.transpose(1, 2, 0)
     levels = []
-    while r.shape[-1] > _TAIL_ROWS:
+    while r.shape[-1] > _GROUPED_ROWS:
         m = r.shape[-1]
         p = m // 2
         slab = np.zeros((2 * d, 3 * d + 1, p))
@@ -230,6 +248,10 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
                     for new, old in zip(rows, (right, left, r))]
         right, left, r = rows
 
+    groups = None
+    if r.shape[-1] > _TAIL_ROWS:
+        groups, (left, right, r) = _factor_groups(left, right, r, len(levels))
+
     # The m remaining rows and the boundary row, in grid order, as one
     # dense system; only an exactly zero pivot of R is refused.
     m = r.shape[-1]
@@ -240,12 +262,62 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
     system[k, :, k + 1] = right.transpose(2, 0, 1)
     system[m, :, 0], system[m, :, m] = jacobian.dg_0, jacobian.dg_N
     Q, R = np.linalg.qr(system.reshape(n, n))
-    return (levels, Q, R), r
+    return (levels, groups, Q, R), r
 
 
-def _replay(levels, r: np.ndarray) -> np.ndarray:
-    """_factor's reduction of new rhs rows r (d, N), written to the
-    slabs' rhs column and reflected there alone; returns the tail rows."""
+def _factor_groups(left: np.ndarray, right: np.ndarray, r: np.ndarray, levels: int):
+    """The grouped stage on a level's rows left, right (d, d, m) and r
+    (d, m), after `levels` pairwise levels. Returns the kept (Q.T, R, top)
+    and the rows [left, right, r] it leaves for the tail.
+
+    The first c = m mod G rows, G = 4, go to the tail as they are, so the
+    rows at the level's far end, where a pairwise level carries its odd
+    row, are grouped. The other rows form q runs of G: group g couples
+    nodes c + Gg .. c + G(g+1), and the G-1 between its two outer nodes
+    are interior. None of them is the level's last node, so interior node
+    k is grid node k 2^levels. The interior columns, (Gd, (G-1)d) and
+    block bidiagonal, get one QR. R is its leading (G-1)d square, and Q.T
+    turns the group's whole block, nodes in order and then the rhs, into
+    top, its first (G-1)d rows, from which R recovers the interior nodes,
+    and into the group's one next row, the last d rows on the outer nodes.
+    A pivot of R at roundoff of its column's norm leaves that column's
+    node undetermined and raises SingularSystemError naming it.
+    """
+    G = _GROUP_ROWS
+    d, m = r.shape
+    q, carried = divmod(m, G)
+    # Row i of a group couples its nodes i and i+1: the group's rows are
+    # one (Gd, (G+1)d+1) block, its nodes' columns in order, then the rhs.
+    block = np.zeros((q, G, d, (G + 1) * d + 1))
+    nodes = block[..., :-1].reshape(q, G, d, G + 1, d)
+    i = np.arange(G)
+    nodes[:, i, :, i] = left[..., carried:].reshape(d, d, q, G).transpose(3, 2, 0, 1)
+    nodes[:, i, :, i + 1] = right[..., carried:].reshape(d, d, q, G).transpose(3, 2, 0, 1)
+    block[..., -1] = r[:, carried:].reshape(d, q, G).transpose(1, 2, 0)
+    block = block.reshape(q, G * d, -1)
+    interior = block[..., d: G * d]
+    Q, R = np.linalg.qr(interior, mode="complete")
+    R = R[:, : (G - 1) * d]
+    scale = np.sqrt(np.einsum("gij,gij->gj", interior, interior))
+    pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    deficient = (pivots <= (G * d * _EPS) * scale) & np.isfinite(scale)
+    if deficient.any():
+        group = int(np.argmax(deficient.any(axis=1)))
+        node = carried + G * group + 1 + int(np.argmax(deficient[group])) // d
+        raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
+                                  f"{node << levels}")
+    QT = Q.transpose(0, 2, 1)
+    block = QT @ block
+    top, rows = block[:, : (G - 1) * d], block[:, (G - 1) * d:]
+    rows = (rows[..., :d].transpose(1, 2, 0), rows[..., G * d: -1].transpose(1, 2, 0),
+            rows[..., -1].T)
+    return (QT, R, top), [np.concatenate((old[..., :carried], new), axis=-1)
+                          for new, old in zip(rows, (left, right, r))]
+
+
+def _replay(levels, groups, r: np.ndarray) -> np.ndarray:
+    """_factor's reduction of new rhs rows r (d, N), written to the kept
+    rhs columns and transformed there alone; returns the tail rows."""
     for slab, _, scaled in levels:
         d, p = len(scaled), slab.shape[-1]
         column = slab[:, 3 * d]
@@ -254,16 +326,39 @@ def _replay(levels, r: np.ndarray) -> np.ndarray:
         for j in range(d):
             column[j:] -= scaled[j] * np.einsum("ik,ik->k", slab[j:, j], column[j:])
         r = column[d:] if r.shape[-1] == 2 * p else np.concatenate((column[d:], r[:, 2 * p:]), axis=-1)
+    if groups is not None:
+        QT, _, top = groups
+        d, q = r.shape[0], top.shape[0]
+        carried = r.shape[-1] - _GROUP_ROWS * q
+        column = QT @ r[:, carried:].reshape(d, q, _GROUP_ROWS).transpose(1, 2, 0).reshape(q, -1, 1)
+        top[..., -1] = column[:, :-d, 0]
+        r = np.concatenate((r[:, :carried], column[:, -d:, 0].T), axis=-1)
     return r
 
 
-def _back_substitute(levels, x: np.ndarray) -> np.ndarray:
-    """Recover the removed nodes level by level, from the solution x
-    (d, m+1) on the tail level's nodes; returns it on all N+1 nodes.
+def _back_substitute(levels, groups, x: np.ndarray) -> np.ndarray:
+    """Recover the removed nodes, the grouped stage's and then level by
+    level, from the solution x (d, m+1) on the tail's nodes; returns it on
+    all N+1 nodes.
 
-    With a pair's unknowns z in slab column order and -1 for the rhs,
-    top row i reads -alpha_i z[i] + sum_{c>i} slab[i, c] z[c] = 0.
+    A group's interior nodes z solve R z = top @ [-x_0 | 0 | -x_G | 1],
+    with x_0 and x_G its outer nodes: top's interior columns are R itself.
+    With a pair's unknowns z in slab column order and -1 for the rhs, top
+    row i reads -alpha_i z[i] + sum_{c>i} slab[i, c] z[c] = 0.
     """
+    if groups is not None:
+        _, R, top = groups
+        d, q = x.shape[0], R.shape[0]
+        carried = x.shape[1] - q - 1
+        outer = np.zeros((q, top.shape[-1], 1))
+        outer[:, :d, 0] = -x[:, carried: -1].T
+        outer[:, _GROUP_ROWS * d: -1, 0] = -x[:, carried + 1:].T
+        outer[:, -1] = 1.0
+        z = np.linalg.solve(R, top @ outer)
+        nodes = np.empty((d, q, _GROUP_ROWS))
+        nodes[..., 0] = x[:, carried: -1]
+        nodes[..., 1:] = z.reshape(q, _GROUP_ROWS - 1, d).transpose(2, 0, 1)
+        x = np.concatenate((x[:, :carried], nodes.reshape(d, -1), x[:, -1:]), axis=1)
     for slab, alphas, _ in reversed(levels):
         d, p = alphas.shape
         z = np.empty((3 * d + 1, p))

@@ -246,16 +246,19 @@ def test_sweep_keeps_rows_on_nonconvergence(capsys):
 
 
 def test_sweep_reports_a_failed_row_like_an_unconverged_one(capsys):
-    # P = 1e200 overflows the first correction on every grid: each row
-    # gets one warning with the solve's reason, its iterations, false and
-    # the report values of the start it kept
+    # P = 1e200 gives a first correction of order 1e198 on every grid, and
+    # f overflows at that iterate: each row gets one warning with the
+    # solve's reason, its iterations, false and the report values of the
+    # iterate it kept, finite and with no order
     code, out, err = run_main(capsys, "sweep", "--problem", "falkner-skan", "--P", "1e200",
                               "--N", "20,40")
     assert code == 1
-    assert err == ("warning: N=20 iteration 1: correction is not finite\n"
-                   "warning: N=40 iteration 1: correction is not finite\n")
-    assert parse_csv(out)[1:] == [["20", "1", "false", "0.300000", "", "0.000000", ""],
-                                  ["40", "1", "false", "0.300000", "", "0.000000", ""]]
+    assert err == ("warning: N=20 iteration 2: non-finite right-hand side on interval 0\n"
+                   "warning: N=40 iteration 2: non-finite right-hand side on interval 0\n")
+    rows = parse_csv(out)[1:]
+    assert [row[:3] + row[4::2] for row in rows] == [["20", "2", "false", "", ""],
+                                                     ["40", "2", "false", "", ""]]
+    assert all(math.isfinite(float(value)) for row in rows for value in row[3::2])
 
 
 def test_sweep_orders_read_only_converged_rows(capsys):

@@ -212,13 +212,16 @@ def random_chain(rng, N, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_linear_solve_matches_dense_oracle_on_every_carry_pattern(d):
-    # N = 2..16 go straight to the dense tail; N = 17..65 reach it after
-    # one, two or three levels, with every tail size from 9 to 16 rows and
-    # every pattern of odd rows carried up on the way; 1025 carries one at
-    # every level, 1023 at the first level only. The second rhs replays
-    # the factors the first solve kept.
+    # N = 2..16 go straight to the dense tail. N = 17..64 go straight to
+    # the grouped stage, N = 65..128 after one pairwise level and N =
+    # 129..137 after two, so N runs across the stage's 64-row start and
+    # the stage meets every row count m mod 4 = 0..3, with every pattern
+    # of odd rows carried up by the levels on the way; 1025 carries one
+    # at every level, 1023 at the first level only. The second rhs
+    # replays the factors the first solve kept.
+    rows, start = newton._GROUP_ROWS, newton._GROUPED_ROWS
     rng, replay_rng = np.random.default_rng(23), np.random.default_rng(37)
-    for N in [*range(2, 4 * newton._TAIL_ROWS + 2), 1023, 1025]:
+    for N in [*range(2, 2 * start + 2 * rows + 2), 1023, 1025]:
         jac = random_chain(rng, N, d)
         rhs = np.stack((rng.normal(size=(N + 1) * d), replay_rng.normal(size=(N + 1) * d)))
         dense = np.linalg.solve(dense_jacobian(jac), rhs.T).T.reshape(2, N + 1, d)
@@ -246,18 +249,21 @@ def test_factored_jacobian_is_read_only():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("block", ["dU_n", "dU_next", "dg_0", "dg_N"])
 def test_nonfinite_block_gives_nonfinite_delta_silently(block, value):
-    # interval block 17 is reduced in the first level; the boundary
-    # blocks enter the dense tail
+    # interval block 17 is reduced in the grouped stage on 40 intervals
+    # and in the first pairwise level on 160; block 1 of 43 intervals is
+    # in a row the grouped stage carries to the dense tail, which the
+    # boundary blocks enter on every grid
     problem = pile()
-    grid = build_grid(GridMap("log", 5.0), 40)
-    field = initial_field(problem, grid)
-    jac = assemble_jacobian(problem, grid, field, "analytic")
-    getattr(jac, block)[(17, 1, 2) if block.startswith("dU") else (1, 2)] = value
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        delta = linear_solve(jac, -assemble_residual(problem, grid, field))
-    assert delta.shape == (41, 4)
-    assert not np.all(np.isfinite(delta))
+    for N, row in [(40, 17), (43, 1), (160, 17)]:
+        grid = build_grid(GridMap("log", 5.0), N)
+        field = initial_field(problem, grid)
+        jac = assemble_jacobian(problem, grid, field, "analytic")
+        getattr(jac, block)[(row, 1, 2) if block.startswith("dU") else (1, 2)] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = linear_solve(jac, -assemble_residual(problem, grid, field))
+        assert delta.shape == (N + 1, 4)
+        assert not np.all(np.isfinite(delta)), N
 
 
 def test_nonfinite_jacobian_stops_newton_unconverged():
@@ -368,24 +374,44 @@ def test_singular_interval_block_is_reported():
             linear_solve(jac, np.zeros(3))
 
 
-@pytest.mark.parametrize("N, row, node",
-                         [(40, 16, 17), (128, 1, 2), (128, 3, 4), (35, 33, 34), (67, 65, 66)],
-                         ids=["level1", "level2", "level3", "carried35", "carried67"])
-def test_rank_deficient_pair_block_is_reported(N, row, node):
-    # zeroing both blocks of a node, in rows row and row + 1, leaves it in
-    # no row at all: rows 16 and 17 of a chain longer than the dense tail
-    # form a pair of the first level; on 128 intervals node 2 is shared
-    # by a pair of the second level and node 4 by one of the third; on 35
-    # and 67 intervals the last row is carried up from the first level,
-    # and the node before the last is shared by it and its second-level
-    # partner
+def zero_node(N, row):
+    """A random chain whose node row + 1 is in no row at all: both its
+    blocks, in rows row and row + 1, are zero."""
     jac = random_chain(np.random.default_rng(29), N, 2)
     jac.dU_next[row] = 0.0
     jac.dU_n[row + 1] = 0.0
+    return jac
+
+
+@pytest.mark.parametrize("N, row, node",
+                         [(40, 16, 17), (128, 1, 2), (128, 3, 4), (35, 33, 34), (67, 65, 66),
+                          (40, 17, 18), (43, 4, 5), (70, 9, 10), (71, 69, 70), (160, 16, 17)],
+                         ids=["level1", "level2", "level3", "carried35", "carried67", "group40",
+                              "group43", "group70", "carried71", "pair160"])
+def test_rank_deficient_pair_block_is_reported(N, row, node):
+    # Up to 64 intervals the grouped stage takes the rows at once: group 4
+    # of 40 removes nodes 17, 18 and 19. 35 and 43 intervals leave 3 rows
+    # before the first group, which removes nodes 4-6 of 43; the last
+    # group of 35 removes node 34. From 65 to 128 intervals it follows one
+    # pairwise level, on the even grid nodes: the first group of 128
+    # removes nodes 2, 4 and 6, and that of 70, after 3 rows, nodes 8-12.
+    # The level carries row 66 of 67 and row 70 of 71, and their first
+    # nodes are removed by the last group. On 160 intervals node 17 is
+    # shared by pair 8 of the first pairwise level.
+    jac = zero_node(N, row)
     for _ in range(2):  # a failed factorization keeps nothing to replay
         with pytest.raises(SingularSystemError, match=f"pair block at node {node}$"):
             linear_solve(jac, np.zeros((N + 1) * 2))
     jac.dU_n[row + 1] = 1.0  # and leaves the blocks writable
+
+
+@pytest.mark.parametrize("N, row", [(43, 0), (43, 1), (70, 1)])
+def test_a_zero_node_carried_to_the_tail_is_reported_as_the_end_system(N, row):
+    # the grouped stage carries the first m mod 4 rows to the dense tail:
+    # rows 0-2 of 43 intervals, and of 70 the level's rows on grid nodes
+    # 0-6, so a node they alone hold leaves the tail R with a zero pivot
+    with pytest.raises(SingularSystemError, match=f"end system on nodes 0 and {N} is singular$"):
+        linear_solve(zero_node(N, row), np.zeros((N + 1) * 2))
 
 
 def test_all_zero_small_system_is_reported_as_end_system():

@@ -19,6 +19,20 @@ def test_script_help_runs(name):
     assert proc.stdout.startswith(f"usage: {name}.py")
 
 
+@pytest.mark.parametrize("name", ["bench_linear_solve", "bench_newton", "bench_cli_output"])
+@pytest.mark.parametrize("repeats", ["1", "two"])
+def test_bench_refuses_fewer_than_two_repeats(name, repeats, tmp_path):
+    # quartiles need two rounds; the refusal comes before any tree is read
+    proc = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), str(tmp_path / "none"),
+                           "--repeats", repeats, "--out", str(tmp_path / "record.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"usage: {name}.py")
+    assert "argument --repeats: must be" in proc.stderr
+    assert not (tmp_path / "record.json").exists()
+
+
 @pytest.fixture
 def twotrees(monkeypatch):
     """scripts/twotrees.py, imported with the BLAS variables it sets at
