@@ -4,9 +4,9 @@
 
 A case is the linear system of the first Newton step, the analytic
 Jacobian and minus the residual at the problem's default iterate, over
-{falkner-skan, pile} x {log, alg} x N in {20, 40, 80, 160, 320, 1280, 10240}
-with c = 5. How the trees are loaded and timed, and what a case's
-timing fields mean, is in twotrees.py.
+{falkner-skan, pile} x {log, alg} x N in {20, 40, 42, 80, 160, 250, 320,
+1280, 10240} with c = 5. How the trees are loaded and timed, and what a
+case's timing fields mean, is in twotrees.py.
 
 linear_solve keeps its factors on the Jacobian it is given, so every
 timed cold call gets a fresh StructuredJacobian built, outside the timer,
@@ -29,7 +29,7 @@ import numpy as np
 
 PROBLEMS = ("falkner-skan", "pile")
 MAPS = ("log", "alg")
-SIZES = (20, 40, 80, 160, 320, 1280, 10240)
+SIZES = (20, 40, 42, 80, 160, 250, 320, 1280, 10240)
 
 
 def first_newton_system(lib, problem: str, kind: str, N: int):

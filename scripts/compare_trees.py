@@ -20,7 +20,8 @@ files, so paths in messages agree. Each differing (command, field) pair
 and each differing case prints one line, then the count; the exit code
 is 1 if anything differed. A differing Newton result also prints how far
 it moved: whether the iteration count and convergence flag are equal,
-and the largest absolute difference of the solutions.
+and the largest difference of the solutions, absolute and relative to
+max(1, |parent value|).
 """
 
 from __future__ import annotations
@@ -198,8 +199,9 @@ def difference(parent, change) -> str:
 
 def newton_moved(parent, change) -> str:
     """How far one Newton result moved: iteration count and convergence
-    flag, and the largest absolute solution difference (equal entries,
-    infinities included, count as 0)."""
+    flag, and the largest solution difference, absolute and relative to
+    max(1, |parent value|) (equal entries, infinities included, count as
+    0)."""
     if isinstance(parent, str) or isinstance(change, str):
         return difference(parent, change)
     (a, _, iterations_a, _, converged_a), (b, _, iterations_b, _, converged_b) = parent, change
@@ -209,8 +211,10 @@ def newton_moved(parent, change) -> str:
         flags = (f"iterations {iterations_a} -> {iterations_b}, "
                  f"converged {converged_a} -> {converged_b}")
     with np.errstate(invalid="ignore"):
-        moved = np.max(np.where(a == b, 0.0, np.abs(a - b)))
-    return f"{flags}, max |solution difference| {moved:.2e}"
+        moved = np.where(a == b, 0.0, np.abs(a - b))
+        relative = np.max(moved / np.maximum(1.0, np.abs(a)))
+    return (f"{flags}, max |solution difference| {np.max(moved):.2e}, "
+            f"relative to max(1, |parent|) {relative:.2e}")
 
 
 def main() -> int:

@@ -21,19 +21,20 @@ Each level pairs adjacent block rows and removes the node they share.
 All pairs of a level sit in one augmented slab, the pair blocks with the
 rows' other blocks and right-hand sides, and d Householder reflections
 applied in place triangularize every pair block at once. This repeats
-while more than 64 block rows remain. Below that a level costs numpy's
-per-call floor whatever its size, so one grouped stage takes the rest:
-the same orthogonal elimination on runs of four consecutive rows, whose
-three interior nodes go with one batched Householder QR of every group's
-interior columns. The at most 18 rows left and the boundary row form one
-dense system on the remaining nodes, solved by one Householder QR, and
-back-substitution recovers the removed nodes, the groups' first.
-Orthogonal transforms keep the growing modes of the linearization from
-being amplified, which condensation onto delta_0 (discrete shooting)
-does not, and the tail is QR rather than LU for the same reason: partial
-pivoting can be unstable on exactly these matrices (Wright, "A
-collection of problems for which Gaussian elimination with partial
-pivoting is unstable", SIAM J. Sci. Comput. 14, 1993).
+while more than 64 block rows remain, or more than 16 that four does not
+divide. Below that a level costs numpy's per-call floor whatever its
+size, so one grouped stage takes the rest: the same orthogonal
+elimination on runs of four consecutive rows, whose three interior nodes
+go with one batched Householder QR of every group's interior columns.
+The at most 16 rows left and the boundary row form one dense system on
+the remaining nodes, solved by one Householder QR, and back-substitution
+recovers the removed nodes, the groups' first. Orthogonal transforms
+keep the growing modes of the linearization from being amplified, which
+condensation onto delta_0 (discrete shooting) does not, and the tail is
+QR rather than LU for the same reason: partial pivoting can be unstable
+on exactly these matrices (Wright, "A collection of problems for which
+Gaussian elimination with partial pivoting is unstable", SIAM J. Sci.
+Comput. 14, 1993).
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ _EPS = float(np.finfo(float).eps)
 # is: below it a reduction's fixed cost of small numpy calls outweighs
 # one dense QR of the rest.
 _TAIL_ROWS = 16
-# Pairwise levels run while more than _GROUPED_ROWS rows remain; below
-# that a level costs numpy's per-call floor whatever its size. Then one
-# grouped stage removes the interior nodes of every _GROUP_ROWS
-# consecutive rows with one batched QR, leaving at most 16 + 3 rows.
-_GROUPED_ROWS = 64
+# Pairwise levels run while more than _GROUPED_ROWS rows remain, or more
+# than _TAIL_ROWS that _GROUP_ROWS does not divide; below that a level
+# costs numpy's per-call floor whatever its size. Then one grouped stage
+# removes the interior nodes of every _GROUP_ROWS consecutive rows with
+# one batched QR, leaving at most _TAIL_ROWS rows.
 _GROUP_ROWS = 4
+_GROUPED_ROWS = _GROUP_ROWS * _TAIL_ROWS
 # Smallest grid whose cold solve starts from the grid N/8 (newton_solve):
 # below it the gain was within noise, and a jump of 64 rather than 8
 # (N = 20 to 1280) reached a different solution.
@@ -132,17 +134,18 @@ def linear_solve(jacobian: StructuredJacobian, rhs) -> np.ndarray:
     """Solve jacobian @ delta = rhs; returns the correction field (N+1, d).
 
     Structured-QR cyclic reduction in O(d^3 N) work. While more than 64
-    block rows remain, a pairwise level stacks its p pairs of block rows
-    into one augmented (2d, 3d+1, p) slab, pairs on the last axis, and
-    triangularizes the shared node's d columns of every pair at once with
-    d Householder reflections applied in place to the slab, so Q is never
-    formed. Then, if more than 16 rows remain, the grouped stage removes
-    the three interior nodes of each run of four rows at once: one batched
-    Householder QR (np.linalg.qr) of the groups' (4d, 3d) interior columns,
-    and one batched matmul that applies each group's Q.T to its rows,
-    outer nodes and rhs included. The at most 18 rows left and the boundary row make one
-    dense (m+1)d x (m+1)d system on the remaining m+1 nodes, which one
-    Householder QR and a solve with R finish.
+    block rows remain, or more than 16 that four does not divide, a
+    pairwise level stacks its p pairs of block rows into one augmented
+    (2d, 3d+1, p) slab, pairs on the last axis, and triangularizes the
+    shared node's d columns of every pair at once with d Householder
+    reflections applied in place to the slab, so Q is never formed. Then,
+    if more than 16 rows remain, the grouped stage removes the three
+    interior nodes of each run of four rows at once: one batched
+    Householder QR (np.linalg.qr) of the groups' (4d, 3d) interior
+    columns, and one batched matmul that applies each group's Q.T to its
+    rows, outer nodes and rhs included. The at most 16 rows left and the
+    boundary row make one dense (m+1)d x (m+1)d system on the remaining
+    m+1 nodes, which one Householder QR and a solve with R finish.
 
     The first call on a Jacobian factors it, with rhs carried along, and
     keeps the factors on it: each level's slab, which holds the reflection
@@ -195,7 +198,7 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
     reflection j the scaled reflection vector v / (alpha_j v_1) of shape
     (2d-j, p); the vectors v themselves stay in the slab's columns. groups
     is the grouped stage's (Q.T, R, top), see _factor_groups, or None when
-    the system had at most 16 rows. Raises SingularSystemError at the first
+    the levels left at most 16 rows. Raises SingularSystemError at the first
     level with a rank-deficient pair or group block, naming the node its
     first such pair shares or its first such group removes.
     """
@@ -210,8 +213,7 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
     left = jacobian.dU_n.transpose(1, 2, 0)
     right = jacobian.dU_next.transpose(1, 2, 0)
     levels = []
-    while r.shape[-1] > _GROUPED_ROWS:
-        m = r.shape[-1]
+    while (m := r.shape[-1]) > _GROUPED_ROWS or (m > _TAIL_ROWS and m % _GROUP_ROWS):
         p = m // 2
         slab = np.zeros((2 * d, 3 * d + 1, p))
         slab[:d, :d] = right[..., : 2 * p: 2]
@@ -267,33 +269,32 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
 
 def _factor_groups(left: np.ndarray, right: np.ndarray, r: np.ndarray, levels: int):
     """The grouped stage on a level's rows left, right (d, d, m) and r
-    (d, m), after `levels` pairwise levels. Returns the kept (Q.T, R, top)
-    and the rows [left, right, r] it leaves for the tail.
+    (d, m), after `levels` pairwise levels, with G = 4 dividing m. Returns
+    the kept (Q.T, R, top) and the rows (left, right, r) it leaves for the
+    tail.
 
-    The first c = m mod G rows, G = 4, go to the tail as they are, so the
-    rows at the level's far end, where a pairwise level carries its odd
-    row, are grouped. The other rows form q runs of G: group g couples
-    nodes c + Gg .. c + G(g+1), and the G-1 between its two outer nodes
-    are interior. None of them is the level's last node, so interior node
-    k is grid node k 2^levels. The interior columns, (Gd, (G-1)d) and
-    block bidiagonal, get one QR. R is its leading (G-1)d square, and Q.T
-    turns the group's whole block, nodes in order and then the rhs, into
-    top, its first (G-1)d rows, from which R recovers the interior nodes,
-    and into the group's one next row, the last d rows on the outer nodes.
-    A pivot of R at roundoff of its column's norm leaves that column's
-    node undetermined and raises SingularSystemError naming it.
+    The rows form q = m / G runs of G: group g couples nodes Gg .. G(g+1),
+    and the G-1 between its two outer nodes are interior. None of them is
+    the level's last node, so interior node k is grid node k 2^levels.
+    The interior columns, (Gd, (G-1)d) and block bidiagonal, get one QR.
+    R is its leading (G-1)d square, and Q.T turns the group's whole block,
+    nodes in order and then the rhs, into top, its first (G-1)d rows, from
+    which R recovers the interior nodes, and into the group's one next
+    row, the last d rows on the outer nodes. A pivot of R at roundoff of
+    its column's norm leaves that column's node undetermined and raises
+    SingularSystemError naming it.
     """
     G = _GROUP_ROWS
     d, m = r.shape
-    q, carried = divmod(m, G)
+    q = m // G
     # Row i of a group couples its nodes i and i+1: the group's rows are
     # one (Gd, (G+1)d+1) block, its nodes' columns in order, then the rhs.
     block = np.zeros((q, G, d, (G + 1) * d + 1))
     nodes = block[..., :-1].reshape(q, G, d, G + 1, d)
     i = np.arange(G)
-    nodes[:, i, :, i] = left[..., carried:].reshape(d, d, q, G).transpose(3, 2, 0, 1)
-    nodes[:, i, :, i + 1] = right[..., carried:].reshape(d, d, q, G).transpose(3, 2, 0, 1)
-    block[..., -1] = r[:, carried:].reshape(d, q, G).transpose(1, 2, 0)
+    nodes[:, i, :, i] = left.reshape(d, d, q, G).transpose(3, 2, 0, 1)
+    nodes[:, i, :, i + 1] = right.reshape(d, d, q, G).transpose(3, 2, 0, 1)
+    block[..., -1] = r.reshape(d, q, G).transpose(1, 2, 0)
     block = block.reshape(q, G * d, -1)
     interior = block[..., d: G * d]
     Q, R = np.linalg.qr(interior, mode="complete")
@@ -303,16 +304,14 @@ def _factor_groups(left: np.ndarray, right: np.ndarray, r: np.ndarray, levels: i
     deficient = (pivots <= (G * d * _EPS) * scale) & np.isfinite(scale)
     if deficient.any():
         group = int(np.argmax(deficient.any(axis=1)))
-        node = carried + G * group + 1 + int(np.argmax(deficient[group])) // d
+        node = G * group + 1 + int(np.argmax(deficient[group])) // d
         raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
                                   f"{node << levels}")
     QT = Q.transpose(0, 2, 1)
     block = QT @ block
     top, rows = block[:, : (G - 1) * d], block[:, (G - 1) * d:]
-    rows = (rows[..., :d].transpose(1, 2, 0), rows[..., G * d: -1].transpose(1, 2, 0),
-            rows[..., -1].T)
-    return (QT, R, top), [np.concatenate((old[..., :carried], new), axis=-1)
-                          for new, old in zip(rows, (left, right, r))]
+    return (QT, R, top), (rows[..., :d].transpose(1, 2, 0),
+                          rows[..., G * d: -1].transpose(1, 2, 0), rows[..., -1].T)
 
 
 def _replay(levels, groups, r: np.ndarray) -> np.ndarray:
@@ -329,10 +328,9 @@ def _replay(levels, groups, r: np.ndarray) -> np.ndarray:
     if groups is not None:
         QT, _, top = groups
         d, q = r.shape[0], top.shape[0]
-        carried = r.shape[-1] - _GROUP_ROWS * q
-        column = QT @ r[:, carried:].reshape(d, q, _GROUP_ROWS).transpose(1, 2, 0).reshape(q, -1, 1)
+        column = QT @ r.reshape(d, q, _GROUP_ROWS).transpose(1, 2, 0).reshape(q, -1, 1)
         top[..., -1] = column[:, :-d, 0]
-        r = np.concatenate((r[:, :carried], column[:, -d:, 0].T), axis=-1)
+        r = column[:, -d:, 0].T
     return r
 
 
@@ -349,16 +347,15 @@ def _back_substitute(levels, groups, x: np.ndarray) -> np.ndarray:
     if groups is not None:
         _, R, top = groups
         d, q = x.shape[0], R.shape[0]
-        carried = x.shape[1] - q - 1
         outer = np.zeros((q, top.shape[-1], 1))
-        outer[:, :d, 0] = -x[:, carried: -1].T
-        outer[:, _GROUP_ROWS * d: -1, 0] = -x[:, carried + 1:].T
+        outer[:, :d, 0] = -x[:, :-1].T
+        outer[:, _GROUP_ROWS * d: -1, 0] = -x[:, 1:].T
         outer[:, -1] = 1.0
         z = np.linalg.solve(R, top @ outer)
         nodes = np.empty((d, q, _GROUP_ROWS))
-        nodes[..., 0] = x[:, carried: -1]
+        nodes[..., 0] = x[:, :-1]
         nodes[..., 1:] = z.reshape(q, _GROUP_ROWS - 1, d).transpose(2, 0, 1)
-        x = np.concatenate((x[:, :carried], nodes.reshape(d, -1), x[:, -1:]), axis=1)
+        x = np.concatenate((nodes.reshape(d, -1), x[:, -1:]), axis=1)
     for slab, alphas, _ in reversed(levels):
         d, p = alphas.shape
         z = np.empty((3 * d + 1, p))

@@ -1,5 +1,9 @@
 """The package surface: every public name of the five library modules,
-listed once, in the modules themselves."""
+listed once, in the modules themselves, and source that parses on the
+oldest Python pyproject.toml admits."""
+
+import ast
+from pathlib import Path
 
 import infbvp
 from infbvp import grids, newton, problems, richardson, scheme
@@ -27,3 +31,11 @@ def test_every_exported_name_is_the_defining_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(infbvp, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    sources = sorted(Path(infbvp.__file__).parent.glob("*.py"))
+    assert sources
+    for source in sources:
+        ast.parse(source.read_text(), filename=str(source), feature_version=(3, 10))

@@ -212,13 +212,14 @@ def random_chain(rng, N, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_linear_solve_matches_dense_oracle_on_every_carry_pattern(d):
-    # N = 2..16 go straight to the dense tail. N = 17..64 go straight to
-    # the grouped stage, N = 65..128 after one pairwise level and N =
-    # 129..137 after two, so N runs across the stage's 64-row start and
-    # the stage meets every row count m mod 4 = 0..3, with every pattern
-    # of odd rows carried up by the levels on the way; 1025 carries one
-    # at every level, 1023 at the first level only. The second rhs
-    # replays the factors the first solve kept.
+    # N = 2..16 go straight to the dense tail, and N = 20..64 that four
+    # divides straight to the grouped stage. Every other N runs pairwise
+    # levels until at most 64 rows that four divides, or at most 16 rows,
+    # remain, so N runs across the stage's 64-row start and meets every
+    # pattern of odd rows carried up by the levels on the way; 1025
+    # carries one at every level, 1023 at the first level only. Either
+    # way the tail keeps at most 16 rows and the boundary row. The second
+    # rhs replays the factors the first solve kept.
     rows, start = newton._GROUP_ROWS, newton._GROUPED_ROWS
     rng, replay_rng = np.random.default_rng(23), np.random.default_rng(37)
     for N in [*range(2, 2 * start + 2 * rows + 2), 1023, 1025]:
@@ -231,6 +232,7 @@ def test_linear_solve_matches_dense_oracle_on_every_carry_pattern(d):
             assert structured.shape == (N + 1, d)
             assert np.max(np.abs(structured - oracle)) <= 1e-10 * (1.0 + scale), N
             assert block_product(jac, structured) == pytest.approx(b, abs=1e-9 * (1.0 + scale)), N
+        assert jac._factors[3].shape[0] <= (newton._TAIL_ROWS + 1) * d, N
         fresh = linear_solve(StructuredJacobian(jac.dU_n, jac.dU_next, jac.dg_0, jac.dg_N), b)
         assert np.max(np.abs(structured - fresh)) <= 1e-13 * (1.0 + scale), N
 
@@ -250,9 +252,9 @@ def test_factored_jacobian_is_read_only():
 @pytest.mark.parametrize("block", ["dU_n", "dU_next", "dg_0", "dg_N"])
 def test_nonfinite_block_gives_nonfinite_delta_silently(block, value):
     # interval block 17 is reduced in the grouped stage on 40 intervals
-    # and in the first pairwise level on 160; block 1 of 43 intervals is
-    # in a row the grouped stage carries to the dense tail, which the
-    # boundary blocks enter on every grid
+    # and in the first pairwise level on 160, and block 1 of 43 intervals
+    # in the first pairwise level too, since four does not divide 43; the
+    # boundary blocks enter the dense tail on every grid
     problem = pile()
     for N, row in [(40, 17), (43, 1), (160, 17)]:
         grid = build_grid(GridMap("log", 5.0), N)
@@ -387,17 +389,19 @@ def zero_node(N, row):
                          [(40, 16, 17), (128, 1, 2), (128, 3, 4), (35, 33, 34), (67, 65, 66),
                           (40, 17, 18), (43, 4, 5), (70, 9, 10), (71, 69, 70), (160, 16, 17)],
                          ids=["level1", "level2", "level3", "carried35", "carried67", "group40",
-                              "group43", "group70", "carried71", "pair160"])
+                              "pair43", "pair70", "carried71", "pair160"])
 def test_rank_deficient_pair_block_is_reported(N, row, node):
-    # Up to 64 intervals the grouped stage takes the rows at once: group 4
-    # of 40 removes nodes 17, 18 and 19. 35 and 43 intervals leave 3 rows
-    # before the first group, which removes nodes 4-6 of 43; the last
-    # group of 35 removes node 34. From 65 to 128 intervals it follows one
-    # pairwise level, on the even grid nodes: the first group of 128
-    # removes nodes 2, 4 and 6, and that of 70, after 3 rows, nodes 8-12.
-    # The level carries row 66 of 67 and row 70 of 71, and their first
-    # nodes are removed by the last group. On 160 intervals node 17 is
-    # shared by pair 8 of the first pairwise level.
+    # Up to 64 intervals that four divides, the grouped stage takes the
+    # rows at once: group 4 of 40 removes nodes 17, 18 and 19. Pairwise
+    # levels run on while four does not divide more than 16 rows left:
+    # pair 2 of 43's first level shares node 5, and of 70's second level,
+    # on the even grid nodes, node 10. The first level of 35 carries row
+    # 34, of 67 row 66, and pair 8 of 35's second level shares node 34,
+    # pair 16 of 67's node 66. From 65 to 128 intervals, four dividing
+    # the rows one level leaves, the stage follows that level: the first
+    # group of 128 removes nodes 2, 4 and 6, and the last of 71, whose
+    # level carries row 70, node 70. On 160 intervals node 17 is shared
+    # by pair 8 of the first pairwise level.
     jac = zero_node(N, row)
     for _ in range(2):  # a failed factorization keeps nothing to replay
         with pytest.raises(SingularSystemError, match=f"pair block at node {node}$"):
@@ -405,12 +409,18 @@ def test_rank_deficient_pair_block_is_reported(N, row, node):
     jac.dU_n[row + 1] = 1.0  # and leaves the blocks writable
 
 
-@pytest.mark.parametrize("N, row", [(43, 0), (43, 1), (70, 1)])
-def test_a_zero_node_carried_to_the_tail_is_reported_as_the_end_system(N, row):
-    # the grouped stage carries the first m mod 4 rows to the dense tail:
-    # rows 0-2 of 43 intervals, and of 70 the level's rows on grid nodes
-    # 0-6, so a node they alone hold leaves the tail R with a zero pivot
-    with pytest.raises(SingularSystemError, match=f"end system on nodes 0 and {N} is singular$"):
+@pytest.mark.parametrize("N, row, message",
+                         [(43, 0, "pair block at node 1"), (43, 1, "pair block at node 2"),
+                          (70, 1, "pair block at node 2"),
+                          (18, 1, "end system on nodes 0 and 18 is singular")],
+                         ids=["43-0", "43-1", "70-1", "18-1"])
+def test_a_zero_node_no_group_removes_is_named_by_a_pair_or_the_end_system(N, row, message):
+    # four divides none of the row counts above 16 that 43 and 70
+    # intervals reach, so pairwise levels share their first nodes: node 1
+    # in the first level, node 2 in the second. 18 intervals leave 9 rows
+    # after one level, and node 2, which no pair of it shares, reaches the
+    # dense tail with zero columns: the tail R has a zero pivot
+    with pytest.raises(SingularSystemError, match=f"{message}$"):
         linear_solve(zero_node(N, row), np.zeros((N + 1) * 2))
 
 
