@@ -3,15 +3,16 @@
     python3 scripts/bench_newton.py PARENT_TREE [--out BENCH_newton.json]
 
 A case is one newton_solve with no initial field (a cold solve), default
-tolerance, over {falkner-skan, pile} x {log, alg} x N in {20, 160, 1280,
-10240} x {analytic, fd Jacobian}, with c = 5. N = 20..1280 start from
-the problem's default iterate; N = 10240 starts from the solution of
-the grid N/8, which newton_solve runs first. How the trees are loaded
-and timed, and what a case's timing fields mean, is in twotrees.py. One
-untimed call per side counts the Jacobians it assembles and
-the linear solves it runs, through counting wrappers on its newton
-module's assemble_jacobian and linear_solve, so those counts include
-the N/8 grid's solve; iterations count the case's own grid only.
+tolerance, over {falkner-skan, pile} x {log, alg} x N in {20, 160, 640,
+1280, 10240} x {analytic, fd Jacobian}, with c = 5. N = 20, 160 and 640
+start from the problem's default iterate; N = 1280 and 10240 start from
+the solution of the grid N/8, which newton_solve runs first (10240
+through 1280, then 160). How the trees are loaded and timed, and what a
+case's timing fields mean, is in twotrees.py. One untimed call per side
+counts the Jacobians it assembles and the linear solves it runs,
+through counting wrappers on its newton module's assemble_jacobian and
+linear_solve, so those counts include the N/8 grids' solves; iterations
+count the case's own grid only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from twotrees import c5_grid, load_sides, paired_rounds, parse_args, timing, wri
 
 PROBLEMS = ("falkner-skan", "pile")
 MAPS = ("log", "alg")
-SIZES = (20, 160, 1280, 10240)
+SIZES = (20, 160, 640, 1280, 10240)
 MODES = ("analytic", "fd")
 
 

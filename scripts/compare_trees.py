@@ -10,7 +10,7 @@ Both trees, loaded as twotrees.py describes, run on a fixed matrix:
   precision, --raw and --decimals 3, to stdout and to --out;
 - the residual and the analytic and FD Jacobian blocks, bitwise, on
   {falkner-skan, pile, a problem whose g couples U_0 and U_N} x {log, alg}
-  x N in {20, 160, 1280, 2560} x continuation on/off, at a fixed
+  x N in {20, 160, 640, 1280, 2560} x continuation on/off, at a fixed
   perturbation of the initial iterate;
 - newton_solve's solution, increments, iteration count and convergence
   flag, bitwise, on the same cases, with the default and the FD Jacobian.
@@ -101,7 +101,7 @@ USAGE = [[], ["--help"], ["bogus"], ["grid", "--N", "4", "--decimals", "-1"],
          *([command, "--help"] for command in ("solve", "sweep", "extrapolate", "grid"))]
 PROBLEM_NAMES = ("falkner-skan", "pile", "coupled")
 MAPS = ("log", "alg")
-SIZES = (20, 160, 1280, 2560)
+SIZES = (20, 160, 640, 1280, 2560)
 
 
 def run_cli(lib, argv):

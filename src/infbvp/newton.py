@@ -8,9 +8,11 @@ with the previous Jacobian's kept factors, J_old delta = -residual(U),
 and takes it only when it ends the solve at Newton accuracy. From a
 given field (a warm start) the second step is tried; otherwise a step is
 tried when the last two corrections predict the end, from a cold
-start's second correction on. A cold start on a grid of N >= 2560
+start's second correction on. A cold start on a grid of N >= 1280
 intervals that 8 divides is made warm: it starts from the solution of
-the grid N/8, prolonged.
+the grid N/8, prolonged. The threshold keeps every coarse grid at 160
+intervals or more; a rougher one saves no Jacobians on the alg map, or
+misses the answer.
 
 The linear stage exploits the block structure: N interval block rows,
 each coupling two neighbouring nodes, closed by one boundary block row
@@ -71,10 +73,14 @@ _TAIL_ROWS = 16
 # one batched QR, leaving at most _TAIL_ROWS rows.
 _GROUP_ROWS = 4
 _GROUPED_ROWS = _GROUP_ROWS * _TAIL_ROWS
-# Smallest grid whose cold solve starts from the grid N/8 (newton_solve):
-# below it the gain was within noise, and a jump of 64 rather than 8
-# (N = 20 to 1280) reached a different solution.
-_COARSE_START_N = 2560
+# Smallest grid whose cold solve starts from the grid N/8 (newton_solve),
+# so that every coarse grid has at least 160 intervals. From N = 320 the
+# coarse grid 40 is too rough: on the alg map a solve then takes 5
+# Jacobians in all instead of 3, and is slower. From N = 640 it is
+# faster, but its kept end step on alg misses a tol = 1e-12 answer by up
+# to 1.9e-7 (Falkner-Skan, P <= 0). From N = 1280 the worst of 160
+# surveyed cases (both maps, P = 2 to -0.18 and the pile) misses by 6.5e-9.
+_COARSE_START_N = 1280
 
 
 class SingularSystemError(RuntimeError):
@@ -377,15 +383,18 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     """Run Newton on the discrete system.
 
     initial is a field of shape (N+1, d) or None for a cold start. A
-    cold start on a QuasiUniformGrid with N >= 2560 that 8 divides first
+    cold start on a QuasiUniformGrid with N >= 1280 that 8 divides first
     solves the grid N/8 of the same map and rule with the same config,
-    itself through newton_solve, and starts from that solution prolonged
-    three times, as from a given initial. Newton is mesh independent
-    (Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23,
-    1986), so the coarse grid takes the fine grid's early steps at about
-    1/8 of their cost. increments and iterations count this grid's
-    steps only. Every other cold start, and one whose coarse solve does
-    not converge, starts from the problem's default iterate.
+    itself through newton_solve (10240 goes through 1280, then 160), and
+    starts from that solution prolonged three times, as from a given
+    initial. Newton is mesh independent (Allgower, Boehmer, Potra &
+    Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so the coarse grid takes
+    the fine grid's early steps at about 1/8 of their cost; below
+    N = 1280 the coarse grid is too rough to save Jacobians on the alg
+    map or to keep the answer (_COARSE_START_N). increments and
+    iterations count this grid's steps only. Every other cold start, and
+    one whose coarse solve does not converge, starts from the problem's
+    default iterate.
 
     Convergence means the mean absolute correction fell to config.tol.
     Every other exit returns converged=False with a reason, raising no

@@ -79,8 +79,9 @@ def falkner_runs():
 @pytest.fixture(scope="module")
 def hartree_runs():
     """Per P: the cold N = 1280 and 2560 solves at tol 1e-12 and their
-    Richardson wall shear (4 T_2560 - T_1280) / 3. The N = 2560 solve
-    starts from the solution of N = 320, which newton_solve runs first."""
+    Richardson wall shear (4 T_2560 - T_1280) / 3. The N = 1280 and 2560
+    solves start from the solutions of N = 160 and 320, which newton_solve
+    runs first."""
     config = SolverConfig(tol=1e-12)
     runs = {}
     for P in HARTREE_WALL_SHEAR:

@@ -73,14 +73,15 @@ def full_newton(problem, grid, mode, tol=1e-6, max_iter=50):
     return U, False, max_iter
 
 
-@pytest.mark.parametrize("N", [20, 160, 1280])
+@pytest.mark.parametrize("N", [20, 160, 1284])
 @pytest.mark.parametrize("mode", ["analytic", "fd"])
 @pytest.mark.parametrize("kind", ["log", "alg"])
 @pytest.mark.parametrize("make_problem", [falkner_skan, pile], ids=["falkner-skan", "pile"])
 def test_cold_solve_matches_full_newton(make_problem, kind, mode, N):
-    # a cold solve ends on the kept factors only when the contraction
-    # predicts the end; the kept step leaves an error below tol**2, so the
-    # answer is full Newton's to roundoff (measured at most 4.7e-11)
+    # a cold solve from the default iterate ends on the kept factors only
+    # when the contraction predicts the end; the kept step leaves an error
+    # below tol**2, so the answer is full Newton's to roundoff (measured at
+    # most 1.8e-15). 8 does not divide 1284, so it takes no coarse start
     problem, grid = make_problem(), build_grid(GridMap(kind, 5.0), N)
     solution, converged, iterations = full_newton(problem, grid, mode)
     result = newton_solve(problem, grid, config=SolverConfig(jacobian_mode=mode))
@@ -88,21 +89,21 @@ def test_cold_solve_matches_full_newton(make_problem, kind, mode, N):
     assert np.max(np.abs(result.solution - solution)) <= 1e-10
 
 
-@pytest.mark.parametrize("N", [160, 320, 640, 1280, 2560, 2564])
+@pytest.mark.parametrize("N", [160, 320, 640, 1280, 1284, 2560, 2564])
 @pytest.mark.parametrize("make_problem", [falkner_skan, pile], ids=["falkner-skan", "pile"])
 def test_cold_fd_solve_ends_on_the_kept_factors(make_problem, N, monkeypatch):
-    # the fd-jacobian benchmark's cases (N <= 1280) and two larger grids:
-    # the last step of each reuses the factors of the step before, so one
-    # FD Jacobian fewer per solve. N = 2560 starts from the solve on
-    # N = 320 and assembles at most 2 Jacobians of its own; 8 does not
-    # divide 2564, which starts from the default iterate as N = 1280 does
+    # the fd-jacobian benchmark's cases (N <= 1280) and larger grids: the
+    # last step of each reuses the factors of the step before, so one FD
+    # Jacobian fewer per solve. N = 1280 and 2560 start from the solve on
+    # N/8 and assemble at most 2 Jacobians of their own; 8 does not
+    # divide 1284 and 2564, which start from the default iterate
     counts = count_jacobians(monkeypatch)
     result = newton_solve(make_problem(), build_grid(GridMap("log", 5.0), N),
                           config=SolverConfig(jacobian_mode="fd"))
     assert result.converged
     assert counts[N] == result.iterations - 1
-    if N == 2560:
-        assert set(counts) == {320, 2560} and counts[2560] <= 2
+    if N in (1280, 2560):
+        assert set(counts) == {N // 8, N} and counts[N] <= 2
     else:
         assert set(counts) == {N} and counts[N] <= 3
 
@@ -117,7 +118,7 @@ def test_two_step_cold_solve_assembles_every_jacobian(monkeypatch):
 
 
 def count_cold_solve(monkeypatch, problem, grid, mode=None):
-    """A cold solve with its Jacobians and linear solves counted."""
+    """A cold solve's iterations, Jacobians per grid size N and linear solves."""
     jacobians, solves = count_jacobians(monkeypatch), []
     solve = newton.linear_solve
 
@@ -128,42 +129,59 @@ def count_cold_solve(monkeypatch, problem, grid, mode=None):
     monkeypatch.setattr(newton, "linear_solve", counted)
     result = newton_solve(problem, grid, config=SolverConfig(jacobian_mode=mode))
     assert result.converged
-    return result.iterations, jacobians[grid.N], len(solves)
+    return result.iterations, jacobians, len(solves)
 
 
-@pytest.mark.parametrize("N", [20, 160, 1280])
+@pytest.mark.parametrize("N", [20, 160, 640, 1280, 1284])
 @pytest.mark.parametrize("mode", ["analytic", "fd"])
 @pytest.mark.parametrize("kind", ["log", "alg"])
 def test_pile_cold_solve_counts(kind, mode, N, monkeypatch):
-    # the beam start is close enough that three Jacobians do
+    # the beam start is close enough that three Jacobians do. N = 1280 is
+    # the smallest grid that starts on N/8: those three are assembled on
+    # N = 160, and one more ends the fine grid. Neither 640 nor 1284, which
+    # 8 does not divide, assembles one on a coarse grid
     iterations, jacobians, _ = count_cold_solve(
         monkeypatch, pile(), build_grid(GridMap(kind, 5.0), N), mode)
-    assert iterations <= 4 and jacobians == 3
+    if N == 1280:
+        assert iterations == 2 and jacobians == {160: 3, 1280: 1}
+    else:
+        assert iterations <= 4 and jacobians == {N: 3}
 
 
-@pytest.mark.parametrize("N", [20, 160, 1280])
+@pytest.mark.parametrize("N", [20, 160, 640, 1280, 1284])
 @pytest.mark.parametrize("mode", ["analytic", "fd"])
 def test_cold_solve_tries_no_step_on_its_first_correction(mode, N, monkeypatch):
     # on the alg map Falkner-Skan's first correction is mostly u1 at the
-    # infinity node; predicting from it tried, and rejected, one replay
-    counts = count_cold_solve(monkeypatch, falkner_skan(P=1.0),
-                              build_grid(GridMap("alg", 5.0), N), mode)
-    assert counts == (4, 3, 4)
+    # infinity node; predicting from it tried, and rejected, one replay.
+    # N = 1280 takes those 4 linear solves on N = 160, then 2 of its own
+    iterations, jacobians, solves = count_cold_solve(
+        monkeypatch, falkner_skan(P=1.0), build_grid(GridMap("alg", 5.0), N), mode)
+    if N == 1280:
+        assert (iterations, jacobians, solves) == (2, {160: 3, 1280: 1}, 6)
+    else:
+        assert (iterations, jacobians, solves) == (4, {N: 3}, 4)
 
 
 @pytest.mark.parametrize("kind", ["log", "alg"])
-@pytest.mark.parametrize("make_problem", [falkner_skan, lambda: falkner_skan(P=-0.15), pile],
-                         ids=["falkner-skan", "falkner-skan-P-0.15", "pile"])
+@pytest.mark.parametrize("make_problem", [falkner_skan, lambda: falkner_skan(P=-0.15),
+                                          lambda: falkner_skan(P=-0.18), pile],
+                         ids=["falkner-skan", "falkner-skan-P-0.15", "falkner-skan-P-0.18",
+                              "pile"])
 def test_cold_start_from_the_eighth_grid_keeps_the_answer(make_problem, kind):
-    # N = 2560 starts from the prolonged N = 320 solution; measured at
-    # most 4.4e-9 from a solve started from the default iterate
-    problem, grid = make_problem(), build_grid(GridMap(kind, 5.0), 2560)
-    result = newton_solve(problem, grid)
-    reference = newton_solve(problem, grid, initial=initial_field(problem, grid))
-    assert result.converged and reference.converged
-    for name in problem.reports:
-        assert abs(report_scalar(problem, result, name)
-                   - report_scalar(problem, reference, name)) <= 1e-8
+    # N = 1280 and 2560 start from the prolonged N/8 solution; measured at
+    # most 3.7e-11 from a solve started from the default iterate
+    problem = make_problem()
+    for N in (1280, 2560):
+        grid = build_grid(GridMap(kind, 5.0), N)
+        for mode in ("analytic", "fd"):
+            config = SolverConfig(jacobian_mode=mode)
+            result = newton_solve(problem, grid, config=config)
+            reference = newton_solve(problem, grid, initial=initial_field(problem, grid),
+                                     config=config)
+            assert result.converged and reference.converged, (N, mode)
+            for name in problem.reports:
+                assert abs(report_scalar(problem, result, name)
+                           - report_scalar(problem, reference, name)) <= 1e-8, (N, mode, name)
 
 
 @pytest.mark.parametrize("kind", ["log", "alg"])
@@ -618,11 +636,12 @@ def test_a_one_grid_sweep_is_newton_solve(N):
 
 
 def test_a_warm_sweep_row_skips_the_coarse_start(monkeypatch):
-    # N = 2560 starts from the N = 1280 row, so no N = 320 solve runs
+    # N = 2560 starts from the N = 1280 row, so no N = 320 solve runs;
+    # the cold 1280 row runs its own start on N = 160
     counts = count_jacobians(monkeypatch)
     grids = [build_grid(GridMap("log", 5.0), n) for n in (1280, 2560)]
     assert all(result.converged for result in sweep(pile(), grids))
-    assert set(counts) == {1280, 2560}
+    assert set(counts) == {160, 1280, 2560}
 
 
 def test_auto_mode_uses_finite_differences_when_needed():
