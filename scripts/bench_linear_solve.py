@@ -2,10 +2,10 @@
 
     python3 scripts/bench_linear_solve.py PARENT_TREE [--out BENCH_linear_solve.json]
 
-A case is the linear system of the first Newton step, the analytic
-Jacobian and minus the residual at the problem's default iterate, over
-{falkner-skan, pile} x {log, alg} x N in {20, 40, 42, 80, 160, 250, 320,
-1280, 10240} with c = 5. How the trees are loaded and timed, and what a
+A case is linear_solve (infbvp/linsolve.py) on the linear system of the
+first Newton step, the analytic Jacobian and minus the residual at the
+problem's default iterate, over {falkner-skan, pile} x {log, alg} x N in
+{20, 40, 42, 80, 160, 250, 320, 1280, 10240} with c = 5. How the trees are loaded and timed, and what a
 case's timing fields mean, is in twotrees.py.
 
 linear_solve keeps its factors on the Jacobian it is given, so every
@@ -83,7 +83,7 @@ def main() -> None:
                     **timing(seconds), "replay": replay, "replay_share": share,
                     "parent_outcome": outcomes["parent"], "change_outcome": outcomes["change"]}
     write_record(args, __file__, (
-        "median and quartile wall ms over repeats of one newton.linear_solve, with the "
+        "median and quartile wall ms over repeats of one linear_solve, with the "
         "rounds the change won and whether that gain is resolved (twotrees.py), on the "
         "first Newton step's system, analytic Jacobian at the default iterate, c = 5, each call "
         "on a fresh Jacobian; replay holds the same fields for each side's second call on "

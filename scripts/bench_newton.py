@@ -10,9 +10,10 @@ the solution of the grid N/8, which newton_solve runs first (10240
 through 1280, then 160). How the trees are loaded and timed, and what a
 case's timing fields mean, is in twotrees.py. One untimed call per side
 counts the Jacobians it assembles and the linear solves it runs,
-through counting wrappers on its newton module's assemble_jacobian and
-linear_solve, so those counts include the N/8 grids' solves; iterations
-count the case's own grid only.
+through counting wrappers on the names assemble_jacobian and linear_solve
+that its newton module imported and newton_solve calls (they are defined
+in scheme.py and linsolve.py), so those counts include the N/8 grids'
+solves; iterations count the case's own grid only.
 """
 
 from __future__ import annotations

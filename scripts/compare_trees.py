@@ -10,8 +10,13 @@ Both trees, loaded as twotrees.py describes, run on a fixed matrix:
   precision, --raw and --decimals 3, to stdout and to --out;
 - the residual and the analytic and FD Jacobian blocks, bitwise, on
   {falkner-skan, pile, a problem whose g couples U_0 and U_N} x {log, alg}
-  x N in {20, 160, 640, 1280, 2560} x continuation on/off, at a fixed
-  perturbation of the initial iterate;
+  x N in {20, 70, 160, 640, 1280, 1284, 2560} x continuation on/off, at a
+  fixed perturbation of the initial iterate. Together the sizes reach
+  every stage map of the linear solve's reduction: 20 goes straight to
+  the grouped stage, 160 to 2560 halve evenly down to it, 70 carries an
+  odd row up from 35 and ends in the dense tail without the grouped
+  stage, and 1284, which also takes no coarse start, carries a row at
+  five levels before an 11-row tail;
 - newton_solve's solution, increments, iteration count and convergence
   flag, bitwise, on the same cases, with the default and the FD Jacobian.
 
@@ -101,7 +106,7 @@ USAGE = [[], ["--help"], ["bogus"], ["grid", "--N", "4", "--decimals", "-1"],
          *([command, "--help"] for command in ("solve", "sweep", "extrapolate", "grid"))]
 PROBLEM_NAMES = ("falkner-skan", "pile", "coupled")
 MAPS = ("log", "alg")
-SIZES = (20, 160, 640, 1280, 2560)
+SIZES = (20, 70, 160, 640, 1280, 1284, 2560)
 
 
 def run_cli(lib, argv):

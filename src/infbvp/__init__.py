@@ -9,8 +9,9 @@ and nested extrapolation on doubling grid families sharpens the reported
 scalars.
 """
 
-from . import grids, newton, problems, richardson, scheme
+from . import grids, linsolve, newton, problems, richardson, scheme
 from .grids import *
+from .linsolve import *
 from .newton import *
 from .problems import *
 from .richardson import *
@@ -18,5 +19,5 @@ from .scheme import *
 
 __version__ = "0.1.0"
 
-__all__ = sorted(name for module in (grids, newton, problems, richardson, scheme)
+__all__ = sorted(name for module in (grids, linsolve, newton, problems, richardson, scheme)
                  for name in module.__all__)

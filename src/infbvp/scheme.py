@@ -19,16 +19,14 @@ df_du returns (d, d, N) or a constant (d, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .grids import QuasiUniformGrid
+from .linsolve import StructuredJacobian
 
 __all__ = [
     "EvaluationError",
     "MissingDerivativeError",
-    "StructuredJacobian",
     "assemble_residual",
     "assemble_jacobian",
     "prolong",
@@ -118,34 +116,6 @@ def assemble_residual(problem, grid: QuasiUniformGrid, U) -> np.ndarray:
         res[:-1] = U[1:] - U[:-1] - a[:, None] * _eval_f(problem, x_mid, u_mid)
         res[-1] = _eval_g(problem, U[0], U[-1])
     return res.ravel()
-
-
-@dataclass(frozen=True, eq=False)
-class StructuredJacobian:
-    """Jacobian of the discrete system in its natural block sparsity.
-
-    Interval block row n couples only U_n and U_{n+1}; the boundary row
-    couples U_0 and U_N. Logical shape is d*(N+1) square.
-
-    The first newton.linear_solve on a Jacobian keeps its factors here
-    and makes the four block arrays read-only, so later solves with the
-    same Jacobian replay the factors on the new right-hand side and can
-    never meet blocks changed since.
-    """
-
-    dU_n: np.ndarray      # (N, d, d) derivative of interval block n w.r.t. U_n
-    dU_next: np.ndarray   # (N, d, d) derivative of interval block n w.r.t. U_{n+1}
-    dg_0: np.ndarray      # (d, d) boundary block w.r.t. U_0
-    dg_N: np.ndarray      # (d, d) boundary block w.r.t. U_N
-    _factors: tuple | None = field(default=None, init=False, repr=False)  # set by linear_solve
-
-    @property
-    def d(self) -> int:
-        return self.dU_n.shape[1]
-
-    @property
-    def N(self) -> int:
-        return self.dU_n.shape[0]
 
 
 def _forward_difference(fn, u: np.ndarray, base: np.ndarray) -> np.ndarray:

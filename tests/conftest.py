@@ -103,6 +103,11 @@ def dense_jacobian(jac):
     return full
 
 
+def dense_linear_solve(jac, rhs):
+    """Oracle for linear_solve: LU with partial pivoting on the dense matrix."""
+    return np.linalg.solve(dense_jacobian(jac), rhs).reshape(jac.N + 1, jac.d)
+
+
 def block_product(jac, delta):
     """jac @ delta.ravel() for a correction field delta of shape (N+1, d),
     one block row at a time."""

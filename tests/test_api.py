@@ -1,4 +1,4 @@
-"""The package surface: every public name of the five library modules,
+"""The package surface: every public name of the six library modules,
 listed once, in the modules themselves, and source that parses on the
 oldest Python pyproject.toml admits."""
 
@@ -6,9 +6,9 @@ import ast
 from pathlib import Path
 
 import infbvp
-from infbvp import grids, newton, problems, richardson, scheme
+from infbvp import grids, linsolve, newton, problems, richardson, scheme
 
-MODULES = (grids, newton, problems, richardson, scheme)
+MODULES = (grids, linsolve, newton, problems, richardson, scheme)
 
 PUBLIC_NAMES = [
     "BvpProblem", "EvaluationError", "ExtrapolationTable", "GridMap", "MapKind",

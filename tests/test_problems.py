@@ -97,14 +97,6 @@ def test_problem_factories_refuse_non_finite_parameters(value):
             pile(**{name: value})
 
 
-def test_right_hand_sides_reject_infinite_coordinates():
-    for problem in (falkner_skan(), pile()):
-        with pytest.raises(ValueError):
-            problem.f(np.inf, np.zeros(problem.d))
-        with pytest.raises(ValueError):
-            problem.f(np.nan, np.zeros(problem.d))
-
-
 def test_initial_field_evaluates_every_node():
     grid = build_grid(GridMap("log", 5.0), 6)
     fs_field = initial_field(falkner_skan(), grid)

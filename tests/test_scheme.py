@@ -14,6 +14,7 @@ from infbvp import (
     GridMap,
     MissingDerivativeError,
     QuasiUniformGrid,
+    SolverConfig,
     StructuredJacobian,
     assemble_jacobian,
     assemble_residual,
@@ -98,6 +99,14 @@ def test_residual_small_at_converged_solution():
     assert np.max(np.abs(res)) <= 1e-6
 
 
+def nan_at_infinity(grid):
+    """The grid with its infinite node x_N replaced by NaN."""
+    nodes = grid.nodes.copy()
+    nodes[-1] = np.nan
+    return QuasiUniformGrid(map=grid.map, N=grid.N, nodes=nodes,
+                            stencils=grid.stencil_arrays(), continuation=grid.continuation)
+
+
 def test_infinite_node_coordinate_is_never_read():
     # replace x_N by NaN: every assembled quantity must stay identical,
     # proving no arithmetic path touches the infinite coordinate
@@ -106,10 +115,7 @@ def test_infinite_node_coordinate_is_never_read():
     field = rng.normal(size=(13, 4))
     for continuation in (True, False):
         grid = build_grid(GridMap("log", 5.0), 12, continuation=continuation)
-        poisoned_nodes = grid.nodes.copy()
-        poisoned_nodes[-1] = np.nan
-        poisoned = QuasiUniformGrid(map=grid.map, N=grid.N, nodes=poisoned_nodes,
-                                    stencils=grid.stencil_arrays(), continuation=continuation)
+        poisoned = nan_at_infinity(grid)
         res_true = assemble_residual(problem, grid, field)
         res_poisoned = assemble_residual(problem, poisoned, field)
         assert np.array_equal(res_true, res_poisoned)
@@ -119,6 +125,29 @@ def test_infinite_node_coordinate_is_never_read():
         solved_true = newton_solve(problem, grid)
         solved_poisoned = newton_solve(problem, poisoned)
         assert np.array_equal(solved_true.solution, solved_poisoned.solution)
+
+
+def test_a_right_hand_side_that_reads_x_is_never_handed_the_infinite_node():
+    # the pile's f ignores x; this f reads it through exp(-x), so a NaN
+    # x_N that reached it would reach the residual, the Jacobians and
+    # the solve. No problem guards f itself: the scheme hands it only
+    # midpoints
+    problem = nonlinear_decay_problem()
+    field = np.random.default_rng(7).normal(size=(17, 2))
+    for continuation in (True, False):
+        grid = build_grid(GridMap("log", 4.0), 16, continuation=continuation)
+        poisoned = nan_at_infinity(grid)
+        assert np.array_equal(assemble_residual(problem, grid, field),
+                              assemble_residual(problem, poisoned, field))
+        for mode in ("analytic", "fd"):
+            assert np.array_equal(dense_jacobian(assemble_jacobian(problem, grid, field, mode)),
+                                  dense_jacobian(assemble_jacobian(problem, poisoned, field, mode)))
+            config = SolverConfig(jacobian_mode=mode)
+            solved = newton_solve(problem, grid, config=config)
+            solved_poisoned = newton_solve(problem, poisoned, config=config)
+            assert solved.converged
+            assert np.array_equal(solved.solution, solved_poisoned.solution)
+            assert solved.increments == solved_poisoned.increments
 
 
 def test_evaluation_error_carries_interval_index():
