@@ -89,26 +89,6 @@ def test_factored_jacobian_is_read_only():
             setattr(jac, name, block.copy())
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("block", ["dU_n", "dU_next", "dg_0", "dg_N"])
-def test_nonfinite_block_gives_nonfinite_delta_silently(block, value):
-    # interval block 17 is reduced in the grouped stage on 40 intervals
-    # and in the first pairwise level on 160, and block 1 of 43 intervals
-    # in the first pairwise level too, since four does not divide 43; the
-    # boundary blocks enter the dense tail on every grid
-    problem = pile()
-    for N, row in [(40, 17), (43, 1), (160, 17)]:
-        grid = build_grid(GridMap("log", 5.0), N)
-        field = initial_field(problem, grid)
-        jac = assemble_jacobian(problem, grid, field, "analytic")
-        getattr(jac, block)[(row, 1, 2) if block.startswith("dU") else (1, 2)] = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            delta = linear_solve(jac, -assemble_residual(problem, grid, field))
-        assert delta.shape == (N + 1, 4)
-        assert not np.all(np.isfinite(delta)), N
-
-
 def block_inf_norm(jac):
     """Largest absolute row sum of the Jacobian."""
     rows = np.abs(jac.dU_n).sum(axis=2) + np.abs(jac.dU_next).sum(axis=2)

@@ -195,6 +195,28 @@ def test_pile_start_is_robust(params, kind):
     assert np.max(np.abs(result.solution[0, :2] - reference.solution[0, :2])) <= 1e-9
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("block", ["dU_n", "dU_next", "dg_0", "dg_N"])
+def test_nonfinite_block_gives_nonfinite_delta_silently(block, value):
+    # newton_solve stops on "correction is not finite" by reading the
+    # delta, so linear_solve must hand a non-finite block through, not warn.
+    # interval block 17 is reduced in the grouped stage on 40 intervals
+    # and in the first pairwise level on 160, and block 1 of 43 intervals
+    # in the first pairwise level too, since four does not divide 43; the
+    # boundary blocks enter the dense tail on every grid
+    problem = pile()
+    for N, row in [(40, 17), (43, 1), (160, 17)]:
+        grid = build_grid(GridMap("log", 5.0), N)
+        field = initial_field(problem, grid)
+        jac = assemble_jacobian(problem, grid, field, "analytic")
+        getattr(jac, block)[(row, 1, 2) if block.startswith("dU") else (1, 2)] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = linear_solve(jac, -assemble_residual(problem, grid, field))
+        assert delta.shape == (N + 1, 4)
+        assert not np.all(np.isfinite(delta)), N
+
+
 def test_nonfinite_jacobian_stops_newton_unconverged():
     problem = linear_decay_problem(True)
     problem = BvpProblem(name="nan-jacobian", d=2, f=problem.f, g=problem.g,
