@@ -18,7 +18,8 @@ Both trees, loaded as twotrees.py describes, run on a fixed matrix:
   stage, and 1284, which also takes no coarse start, carries a row at
   five levels before an 11-row tail;
 - newton_solve's solution, increments, iteration count and convergence
-  flag, bitwise, on the same cases, with the default and the FD Jacobian.
+  flag, bitwise, on the same cases, with each tree's own default
+  SolverConfig() and with the FD Jacobian.
 
 Every side runs in a fresh working directory holding the same input
 files, so paths in messages agree. Each differing (command, field) pair
@@ -176,8 +177,7 @@ def scheme_case(lib, name, kind, N, continuation):
         jac = lib.assemble_jacobian(problem, grid, field, mode)
         return [jac.dU_n, jac.dU_next, jac.dg_0, jac.dg_N]
 
-    def solve(mode):
-        config = lib.SolverConfig(jacobian_mode=mode)
+    def solve(config):
         result = lib.newton_solve(problem, grid, config=config)
         return [result.solution, result.increments, result.iterations,
                 result.final_increment, result.converged]
@@ -186,8 +186,8 @@ def scheme_case(lib, name, kind, N, continuation):
         "residual": outcome(lambda: lib.assemble_residual(problem, grid, field)),
         "analytic jacobian": outcome(lambda: blocks("analytic")),
         "fd jacobian": outcome(lambda: blocks("fd")),
-        "newton default": outcome(lambda: solve(None)),
-        "newton fd": outcome(lambda: solve("fd")),
+        "newton default": outcome(lambda: solve(lib.SolverConfig())),
+        "newton fd": outcome(lambda: solve(lib.SolverConfig(jacobian_mode="fd"))),
     }
 
 

@@ -196,8 +196,10 @@ def _add_solver_options(parser) -> None:
                         help=f"mean-increment stopping tolerance (default {_DEFAULT_CONFIG.tol:g})")
     parser.add_argument("--max-iter", type=int, default=_DEFAULT_CONFIG.max_iter,
                         help=f"Newton iteration limit (default {_DEFAULT_CONFIG.max_iter})")
-    parser.add_argument("--jacobian", choices=["analytic", "fd"], default=None,
-                        help="default: analytic when the problem provides derivatives")
+    parser.add_argument("--jacobian", choices=["analytic", "fd"],
+                        default=_DEFAULT_CONFIG.jacobian_mode,
+                        help="analytic takes the problem's derivatives where it gives them "
+                             f"and differences the rest (default {_DEFAULT_CONFIG.jacobian_mode})")
     parser.add_argument("--no-continuation", action="store_true",
                         help="keep the degenerate last-interval weights b=0, c_w=1")
 

@@ -11,6 +11,7 @@ from one evaluation of the map.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,14 +104,15 @@ class QuasiUniformGrid:
 
 def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> QuasiUniformGrid:
     """Grid with N intervals and N+1 nodes, the last at infinity.
-    Requires N >= 2, a finite x_{N-1/4} and strict monotonicity.
+    Requires an integer N >= 2 (a float or a string raises TypeError),
+    a finite x_{N-1/4} and strict monotonicity.
     continuation sets the grid's last-interval rule (see stencil_arrays),
     which the residual, the Jacobian and prolong all follow.
 
     The map is evaluated once, at q/(4N) for q = 0..4N: x[4n + k] is
     x_{n+k/4}, the same double as the map at (n + k/4)/N, since both
     quotients round one rational."""
-    N = int(N)
+    N = operator.index(N)
     if N < 2:
         raise ValueError(f"need at least 2 intervals, got {N}")
     x = grid_map.values(np.arange(4 * N + 1) / (4 * N))

@@ -18,6 +18,7 @@ misses the answer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +49,27 @@ __all__ = [
 _COARSE_START_N = 1280
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Newton iteration controls.
 
-    jacobian_mode is "analytic", "fd", or None to pick analytic whenever
-    the problem carries closed-form derivatives. The last-interval rule
-    is the grid's: see build_grid(..., continuation=).
+    max_iter is an integer; a float or a string raises TypeError.
+    jacobian_mode is "analytic" or "fd", passed as is to
+    assemble_jacobian, whose docstring says where each derivative comes
+    from. The last-interval rule is the grid's: see
+    build_grid(..., continuation=).
     """
 
     tol: float = 1e-6
     max_iter: int = 50
-    jacobian_mode: str | None = None
+    jacobian_mode: str = "analytic"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-        if int(self.max_iter) < 1:
+        if operator.index(self.max_iter) < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.jacobian_mode not in (None, "analytic", "fd"):
+        if self.jacobian_mode not in ("analytic", "fd"):
             raise ValueError(f"unknown jacobian mode {self.jacobian_mode!r}")
 
 
@@ -156,18 +159,11 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         if not np.all(np.isfinite(U)):
             raise ValueError("initial field must be finite")
 
-    if config.jacobian_mode is not None:
-        mode = config.jacobian_mode
-    elif problem.df_du is not None and problem.dg is not None:
-        mode = "analytic"
-    else:
-        mode = "fd"
-
     tol = config.tol
     increments: list[float] = []
-    reason = f"did not converge in {int(config.max_iter)} iterations"
+    reason = f"did not converge in {config.max_iter} iterations"
     jacobian = None
-    for iteration in range(1, int(config.max_iter) + 1):
+    for iteration in range(1, config.max_iter + 1):
         try:
             residual = assemble_residual(problem, grid, U)
             delta = None
@@ -184,7 +180,7 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
                     delta = None
             if delta is None:
                 # rebinding frees the old factors before the new ones are built
-                jacobian = assemble_jacobian(problem, grid, U, mode)
+                jacobian = assemble_jacobian(problem, grid, U, config.jacobian_mode)
                 delta = linear_solve(jacobian, -residual)
         except (EvaluationError, SingularSystemError) as exc:
             failure = str(exc)

@@ -45,9 +45,9 @@ class BvpProblem:
     M points and silently gives a wrong answer. g stays pointwise: it
     consumes the first and last node values, each of shape (d,). dg is a
     pair of constant d x d matrices (the built-in boundary functions are
-    affine). Problems without derivatives fall back to the
-    finite-difference Jacobian mode. reports maps scalar names to
-    extractors over a solve result.
+    affine). Either derivative may be left out: assemble_jacobian's
+    docstring says how it then differences f or g. reports maps scalar
+    names to extractors over a solve result.
     """
 
     name: str

@@ -15,6 +15,7 @@ output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -66,9 +67,10 @@ def extrapolate_table(ns, values, print_decimals: int = 6) -> ExtrapolationTable
     The input column is rounded to print_decimals first: extrapolating a
     published table means extrapolating the digits it shows. Later
     columns keep full precision internally; only the stopping comparisons
-    round again.
+    round again. print_decimals must be an integer; a float raises
+    TypeError.
     """
-    decimals = int(print_decimals)
+    decimals = operator.index(print_decimals)
     if len(ns) != len(values):
         raise ValueError("ns and values must have equal length")
     if len(values) < 2:

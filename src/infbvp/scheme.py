@@ -26,7 +26,6 @@ from .linsolve import StructuredJacobian
 
 __all__ = [
     "EvaluationError",
-    "MissingDerivativeError",
     "assemble_residual",
     "assemble_jacobian",
     "prolong",
@@ -38,11 +37,6 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 class EvaluationError(ValueError):
     """A problem function returned a non-finite value; the message names
     the offending interval, or the boundary function."""
-
-
-class MissingDerivativeError(ValueError):
-    """Analytic Jacobian requested for a problem without closed-form
-    derivatives."""
 
 
 def _check_field(grid: QuasiUniformGrid, U, d: int | None = None) -> np.ndarray:
@@ -149,30 +143,31 @@ def assemble_jacobian(problem, grid: QuasiUniformGrid, U,
 
     Both modes build the (N, d, d) interval blocks from one formula,
     dU_n = -I - a*c_w*F and dU_next = I - a*b*F, with F = df/du at the
-    N midpoints. Mode "analytic" takes F from one call of the problem's
-    df_du and the boundary blocks from its dg. Mode "fd" works for any
-    problem: it approximates only df/du, by forward differences over d+1
-    batched f calls, and differentiates g the same way.
+    N midpoints. This function alone decides where each derivative comes
+    from. Mode "analytic" takes F from one call of the problem's df_du
+    and the boundary blocks from its dg, each where the problem gives
+    it. A derivative the problem leaves out, and both in mode "fd", is
+    forward-differenced: df/du from d+1 batched calls of f, dg from 2d+1
+    calls of g.
     """
     if mode not in ("analytic", "fd"):
         raise ValueError(f"unknown jacobian mode {mode!r}")
-    if mode == "analytic" and (problem.df_du is None or problem.dg is None):
-        raise MissingDerivativeError(
-            f"problem '{problem.name}' carries no analytic derivatives; use mode='fd'")
     U, a, b, c_w, x_mid, u_mid = _midpoints(problem, grid, U)
     N, d = u_mid.shape
 
     # a non-finite f or g raises EvaluationError; a non-finite F reaches delta
     with np.errstate(all="ignore"):
-        if mode == "analytic":
+        if mode == "analytic" and problem.df_du is not None:
             F = _df_du_analytic(problem, x_mid, u_mid)
+        else:
+            F = _forward_difference(lambda u: _eval_f(problem, x_mid, u), u_mid,
+                                    _eval_f(problem, x_mid, u_mid))
+        if mode == "analytic" and problem.dg is not None:
             dg_0 = np.array(problem.dg[0], dtype=float)
             dg_N = np.array(problem.dg[1], dtype=float)
             if dg_0.shape != (d, d) or dg_N.shape != (d, d):
                 raise ValueError("dg must be a pair of d x d matrices")
         else:
-            F = _forward_difference(lambda u: _eval_f(problem, x_mid, u), u_mid,
-                                    _eval_f(problem, x_mid, u_mid))
             g_base = _eval_g(problem, U[0], U[N])
             dg_0 = _forward_difference(lambda u: _eval_g(problem, u, U[N]), U[0], g_base)
             dg_N = _forward_difference(lambda u: _eval_g(problem, U[0], u), U[N], g_base)

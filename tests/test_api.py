@@ -12,7 +12,7 @@ MODULES = (grids, linsolve, newton, problems, richardson, scheme)
 
 PUBLIC_NAMES = [
     "BvpProblem", "EvaluationError", "ExtrapolationTable", "GridMap", "MapKind",
-    "MissingDerivativeError", "PROBLEMS", "QuasiUniformGrid", "SingularSystemError",
+    "PROBLEMS", "QuasiUniformGrid", "SingularSystemError",
     "SolveResult", "SolverConfig", "StructuredJacobian",
     "assemble_jacobian", "assemble_residual", "build_grid", "extrapolate_table",
     "falkner_skan", "initial_field", "linear_solve", "newton_solve", "observed_order",

@@ -89,6 +89,12 @@ def test_build_grid_validation():
         build_grid(GridMap("log", 5.0), 1)
     with pytest.raises(ValueError):
         build_grid(GridMap("log", 1e308), 4)
+    # a size that is not an integer is refused, not truncated or parsed
+    for N in (20.9, 20.0, "12"):
+        with pytest.raises(TypeError):
+            build_grid(GridMap("log", 5.0), N)
+    grid = build_grid(GridMap("log", 5.0), np.int64(12))
+    assert type(grid.N) is int and grid.N == 12 and grid.nodes.shape == (13,)
 
 
 def test_grid_nodes_are_read_only():

@@ -4,6 +4,7 @@ every failure reason, and sweeps."""
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_two_step_cold_solve_assembles_every_jacobian(monkeypatch):
     assert counts[2] == 2
 
 
-def count_cold_solve(monkeypatch, problem, grid, mode=None):
+def count_cold_solve(monkeypatch, problem, grid, mode="analytic"):
     """A cold solve's iterations, Jacobians per grid size N and linear solves."""
     jacobians, solves = count_jacobians(monkeypatch), []
     solve = newton.linear_solve
@@ -331,10 +332,11 @@ def failing_problems():
         "f-analytic": (poisoned_f, "analytic", 50, f_reason),
         "f-fd": (poisoned_f, "fd", 50, f_reason),
         "g-fd": (poisoned_g, "fd", 50, "iteration 2: non-finite boundary function value"),
-        "singular": (unconstrained_problem(), None, 50,
+        "singular": (unconstrained_problem(), "analytic", 50,
                      "iteration 1: end system on nodes 0 and 8 is singular"),
-        "nonfinite": (overflow_problem(), None, 50, "iteration 1: correction is not finite"),
-        "max-iter": (falkner_skan(), None, 2, "did not converge in 2 iterations"),
+        "nonfinite": (overflow_problem(), "analytic", 50,
+                      "iteration 1: correction is not finite"),
+        "max-iter": (falkner_skan(), "analytic", 2, "did not converge in 2 iterations"),
     }
 
 
@@ -475,6 +477,18 @@ def test_a_warm_sweep_row_skips_the_coarse_start(monkeypatch):
     assert set(counts) == {160, 1280, 2560}
 
 
+def test_a_duck_typed_grid_solves_from_the_default_iterate(monkeypatch):
+    # prototypes pass objects with only N, nodes and stencil_arrays(); the
+    # coarse start needs a QuasiUniformGrid's map and rule, so it is skipped
+    grid = build_grid(GridMap("log", 5.0), 1280)
+    stencils = grid.stencil_arrays()
+    duck = SimpleNamespace(N=grid.N, nodes=grid.nodes, stencil_arrays=lambda: stencils)
+    counts = count_jacobians(monkeypatch)
+    result = newton_solve(falkner_skan(P=1.0), duck)
+    assert result.converged and result.iterations == 4
+    assert set(counts) == {1280}
+
+
 def test_auto_mode_uses_finite_differences_when_needed():
     grid = build_grid(GridMap("log", 4.0), 30)
     with_derivatives = newton_solve(linear_decay_problem(True), grid)
@@ -518,8 +532,23 @@ def test_config_validation():
             SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(jacobian_mode="symbolic")
+    for mode in ("symbolic", None):
+        with pytest.raises(ValueError):
+            SolverConfig(jacobian_mode=mode)
+    # a budget that is not an integer is refused, not truncated or parsed
+    for max_iter in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            SolverConfig(max_iter=max_iter)
+    grid = build_grid(GridMap("log", 5.0), 40)
+    capped = newton_solve(falkner_skan(), grid, config=SolverConfig(max_iter=np.int64(2)))
+    assert capped.reason == "did not converge in 2 iterations" and capped.iterations == 2
+    # a checked value cannot change later; replace() builds a checked copy
+    config = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.max_iter = 2.5
+    assert dataclasses.replace(config, max_iter=3).max_iter == 3
+    with pytest.raises(TypeError):
+        dataclasses.replace(config, max_iter=2.5)
 
 
 def test_initial_field_validation():

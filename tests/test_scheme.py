@@ -7,12 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import block_product, dense_jacobian, nonlinear_decay_problem, toy_linear_problem
+from conftest import (block_product, count_jacobians, dense_jacobian, nonlinear_decay_problem,
+                      toy_linear_problem)
 from infbvp import (
     BvpProblem,
     EvaluationError,
     GridMap,
-    MissingDerivativeError,
     QuasiUniformGrid,
     SolverConfig,
     StructuredJacobian,
@@ -318,18 +318,37 @@ def test_jacobian_of_linear_problem_is_state_independent():
     assert np.array_equal(dense_jacobian(first), dense_jacobian(second))
 
 
-def test_missing_derivatives_error():
-    problem = BvpProblem(
-        name="no-derivatives", d=1,
-        f=lambda x, u: -u,
-        g=lambda u0, u_inf: u0 - 1.0,
-        initial_iterate=lambda x: np.zeros(1))
-    grid = build_grid(GridMap("log", 1.0), 4)
-    with pytest.raises(MissingDerivativeError):
-        assemble_jacobian(problem, grid, np.zeros((5, 1)), "analytic")
-    # the finite-difference mode still works
-    jac = assemble_jacobian(problem, grid, np.zeros((5, 1)), "fd")
-    assert (jac.N + 1) * jac.d == 5
+def test_analytic_mode_differences_only_the_derivatives_left_out(monkeypatch):
+    # mode "analytic" takes the interval blocks from df_du and the
+    # boundary blocks from dg wherever the problem gives them, and
+    # forward-differences the rest exactly as mode "fd" does
+    full = falkner_skan(P=0.5)
+    grid = build_grid(GridMap("log", 5.0), 20)
+    base = initial_field(full, grid)
+    field = base + 0.05 * np.random.default_rng(20).standard_normal(base.shape)
+    analytic = assemble_jacobian(full, grid, field, "analytic")
+    fd = assemble_jacobian(full, grid, field, "fd")
+    assert not np.array_equal(analytic.dU_n, fd.dU_n)
+    assert not np.array_equal(analytic.dg_0, fd.dg_0)
+    for df_du in (full.df_du, None):
+        for dg in (full.dg, None):
+            problem = dataclasses.replace(full, df_du=df_du, dg=dg)
+            jac = assemble_jacobian(problem, grid, field, "analytic")
+            interval = analytic if df_du is not None else fd
+            boundary = analytic if dg is not None else fd
+            assert np.array_equal(jac.dU_n, interval.dU_n)
+            assert np.array_equal(jac.dU_next, interval.dU_next)
+            assert np.array_equal(jac.dg_0, boundary.dg_0)
+            assert np.array_equal(jac.dg_N, boundary.dg_N)
+            assert np.array_equal(dense_jacobian(assemble_jacobian(problem, grid, field, "fd")),
+                                  dense_jacobian(fd))
+    # a problem with df_du and no dg solves on its df_du, once per Jacobian
+    calls = []
+    problem = dataclasses.replace(
+        full, dg=None, df_du=lambda x, u: calls.append(x.shape) or full.df_du(x, u))
+    jacobians = count_jacobians(monkeypatch)
+    assert newton_solve(problem, grid).converged
+    assert calls and len(calls) == jacobians[20]
 
 
 def test_unknown_jacobian_mode():
