@@ -180,7 +180,7 @@ def scheme_case(lib, name, kind, N, continuation):
     def solve(config):
         result = lib.newton_solve(problem, grid, config=config)
         return [result.solution, result.increments, result.iterations,
-                result.final_increment, result.converged]
+                result.increments[-1], result.converged]
 
     return {
         "residual": outcome(lambda: lib.assemble_residual(problem, grid, field)),

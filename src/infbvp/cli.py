@@ -23,7 +23,7 @@ import os
 import re
 import sys
 
-from .grids import GridMap, MapKind, build_grid
+from .grids import MAP_KINDS, GridMap, build_grid
 from .newton import SolverConfig, newton_solve, sweep
 from .problems import PROBLEMS, report_scalar
 from .richardson import extrapolate_table, observed_order
@@ -176,7 +176,7 @@ def _add_problem_options(parser) -> None:
 
 
 def _add_grid_options(parser, sizes, n_help) -> None:
-    parser.add_argument("--map", choices=[kind.value for kind in MapKind], default="log",
+    parser.add_argument("--map", choices=MAP_KINDS, default="log",
                         help="grid generating map (default log)")
     parser.add_argument("--c", type=float, default=5.0,
                         help="map length scale (default 5)")
@@ -223,9 +223,9 @@ def cmd_solve(args) -> int:
     grid_map = GridMap(args.map, args.c)
     grid = build_grid(grid_map, args.N, continuation=not args.no_continuation)
     result = newton_solve(problem, grid, config=_make_config(args))
-    pairs = [("problem", problem.name), ("map", grid_map.kind.value), ("c", grid_map.c),
+    pairs = [("problem", problem.name), ("map", grid_map.kind), ("c", grid_map.c),
              ("N", grid.N), ("converged", result.converged), ("iterations", result.iterations),
-             ("final_increment", _Exact(result.final_increment)),
+             ("final_increment", _Exact(result.increments[-1])),
              *((name, report_scalar(problem, result, name)) for name in sorted(problem.reports))]
     header = ["n", "x"] + [f"u{k + 1}" for k in range(problem.d)]
     columns = [range(grid.N + 1), grid.nodes.tolist(), *result.solution.T.tolist()]
@@ -311,7 +311,7 @@ def cmd_extrapolate(args) -> int:
 def cmd_grid(args) -> int:
     grid_map = GridMap(args.map, args.c)
     grid = build_grid(grid_map, args.N)
-    pairs = [("map", grid_map.kind.value), ("c", grid_map.c), ("N", grid.N)]
+    pairs = [("map", grid_map.kind), ("c", grid_map.c), ("N", grid.N)]
     n = range(grid.N + 1)
     columns = [n, [k / grid.N for k in n], grid.nodes.tolist()]
     _emit(args, pairs, ["n", "xi", "x"], columns=columns, key="nodes")

@@ -13,23 +13,18 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "MapKind",
     "GridMap",
     "QuasiUniformGrid",
     "build_grid",
 ]
 
 
-class MapKind(Enum):
-    """Supported grid generating maps."""
-
-    LOGARITHMIC = "log"
-    ALGEBRAIC = "alg"
+# The generating maps by name, in the order the CLI offers them
+MAP_KINDS = ("log", "alg")
 
 
 @dataclass(frozen=True)
@@ -40,15 +35,16 @@ class GridMap:
     log   x = -c*ln(1 - xi)     xi in [0, 1]  ->  x in [0, inf]
     alg   x = c*xi/(1 - xi)     xi in [0, 1]  ->  x in [0, inf]
 
-    A finite c > 0 sets the length scale: about half of all grid
-    intervals land inside [0, c].
+    kind is the map's name, "log" or "alg". A finite c > 0 sets the
+    length scale: about half of all grid intervals land inside [0, c].
     """
 
-    kind: MapKind
+    kind: str
     c: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", MapKind(self.kind))
+        if self.kind not in MAP_KINDS:
+            raise ValueError(f"map kind must be 'log' or 'alg', got {self.kind!r}")
         object.__setattr__(self, "c", float(self.c))
         if not 0.0 < self.c < np.inf:
             raise ValueError(f"map parameter c must be positive and finite, got {self.c}")
@@ -64,7 +60,7 @@ class GridMap:
         with np.errstate(divide="ignore", over="ignore"):
             if np.any(xi < 0.0) or np.any(xi > 1.0):
                 raise ValueError("parameter must lie in [0, 1]")
-            if self.kind is MapKind.LOGARITHMIC:
+            if self.kind == "log":
                 return -self.c * np.log1p(-xi)
             return self.c * xi / (1.0 - xi)
 

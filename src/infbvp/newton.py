@@ -95,10 +95,6 @@ class SolveResult:
     def iterations(self) -> int:
         return len(self.increments)
 
-    @property
-    def final_increment(self) -> float:
-        return self.increments[-1]
-
 
 def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
                  config: SolverConfig | None = None) -> SolveResult:

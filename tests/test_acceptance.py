@@ -343,7 +343,7 @@ def _falkner_skan_row_ok(P, grid_map, n, references):
     limit = max(40.0 / n**2, 1e-6)
     got = {"fpp0": result.solution[0, 2], "fpp_inf": result.solution[-1, 2]}
     errors = {name: abs(got[name] - want) for name, want in references.items()}
-    print(f"P={P} {grid_map.kind.value} N={n}: converged={result.converged} "
+    print(f"P={P} {grid_map.kind} N={n}: converged={result.converged} "
           f"after {result.iterations} iterations, errors {errors} (limit {limit:.1e})")
     return result.converged and max(errors.values()) <= limit
 

@@ -11,7 +11,7 @@ from infbvp import grids, linsolve, newton, problems, richardson, scheme
 MODULES = (grids, linsolve, newton, problems, richardson, scheme)
 
 PUBLIC_NAMES = [
-    "BvpProblem", "EvaluationError", "ExtrapolationTable", "GridMap", "MapKind",
+    "BvpProblem", "EvaluationError", "ExtrapolationTable", "GridMap",
     "PROBLEMS", "QuasiUniformGrid", "SingularSystemError",
     "SolveResult", "SolverConfig", "StructuredJacobian",
     "assemble_jacobian", "assemble_residual", "build_grid", "extrapolate_table",

@@ -480,7 +480,7 @@ def test_each_pile_option_reaches_the_factory(capsys):
     assert values.tobytes() == result.solution.tobytes()
     summary = {row[0]: row[1] for row in rows if len(row) == 2}
     assert int(summary["iterations"]) == result.iterations
-    assert float(summary["final_increment"]) == result.final_increment
+    assert float(summary["final_increment"]) == result.increments[-1]
 
 
 def test_options_follow_the_factories_registered_before_import():
