@@ -19,12 +19,14 @@ Both trees, loaded as twotrees.py describes, run on a fixed matrix:
   five levels before an 11-row tail;
 - newton_solve's solution, increments, iteration count and convergence
   flag, bitwise, on the same cases, with each tree's own default
-  SolverConfig() and with the FD Jacobian.
+  SolverConfig() and with the FD Jacobian;
+- the public API: the infbvp.__all__ names one tree has and the other
+  lacks.
 
 Every side runs in a fresh working directory holding the same input
-files, so paths in messages agree. Each differing (command, field) pair
-and each differing case prints one line, then the count; the exit code
-is 1 if anything differed. A differing Newton result also prints how far
+files, so paths in messages agree. Each differing (command, field) pair,
+case and public name prints one line, then the count; the exit code is 1
+if anything differed. A differing Newton result also prints how far
 it moved: whether the iteration count and convergence flag are equal,
 and the largest difference of the solutions, absolute and relative to
 max(1, |parent value|).
@@ -222,6 +224,14 @@ def newton_moved(parent, change) -> str:
             f"relative to max(1, |parent|) {relative:.2e}")
 
 
+def api_differences(parent, change) -> list[str]:
+    """One line per name of one package's __all__ that the other lacks."""
+    names = {side: set(lib.__all__) for side, lib in (("parent", parent), ("change", change))}
+    return [f"api: {name} only in {side}"
+            for side, other in (("parent", "change"), ("change", "parent"))
+            for name in sorted(names[side] - names[other])]
+
+
 def main() -> int:
     parent, change = load_sides(parse_args(__doc__).parent).values()
 
@@ -248,7 +258,11 @@ def main() -> int:
                 if key.startswith("newton"):
                     print(f"  {key}: {newton_moved(a[key], b[key])}")
     print(f"scheme and newton: {cases_differing} of {len(cases)} cases differ")
-    return 1 if cli_differing or cases_differing else 0
+    api = api_differences(parent, change)
+    for line in api:
+        print(line)
+    print(f"api: {len(api)} of {len(set(parent.__all__) | set(change.__all__))} public names differ")
+    return 1 if cli_differing or cases_differing or api else 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from one evaluation of the map.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -27,6 +28,15 @@ __all__ = [
 MAP_KINDS = ("log", "alg")
 
 
+def _real(value, name: str) -> float:
+    """value as a float, for a real number only: a str or a bool raises
+    TypeError rather than being parsed or read as 0 or 1, as sizes do
+    through operator.index."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GridMap:
     """Strictly monotone map from the unit parameter interval onto the
@@ -35,8 +45,9 @@ class GridMap:
     log   x = -c*ln(1 - xi)     xi in [0, 1]  ->  x in [0, inf]
     alg   x = c*xi/(1 - xi)     xi in [0, 1]  ->  x in [0, inf]
 
-    kind is the map's name, "log" or "alg". A finite c > 0 sets the
-    length scale: about half of all grid intervals land inside [0, c].
+    kind is the map's name, "log" or "alg". A finite real c > 0 sets the
+    length scale: about half of all grid intervals land inside [0, c]; a
+    str or a bool raises TypeError.
     """
 
     kind: str
@@ -45,7 +56,7 @@ class GridMap:
     def __post_init__(self) -> None:
         if self.kind not in MAP_KINDS:
             raise ValueError(f"map kind must be 'log' or 'alg', got {self.kind!r}")
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", _real(self.c, "map parameter c"))
         if not 0.0 < self.c < np.inf:
             raise ValueError(f"map parameter c must be positive and finite, got {self.c}")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .grids import QuasiUniformGrid
+from .grids import QuasiUniformGrid, _real
 # newton_solve calls linear_solve and the scheme's functions through these
 # module globals, so that rebinding one here (perfbench's tracer, the
 # counting tests) sees every call
@@ -53,7 +53,8 @@ _COARSE_START_N = 1280
 class SolverConfig:
     """Newton iteration controls.
 
-    max_iter is an integer; a float or a string raises TypeError.
+    tol is a real number (a string or a bool raises TypeError) and
+    max_iter an integer (a float or a string raises TypeError).
     jacobian_mode is "analytic" or "fd", passed as is to
     assemble_jacobian, whose docstring says where each derivative comes
     from. The last-interval rule is the grid's: see
@@ -65,7 +66,7 @@ class SolverConfig:
     jacobian_mode: str = "analytic"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol < np.inf:
+        if not 0.0 < _real(self.tol, "tolerance") < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if operator.index(self.max_iter) < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
@@ -127,13 +128,16 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     solve: it first tries the simplified step that reuses the previous
     Jacobian's factors (Deuflhard, Newton Methods for Nonlinear Problems,
     2004) and keeps it only if it ends the solve at Newton accuracy;
-    otherwise the Jacobian is assembled anew at the same iterate. A
-    start from a field (given, or the coarse grid's) is a warm start and
-    tries at the second step. From the default iterate the last two
-    corrections m_{k-2}, m_{k-1} predict the end: the step is tried when
-    m_{k-1}**2 <= tol * m_{k-2}, from the second correction on, since
-    the first measures the distance from the default iterate rather than
-    a contraction, so the first three steps are always full steps.
+    otherwise the Jacobian is assembled anew at the same iterate. Its
+    contraction is measured over the components problem.limits names,
+    whose far field is finite, while the stop reads all d*(N+1)
+    unknowns. A start from a field (given, or the coarse grid's) is a
+    warm start and tries at the second step. From the default iterate
+    the last two corrections m_{k-2}, m_{k-1} predict the end: the step
+    is tried when m_{k-1}**2 <= tol * m_{k-2}, from the second
+    correction on, since the first measures the distance from the
+    default iterate rather than a contraction, so the first three steps
+    are always full steps.
     """
     config = config if config is not None else SolverConfig()
     if initial is None and isinstance(grid, QuasiUniformGrid) \
@@ -158,21 +162,24 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
     tol = config.tol
     increments: list[float] = []
     reason = f"did not converge in {config.max_iter} iterations"
-    jacobian = None
+    jacobian = previous = None
     for iteration in range(1, config.max_iter + 1):
         try:
             residual = assemble_residual(problem, grid, U)
             delta = None
             # Tried only where it should end the solve (see the docstring).
-            # With theta = |delta| / |previous delta| estimating the
-            # contraction, a tried step is kept when it is below tol and
-            # leaves an error theta*|delta| below tol**2.
+            # With theta = |delta| / |previous delta| over problem.limits
+            # estimating the contraction, a tried step is kept when it is
+            # below tol and leaves an error theta*|delta| below tol**2.
             if jacobian is not None and (warm if len(increments) == 1
                                          else (warm or len(increments) > 2)
                                          and increments[-1] ** 2 <= tol * increments[-2]):
                 delta = linear_solve(jacobian, -residual)
                 m = float(np.mean(np.abs(delta)))
-                if not (m <= tol and m * (m / increments[-1]) <= tol * tol):
+                far, last = (float(np.mean(np.abs(step[:, problem.limits])))
+                             for step in (delta, previous))
+                theta = far / last if last > 0.0 else math.inf
+                if not (m <= tol and m * theta <= tol * tol):
                     delta = None
             if delta is None:
                 # rebinding frees the old factors before the new ones are built
@@ -189,7 +196,7 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
             increments.append(math.inf)
             reason = f"iteration {iteration}: {failure}"
             break
-        U = update
+        U, previous = update, delta
         increments.append(m)
         if m <= tol:
             reason = None

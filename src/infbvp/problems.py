@@ -8,10 +8,13 @@ for Newton's method, a default initial iterate, and named report scalars
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .grids import _real
 
 __all__ = [
     "BvpProblem",
@@ -48,6 +51,13 @@ class BvpProblem:
     affine). Either derivative may be left out: assemble_jacobian's
     docstring says how it then differences f or g. reports maps scalar
     names to extractors over a solve result.
+
+    limits names the components that have a finite limit at infinity, as
+    indices into 0..d-1; None, the default, means every component. It
+    is stored as a sorted tuple. newton_solve measures the contraction
+    of its kept end step over these components only, since one that
+    grows without bound, like Falkner-Skan's u1 ~ x, can dominate the
+    mean correction of the far field.
     """
 
     name: str
@@ -58,6 +68,15 @@ class BvpProblem:
     df_du: Callable[[float, np.ndarray], np.ndarray] | None = None
     dg: tuple[np.ndarray, np.ndarray] | None = None
     reports: dict[str, Callable] = field(default_factory=dict)
+    limits: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        limits = range(self.d) if self.limits is None else map(operator.index, self.limits)
+        limits = tuple(sorted(set(limits)))
+        if not limits or limits[0] < 0 or limits[-1] >= self.d:
+            raise ValueError(f"limits must name components in 0..{self.d - 1}, "
+                             f"got {self.limits!r}")
+        object.__setattr__(self, "limits", limits)
 
 
 def falkner_skan(P: float = 1.0) -> BvpProblem:
@@ -72,12 +91,13 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
     wall shear u3(0); u3 at the infinity node reports how well the far
     boundary condition is met by the discretization.
 
-    The default iterate is the boundary-layer profile (x - 1 + e^-x,
-    1 - e^-x, 0.3 e^-x), and (1, 1, 0) at the infinity node. From a
-    constant start Newton reaches spurious discrete solutions for P <= 0
-    and on the alg map.
+    u2 and u3 have finite limits at infinity (1 and 0); u1 grows like x,
+    so limits leaves it out. The default iterate is the boundary-layer
+    profile (x - 1 + e^-x, 1 - e^-x, 0.3 e^-x), and (1, 1, 0) at the
+    infinity node. From a constant start Newton reaches spurious
+    discrete solutions for P <= 0 and on the alg map.
     """
-    P = float(P)
+    P = _real(P, "pressure-gradient parameter P")
     if not np.isfinite(P):
         raise ValueError(f"pressure-gradient parameter P must be finite, got {P}")
 
@@ -107,7 +127,7 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
     }
     return BvpProblem(name="falkner-skan", d=3, f=f, g=g,
                       initial_iterate=initial_iterate, df_du=df_du,
-                      dg=(dg_0, dg_N), reports=reports)
+                      dg=(dg_0, dg_N), reports=reports, limits=(1, 2))
 
 
 def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
@@ -128,7 +148,8 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
     a = P3 / (2 b^3), with u2..u4 its derivatives and 0 at the infinity
     node.
     """
-    P1, P2, P3 = float(P1), float(P2), float(P3)
+    P1, P2, P3 = (_real(value, f"pile parameter {name}")
+                  for name, value in (("P1", P1), ("P2", P2), ("P3", P3)))
     if not (0.0 < P1 < np.inf and 0.0 < P2 < np.inf):
         raise ValueError("soil reaction constants P1 and P2 must be positive and finite")
     if not np.isfinite(P3):

@@ -63,6 +63,15 @@ def test_map_validation():
         GridMap("spline", 1.0)
 
 
+def test_map_scale_refuses_strings_and_bools():
+    # c is read as a real number, not parsed: "5" and True are refused
+    for c in ("5", True, b"5"):
+        with pytest.raises(TypeError, match="map parameter c must be a real number"):
+            GridMap("log", c)
+    for c in (5, np.float64(5.0), np.int64(5)):
+        assert GridMap("alg", c).c == 5.0 and type(GridMap("alg", c).c) is float
+
+
 def test_map_domain_validation():
     m = GridMap("alg", 1.0)
     with pytest.raises(ValueError):

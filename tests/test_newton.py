@@ -183,6 +183,23 @@ def test_cold_start_from_the_eighth_grid_keeps_the_answer(make_problem, kind):
                            - report_scalar(problem, reference, name)) <= 1e-8, (N, mode, name)
 
 
+@pytest.mark.parametrize("P", [-0.18, -0.15])
+def test_kept_end_step_contracts_over_the_components_with_a_limit(P):
+    # on alg at N = 10240, u1 ~ x dominates the first correction of the
+    # coarse-started solve; a contraction measured over every component
+    # understated theta and kept end steps up to 1.1e-7 off. Measured over
+    # Falkner-Skan's limits u2 and u3, these 12 cases land within 2.3e-14
+    problem = falkner_skan(P=P)
+    for c in (4.5, 5.0, 5.5):
+        grid = build_grid(GridMap("alg", c), 10240)
+        for mode in ("analytic", "fd"):
+            result = newton_solve(problem, grid, config=SolverConfig(jacobian_mode=mode))
+            reference = newton_solve(problem, grid,
+                                     config=SolverConfig(tol=1e-12, jacobian_mode=mode))
+            assert result.converged and reference.converged, (c, mode)
+            assert abs(result.solution[0, 2] - reference.solution[0, 2]) <= 1e-8, (c, mode)
+
+
 @pytest.mark.parametrize("kind", ["log", "alg"])
 @pytest.mark.parametrize("params", [{"P2": 2.0}, {"P3": -1.0}], ids=["P2=2", "P3=-1"])
 def test_pile_start_is_robust(params, kind):
@@ -547,6 +564,14 @@ def test_config_validation():
     assert dataclasses.replace(config, max_iter=3).max_iter == 3
     with pytest.raises(TypeError):
         dataclasses.replace(config, max_iter=2.5)
+
+
+def test_config_tolerance_refuses_strings_and_bools():
+    # True would run at tol = 1.0, "1e-8" at the parsed value
+    for tol in ("1e-8", True):
+        with pytest.raises(TypeError, match="tolerance must be a real number"):
+            SolverConfig(tol=tol)
+    assert SolverConfig(tol=np.float64(1e-8)).tol == 1e-8
 
 
 def test_initial_field_validation():

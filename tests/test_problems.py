@@ -1,5 +1,6 @@
 """Built-in problem definitions and report plumbing."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -95,6 +96,31 @@ def test_problem_factories_refuse_non_finite_parameters(value):
     for name in ("P1", "P2", "P3"):
         with pytest.raises(ValueError, match="finite"):
             pile(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["1", True, False])
+def test_falkner_skan_refuses_a_string_or_bool_parameter(value):
+    with pytest.raises(TypeError, match="pressure-gradient parameter P must be a real number"):
+        falkner_skan(P=value)
+
+
+@pytest.mark.parametrize("value", ["1", True, False])
+@pytest.mark.parametrize("name", ["P1", "P2", "P3"])
+def test_pile_refuses_a_string_or_bool_parameter(name, value):
+    with pytest.raises(TypeError, match=f"pile parameter {name} must be a real number"):
+        pile(**{name: value})
+
+
+def test_limits_default_to_every_component():
+    assert falkner_skan().limits == (1, 2)  # u1 grows like x
+    assert pile().limits == (0, 1, 2, 3)
+    problem = dataclasses.replace(pile(), limits=[np.int64(3), 1, 1])
+    assert problem.limits == (1, 3)
+    for limits in ((), (4,), (-1, 0)):
+        with pytest.raises(ValueError, match=r"limits must name components in 0\.\.3"):
+            dataclasses.replace(pile(), limits=limits)
+    with pytest.raises(TypeError):
+        dataclasses.replace(pile(), limits=(1.0,))
 
 
 def test_initial_field_evaluates_every_node():

@@ -87,3 +87,23 @@ def test_timing_leaves_a_small_or_unsteady_gain_unresolved(twotrees, parent, cha
     summary, _ = scripted_timing(twotrees, parent, change)
     assert summary["change_ms"] < summary["parent_ms"]
     assert (summary["wins"], summary["rounds"], summary["resolved"]) == (wins, 10, False)
+
+
+def test_compare_trees_reports_the_public_names_one_tree_lacks(twotrees, tmp_path):
+    import compare_trees
+    exported = {"parent": ["GridMap", "MapKind", "build_grid"],
+                "change": ["GridMap", "build_grid", "sweep"]}
+    libs = {}
+    try:
+        for side, names in exported.items():
+            package = tmp_path / side / "src" / "infbvp"
+            package.mkdir(parents=True)
+            (package / "__init__.py").write_text(f"__all__ = {names!r}\n")
+            (package / "cli.py").write_text("")
+            libs[side] = twotrees.load_tree(tmp_path / side, f"stub_{side}")
+    finally:
+        for name in [name for name in sys.modules if name.startswith("stub_")]:
+            del sys.modules[name]
+    assert compare_trees.api_differences(libs["parent"], libs["change"]) == [
+        "api: MapKind only in parent", "api: sweep only in change"]
+    assert compare_trees.api_differences(libs["change"], libs["change"]) == []
