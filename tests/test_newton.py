@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (count_jacobians, dense_linear_solve, linear_decay_problem,
-                      toy_linear_problem)
+                      nonlinear_decay_problem, toy_linear_problem)
 from infbvp import (
     BvpProblem,
     GridMap,
@@ -198,6 +198,25 @@ def test_kept_end_step_contracts_over_the_components_with_a_limit(P):
                                      config=SolverConfig(tol=1e-12, jacobian_mode=mode))
             assert result.converged and reference.converged, (c, mode)
             assert abs(result.solution[0, 2] - reference.solution[0, 2]) <= 1e-8, (c, mode)
+
+
+def test_a_limit_whose_correction_is_zero_refuses_every_end_step(monkeypatch):
+    # the only limit component starts at its exact value 0, so its
+    # corrections are all 0: theta reads inf instead of dividing by zero,
+    # every tried end step is refused, and every step has its own Jacobian
+    base = nonlinear_decay_problem()
+
+    def f(x, u):
+        return np.concatenate([base.f(x, u[:2]), [0.0 * u[2]]])
+
+    def g(u0, u_inf):
+        return np.append(base.g(u0[:2], u_inf[:2]), u0[2])
+
+    problem = BvpProblem(name="idle-limit", d=3, f=f, g=g,
+                         initial_iterate=lambda x: np.zeros(3), limits=(2,))
+    iterations, jacobians, solves = count_cold_solve(
+        monkeypatch, problem, build_grid(GridMap("log", 2.0), 40), "fd")
+    assert jacobians == {40: iterations} and solves > iterations
 
 
 @pytest.mark.parametrize("kind", ["log", "alg"])
