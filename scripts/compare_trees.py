@@ -21,15 +21,17 @@ Both trees, loaded as twotrees.py describes, run on a fixed matrix:
   flag, bitwise, on the same cases, with each tree's own default
   SolverConfig() and with the FD Jacobian;
 - the public API: the infbvp.__all__ names one tree has and the other
-  lacks.
+  lacks, and the public attributes (dataclass fields, properties,
+  methods) of each class both export that one tree's class has and the
+  other's lacks.
 
 Every side runs in a fresh working directory holding the same input
 files, so paths in messages agree. Each differing (command, field) pair,
-case and public name prints one line, then the count; the exit code is 1
-if anything differed. A differing Newton result also prints how far
-it moved: whether the iteration count and convergence flag are equal,
-and the largest difference of the solutions, absolute and relative to
-max(1, |parent value|).
+case, public name and attribute prints one line, then the count; the
+exit code is 1 if anything differed. A differing Newton result also
+prints how far it moved: whether the iteration count and convergence
+flag are equal, and the largest difference of the solutions, absolute
+and relative to max(1, |parent value|).
 """
 
 from __future__ import annotations
@@ -224,12 +226,29 @@ def newton_moved(parent, change) -> str:
             f"relative to max(1, |parent|) {relative:.2e}")
 
 
-def api_differences(parent, change) -> list[str]:
-    """One line per name of one package's __all__ that the other lacks."""
-    names = {side: set(lib.__all__) for side, lib in (("parent", parent), ("change", change))}
-    return [f"api: {name} only in {side}"
-            for side, other in (("parent", "change"), ("change", "parent"))
-            for name in sorted(names[side] - names[other])]
+def public_api(lib) -> set[str]:
+    """The package's __all__ names, and "Class.attribute" for each public
+    attribute of an exported class: its dataclass fields (a field
+    without a default is no class attribute), properties and methods."""
+    api = set(lib.__all__)
+    for name in lib.__all__:
+        value = getattr(lib, name)
+        if isinstance(value, type):
+            attributes = {*dir(value), *getattr(value, "__dataclass_fields__", ())}
+            api |= {f"{name}.{attr}" for attr in attributes if not attr.startswith("_")}
+    return api
+
+
+def api_differences(parent, change) -> tuple[list[str], int]:
+    """One line per public name or attribute of one package that the
+    other lacks (an attribute only where both export its class), and how
+    many names and attributes the two have together."""
+    apis = {"parent": public_api(parent), "change": public_api(change)}
+    lines = [f"api: {name} only in {side}"
+             for side, other in (("parent", "change"), ("change", "parent"))
+             for name in sorted(apis[side] - apis[other])
+             if "." not in name or name.partition(".")[0] in apis[other]]
+    return lines, len(apis["parent"] | apis["change"])
 
 
 def main() -> int:
@@ -258,10 +277,10 @@ def main() -> int:
                 if key.startswith("newton"):
                     print(f"  {key}: {newton_moved(a[key], b[key])}")
     print(f"scheme and newton: {cases_differing} of {len(cases)} cases differ")
-    api = api_differences(parent, change)
+    api, total = api_differences(parent, change)
     for line in api:
         print(line)
-    print(f"api: {len(api)} of {len(set(parent.__all__) | set(change.__all__))} public names differ")
+    print(f"api: {len(api)} of {total} public names and attributes differ")
     return 1 if cli_differing or cases_differing or api else 0
 
 

@@ -31,10 +31,22 @@ MAP_KINDS = ("log", "alg")
 def _real(value, name: str) -> float:
     """value as a float, for a real number only: a str or a bool raises
     TypeError rather than being parsed or read as 0 or 1, as sizes do
-    through operator.index."""
+    through _integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, for an integer only: a bool raises TypeError
+    rather than being read as 0 or 1, and so does anything that
+    operator.index refuses, such as a float or a str."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -63,13 +75,14 @@ class GridMap:
     def values(self, xi) -> np.ndarray:
         """Vectorized map evaluation.
 
-        The parameter endpoints give exact infinities, never overflow
+        The parameter must lie in [0, 1], so a NaN raises ValueError. The
+        parameter endpoints give exact infinities, never overflow
         artifacts of the underlying formulas. A huge c can overflow to inf
         short of an endpoint, which build_grid refuses.
         """
         xi = np.asarray(xi, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            if np.any(xi < 0.0) or np.any(xi > 1.0):
+            if not np.all((0.0 <= xi) & (xi <= 1.0)):  # NaN lies in no interval
                 raise ValueError("parameter must lie in [0, 1]")
             if self.kind == "log":
                 return -self.c * np.log1p(-xi)
@@ -111,7 +124,7 @@ class QuasiUniformGrid:
 
 def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> QuasiUniformGrid:
     """Grid with N intervals and N+1 nodes, the last at infinity.
-    Requires an integer N >= 2 (a float or a string raises TypeError),
+    Requires an integer N >= 2 (a float, a string or a bool raises TypeError),
     a finite x_{N-1/4} and strict monotonicity.
     continuation sets the grid's last-interval rule (see stencil_arrays),
     which the residual, the Jacobian and prolong all follow.
@@ -119,7 +132,7 @@ def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> Quasi
     The map is evaluated once, at q/(4N) for q = 0..4N: x[4n + k] is
     x_{n+k/4}, the same double as the map at (n + k/4)/N, since both
     quotients round one rational."""
-    N = operator.index(N)
+    N = _integer(N, "grid size N")
     if N < 2:
         raise ValueError(f"need at least 2 intervals, got {N}")
     x = grid_map.values(np.arange(4 * N + 1) / (4 * N))

@@ -18,13 +18,12 @@ misses the answer.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grids
-from .grids import QuasiUniformGrid, _real
+from .grids import QuasiUniformGrid, _integer, _real
 # newton_solve calls linear_solve and the scheme's functions through these
 # module globals, so that rebinding one here (perfbench's tracer, the
 # counting tests) sees every call
@@ -54,7 +53,7 @@ class SolverConfig:
     """Newton iteration controls.
 
     tol is a real number (a string or a bool raises TypeError) and
-    max_iter an integer (a float or a string raises TypeError).
+    max_iter an integer (a float, a string or a bool raises TypeError).
     jacobian_mode is "analytic" or "fd", passed as is to
     assemble_jacobian, whose docstring says where each derivative comes
     from. The last-interval rule is the grid's: see
@@ -68,7 +67,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < _real(self.tol, "tolerance") < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-        if operator.index(self.max_iter) < 1:
+        if _integer(self.max_iter, "max_iter") < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.jacobian_mode not in ("analytic", "fd"):
             raise ValueError(f"unknown jacobian mode {self.jacobian_mode!r}")

@@ -8,13 +8,12 @@ for Newton's method, a default initial iterate, and named report scalars
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .grids import _real
+from .grids import _integer, _real
 
 __all__ = [
     "BvpProblem",
@@ -49,8 +48,7 @@ class BvpProblem:
     consumes the first and last node values, each of shape (d,). dg is a
     pair of constant d x d matrices (the built-in boundary functions are
     affine). Either derivative may be left out: assemble_jacobian's
-    docstring says how it then differences f or g. reports maps scalar
-    names to extractors over a solve result.
+    docstring says how it then differences f or g.
 
     limits names the components that have a finite limit at infinity, as
     indices into 0..d-1; None, the default, means every component. It
@@ -58,6 +56,10 @@ class BvpProblem:
     of its kept end step over these components only, since one that
     grows without bound, like Falkner-Skan's u1 ~ x, can dominate the
     mean correction of the far field.
+
+    reports maps each name to (node, component), integers: node 0 (x = 0)
+    or -1 (x = inf, for a component in limits only), the nodes whose x is
+    the same on every grid, as sweep's orders and extrapolate assume.
     """
 
     name: str
@@ -67,16 +69,27 @@ class BvpProblem:
     initial_iterate: Callable[[float], np.ndarray]
     df_du: Callable[[float, np.ndarray], np.ndarray] | None = None
     dg: tuple[np.ndarray, np.ndarray] | None = None
-    reports: dict[str, Callable] = field(default_factory=dict)
+    reports: dict[str, tuple[int, int]] = field(default_factory=dict)
     limits: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        limits = range(self.d) if self.limits is None else map(operator.index, self.limits)
+        d = _integer(self.d, "component count d")
+        if d < 1:
+            raise ValueError(f"component count d must be at least 1, got {d}")
+        limits = range(d) if self.limits is None else (
+            _integer(i, "limits entry") for i in self.limits)
         limits = tuple(sorted(set(limits)))
-        if not limits or limits[0] < 0 or limits[-1] >= self.d:
-            raise ValueError(f"limits must name components in 0..{self.d - 1}, "
-                             f"got {self.limits!r}")
+        if not limits or limits[0] < 0 or limits[-1] >= d:
+            raise ValueError(f"limits must name components in 0..{d - 1}, got {self.limits!r}")
+        ends, reports = {(0, i) for i in range(d)} | {(-1, i) for i in limits}, {}
+        for name, entry in self.reports.items():
+            reports[name] = tuple(_integer(i, f"report {name!r} entry") for i in entry)
+            if reports[name] not in ends:
+                raise ValueError(f"report {name!r} must be (0, i) with i in 0..{d - 1} or "
+                                 f"(-1, i) with i in limits {limits}, got {entry!r}")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "limits", limits)
+        object.__setattr__(self, "reports", reports)
 
 
 def falkner_skan(P: float = 1.0) -> BvpProblem:
@@ -121,13 +134,9 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
         u1 = np.where(np.isfinite(x), x - 1.0 + decay, 1.0)
         return np.array([u1, 1.0 - decay, 0.3 * decay])
 
-    reports = {
-        "fpp0": lambda result: float(result.solution[0, 2]),
-        "fpp_inf": lambda result: float(result.solution[-1, 2]),
-    }
     return BvpProblem(name="falkner-skan", d=3, f=f, g=g,
-                      initial_iterate=initial_iterate, df_du=df_du,
-                      dg=(dg_0, dg_N), reports=reports, limits=(1, 2))
+                      initial_iterate=initial_iterate, df_du=df_du, dg=(dg_0, dg_N),
+                      reports={"fpp0": (0, 2), "fpp_inf": (-1, 2)}, limits=(1, 2))
 
 
 def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
@@ -183,13 +192,9 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
         return np.array([decay * cos, -b * decay * (cos + sin),
                          2.0 * b * b * decay * sin, 2.0 * b ** 3 * decay * (cos - sin)])
 
-    reports = {
-        "u0": lambda result: float(result.solution[0, 0]),
-        "du0": lambda result: float(result.solution[0, 1]),
-    }
     return BvpProblem(name="pile", d=4, f=f, g=g,
-                      initial_iterate=initial_iterate, df_du=df_du,
-                      dg=(dg_0, dg_N), reports=reports)
+                      initial_iterate=initial_iterate, df_du=df_du, dg=(dg_0, dg_N),
+                      reports={"u0": (0, 0), "du0": (0, 1)})
 
 
 def initial_field(problem: BvpProblem, grid) -> np.ndarray:
@@ -207,13 +212,11 @@ def initial_field(problem: BvpProblem, grid) -> np.ndarray:
 
 
 def report_scalar(problem: BvpProblem, result, name: str) -> float:
-    """Extract a named report quantity from a solve result."""
-    try:
-        extractor = problem.reports[name]
-    except KeyError:
+    """The named report's (node, component) entry of a solve's solution."""
+    if name not in problem.reports:
         raise KeyError(f"problem '{problem.name}' has no report scalar {name!r}; "
-                       f"available: {sorted(problem.reports)}") from None
-    return float(extractor(result))
+                       f"available: {sorted(problem.reports)}")
+    return float(result.solution[problem.reports[name]])
 
 
 PROBLEMS: dict[str, Callable[..., BvpProblem]] = {

@@ -15,8 +15,9 @@ output.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+
+from .grids import _integer
 
 __all__ = [
     "ExtrapolationTable",
@@ -67,10 +68,10 @@ def extrapolate_table(ns, values, print_decimals: int = 6) -> ExtrapolationTable
     The input column is rounded to print_decimals first: extrapolating a
     published table means extrapolating the digits it shows. Later
     columns keep full precision internally; only the stopping comparisons
-    round again. print_decimals must be an integer; a float raises
-    TypeError.
+    round again. print_decimals must be an integer; a float, a string
+    or a bool raises TypeError.
     """
-    decimals = operator.index(print_decimals)
+    decimals = _integer(print_decimals, "print_decimals")
     if len(ns) != len(values):
         raise ValueError("ns and values must have equal length")
     if len(values) < 2:

@@ -80,6 +80,11 @@ def test_map_domain_validation():
         m.values(1.1)
     with pytest.raises(ValueError, match="finite"):
         GridMap("log", math.inf)
+    # NaN fails both xi < 0 and xi > 1, yet lies in no interval
+    for kind in ("log", "alg"):
+        for xi in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match=r"parameter must lie in \[0, 1\]"):
+                GridMap(kind, 5.0).values(xi)
 
 
 def test_build_grid_semi_infinite():
@@ -99,8 +104,8 @@ def test_build_grid_validation():
     with pytest.raises(ValueError):
         build_grid(GridMap("log", 1e308), 4)
     # a size that is not an integer is refused, not truncated or parsed
-    for N in (20.9, 20.0, "12"):
-        with pytest.raises(TypeError):
+    for N in (20.9, 20.0, "12", True):
+        with pytest.raises(TypeError, match="grid size N must be an integer"):
             build_grid(GridMap("log", 5.0), N)
     grid = build_grid(GridMap("log", 5.0), np.int64(12))
     assert type(grid.N) is int and grid.N == 12 and grid.nodes.shape == (13,)

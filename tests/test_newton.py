@@ -569,9 +569,10 @@ def test_config_validation():
     for mode in ("symbolic", None):
         with pytest.raises(ValueError):
             SolverConfig(jacobian_mode=mode)
-    # a budget that is not an integer is refused, not truncated or parsed
-    for max_iter in (2.5, 3.0, "3"):
-        with pytest.raises(TypeError):
+    # a budget that is not an integer is refused, not truncated, parsed
+    # or read as 1 (True ran one iteration)
+    for max_iter in (2.5, 3.0, "3", True):
+        with pytest.raises(TypeError, match="max_iter must be an integer"):
             SolverConfig(max_iter=max_iter)
     grid = build_grid(GridMap("log", 5.0), 40)
     capped = newton_solve(falkner_skan(), grid, config=SolverConfig(max_iter=np.int64(2)))

@@ -119,8 +119,19 @@ def test_limits_default_to_every_component():
     for limits in ((), (4,), (-1, 0)):
         with pytest.raises(ValueError, match=r"limits must name components in 0\.\.3"):
             dataclasses.replace(pile(), limits=limits)
-    with pytest.raises(TypeError):
-        dataclasses.replace(pile(), limits=(1.0,))
+    for limits in ((1.0,), (True, 2)):
+        with pytest.raises(TypeError, match="limits entry must be an integer"):
+            dataclasses.replace(pile(), limits=limits)
+
+
+def test_component_count_is_an_integer_of_at_least_one():
+    toy = dataclasses.replace(pile(), d=np.int64(4))
+    assert type(toy.d) is int and toy.d == 4
+    for d in (2.5, 4.0, "4", True):
+        with pytest.raises(TypeError, match="component count d must be an integer"):
+            dataclasses.replace(pile(), d=d, limits=None)
+    with pytest.raises(ValueError, match="component count d must be at least 1, got 0"):
+        dataclasses.replace(pile(), d=0, limits=None, reports={})
 
 
 def test_initial_field_evaluates_every_node():
@@ -193,20 +204,65 @@ def test_initial_field_validation():
         initial_field(not_finite, grid)
 
 
+def same_bits(a, b):
+    return type(a) is type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 def test_report_scalars():
     problem = falkner_skan()
+    assert problem.reports == {"fpp0": (0, 2), "fpp_inf": (-1, 2)}
     result = newton_solve(problem, build_grid(GridMap("log", 5.0), 20))
-    assert report_scalar(problem, result, "fpp0") == result.solution[0, 2]
-    assert report_scalar(problem, result, "fpp_inf") == result.solution[-1, 2]
-    with pytest.raises(KeyError, match="fpp0"):
+    # bitwise what the reports' former closures over the result returned
+    assert same_bits(report_scalar(problem, result, "fpp0"), float(result.solution[0, 2]))
+    assert same_bits(report_scalar(problem, result, "fpp_inf"), float(result.solution[-1, 2]))
+    with pytest.raises(KeyError, match=r"problem 'falkner-skan' has no report scalar "
+                                       r"'wall_shear'; available: \['fpp0', 'fpp_inf'\]"):
         report_scalar(problem, result, "wall_shear")
 
 
 def test_pile_report_scalars():
     problem = pile()
+    assert problem.reports == {"u0": (0, 0), "du0": (0, 1)}
     result = newton_solve(problem, build_grid(GridMap("log", 5.0), 20))
-    assert report_scalar(problem, result, "u0") == result.solution[0, 0]
-    assert report_scalar(problem, result, "du0") == result.solution[0, 1]
+    assert same_bits(report_scalar(problem, result, "u0"), float(result.solution[0, 0]))
+    assert same_bits(report_scalar(problem, result, "du0"), float(result.solution[0, 1]))
+
+
+def test_report_entries_are_stored_as_integer_pairs():
+    problem = dataclasses.replace(falkner_skan(), reports={"a": [np.int64(-1), np.int64(1)],
+                                                           "b": (0, np.int32(0))})
+    assert problem.reports == {"a": (-1, 1), "b": (0, 0)}
+    assert all(type(i) is int for entry in problem.reports.values() for i in entry)
+    # declared once: replace() rebuilds from the stored pairs
+    assert dataclasses.replace(problem).reports == problem.reports
+
+
+NOT_AN_END = (ValueError, r"report 'q' must be \(0, i\) with i in 0\.\.2 or \(-1, i\) "
+                          r"with i in limits \(1, 2\)")
+NOT_AN_INTEGER = (TypeError, r"report 'q' entry must be an integer")
+
+
+@pytest.mark.parametrize("entry, refusal", [
+    ((1, 2), NOT_AN_END),    # an interior node moves with N
+    ((-2, 2), NOT_AN_END),
+    ((0, 3), NOT_AN_END),    # component d
+    ((0, -1), NOT_AN_END),
+    ((-1, 0), NOT_AN_END),   # u1 grows like x: it has no value at infinity
+    ((0, 1, 2), NOT_AN_END),
+    ((0,), NOT_AN_END),
+    ((0, 2.0), NOT_AN_INTEGER),
+    ((0.0, 2), NOT_AN_INTEGER),
+    ((0, True), NOT_AN_INTEGER),
+    ((False, 2), NOT_AN_INTEGER),
+    ("02", NOT_AN_INTEGER),
+    (lambda result: float(result.solution[0, 2]), (TypeError, "not iterable")),
+], ids=["interior-node", "node-minus-2", "component-d", "component-minus-1",
+        "infinity-without-a-limit", "three-entries", "one-entry", "float-component",
+        "float-node", "bool-component", "bool-node", "string", "closure"])
+def test_malformed_report_declarations_are_refused(entry, refusal):
+    error, message = refusal
+    with pytest.raises(error, match=message):
+        dataclasses.replace(falkner_skan(), reports={"fpp0": (0, 2), "q": entry})
 
 
 def test_homann_parameter_variant():

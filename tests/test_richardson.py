@@ -66,8 +66,10 @@ def test_extrapolate_table_validation():
     table = extrapolate_table([10, 20], [1.0, 2.0])
     assert table.columns[0] == (1.0, 2.0)
     # a count of decimals that is not an integer is refused, not truncated
-    with pytest.raises(TypeError):
-        extrapolate_table((10, 20), (1.0, 2.0), print_decimals=3.9)
+    # or read as 1
+    for decimals in (3.9, True):
+        with pytest.raises(TypeError, match="print_decimals must be an integer"):
+            extrapolate_table((10, 20), (1.0, 2.0), print_decimals=decimals)
     ns, values = (10, 20), (1.23456749, 1.23456651)
     assert extrapolate_table(ns, values, print_decimals=np.int64(7)).columns == \
         extrapolate_table(ns, values, print_decimals=7).columns
