@@ -21,21 +21,23 @@ Both trees, loaded as twotrees.py describes, run on a fixed matrix:
   flag, bitwise, on the same cases, with each tree's own default
   SolverConfig() and with the FD Jacobian;
 - the public API: the infbvp.__all__ names one tree has and the other
-  lacks, and the public attributes (dataclass fields, properties,
-  methods) of each class both export that one tree's class has and the
-  other's lacks.
+  lacks, the public attributes (dataclass fields, properties, methods)
+  of each class both export that one tree's class has and the other's
+  lacks, and the signatures that differ: of exported functions, of the
+  constructors of exported classes and of their public methods.
 
 Every side runs in a fresh working directory holding the same input
 files, so paths in messages agree. Each differing (command, field) pair,
-case, public name and attribute prints one line, then the count; the
-exit code is 1 if anything differed. A differing Newton result also
-prints how far it moved: whether the iteration count and convergence
-flag are equal, and the largest difference of the solutions, absolute
-and relative to max(1, |parent value|).
+case, public name, attribute and signature prints one line, then the
+count; the exit code is 1 if anything differed. A differing Newton
+result also prints how far it moved: whether the iteration count and
+convergence flag are equal, and the largest difference of the
+solutions, absolute and relative to max(1, |parent value|).
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import os
 import sys
@@ -226,29 +228,46 @@ def newton_moved(parent, change) -> str:
             f"relative to max(1, |parent|) {relative:.2e}")
 
 
-def public_api(lib) -> set[str]:
+def signature(value) -> str | None:
+    """str(inspect.signature(value)) of a callable; None for a value that
+    is not one, or a callable without a signature, such as an exception
+    class."""
+    try:
+        return str(inspect.signature(value)) if callable(value) else None
+    except (TypeError, ValueError):
+        return None
+
+
+def public_api(lib) -> dict[str, str | None]:
     """The package's __all__ names, and "Class.attribute" for each public
     attribute of an exported class: its dataclass fields (a field
-    without a default is no class attribute), properties and methods."""
-    api = set(lib.__all__)
+    without a default is no class attribute), properties and methods;
+    each mapped to its signature."""
+    api = {name: signature(getattr(lib, name)) for name in lib.__all__}
     for name in lib.__all__:
         value = getattr(lib, name)
         if isinstance(value, type):
             attributes = {*dir(value), *getattr(value, "__dataclass_fields__", ())}
-            api |= {f"{name}.{attr}" for attr in attributes if not attr.startswith("_")}
+            api |= {f"{name}.{attr}": signature(getattr(value, attr, None))
+                    for attr in attributes if not attr.startswith("_")}
     return api
 
 
 def api_differences(parent, change) -> tuple[list[str], int]:
     """One line per public name or attribute of one package that the
-    other lacks (an attribute only where both export its class), and how
-    many names and attributes the two have together."""
+    other lacks (an attribute only where both export its class), one per
+    name or attribute whose signature differs, and how many names and
+    attributes the two have together."""
     apis = {"parent": public_api(parent), "change": public_api(change)}
     lines = [f"api: {name} only in {side}"
              for side, other in (("parent", "change"), ("change", "parent"))
-             for name in sorted(apis[side] - apis[other])
+             for name in sorted(apis[side].keys() - apis[other].keys())
              if "." not in name or name.partition(".")[0] in apis[other]]
-    return lines, len(apis["parent"] | apis["change"])
+    lines += [f"api: {name} signature {apis['parent'][name]} in parent, "
+              f"{apis['change'][name]} in change"
+              for name in sorted(apis["parent"].keys() & apis["change"].keys())
+              if apis["parent"][name] != apis["change"][name]]
+    return lines, len(apis["parent"].keys() | apis["change"].keys())
 
 
 def main() -> int:

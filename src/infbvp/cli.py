@@ -27,6 +27,7 @@ from .grids import MAP_KINDS, GridMap, build_grid
 from .newton import SolverConfig, newton_solve, sweep
 from .problems import PROBLEMS, report_scalar
 from .richardson import extrapolate_table, observed_order
+from .scheme import JACOBIAN_MODES
 
 __all__ = ["main", "run"]
 
@@ -196,7 +197,7 @@ def _add_solver_options(parser) -> None:
                         help=f"mean-increment stopping tolerance (default {_DEFAULT_CONFIG.tol:g})")
     parser.add_argument("--max-iter", type=int, default=_DEFAULT_CONFIG.max_iter,
                         help=f"Newton iteration limit (default {_DEFAULT_CONFIG.max_iter})")
-    parser.add_argument("--jacobian", choices=["analytic", "fd"],
+    parser.add_argument("--jacobian", choices=JACOBIAN_MODES,
                         default=_DEFAULT_CONFIG.jacobian_mode,
                         help="analytic takes the problem's derivatives where it gives them "
                              f"and differences the rest (default {_DEFAULT_CONFIG.jacobian_mode})")

@@ -28,25 +28,33 @@ __all__ = [
 MAP_KINDS = ("log", "alg")
 
 
-def _real(value, name: str) -> float:
+def _real(value, name: str, *, positive: bool = False) -> float:
     """value as a float, for a real number only: a str or a bool raises
     TypeError rather than being parsed or read as 0 or 1, as sizes do
-    through _integer."""
+    through _integer. nan, +-inf and, with positive=True, a value <= 0
+    raise ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    return float(value)
+    number = float(value)
+    if not np.isfinite(number) or (positive and number <= 0.0):
+        raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {number}")
+    return number
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, *, least: int | None = None) -> int:
     """value as an int, for an integer only: a bool raises TypeError
     rather than being read as 0 or 1, and so does anything that
-    operator.index refuses, such as a float or a str."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    operator.index refuses, such as a float or a str. A value below
+    least raises ValueError."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be at least {least}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -57,9 +65,8 @@ class GridMap:
     log   x = -c*ln(1 - xi)     xi in [0, 1]  ->  x in [0, inf]
     alg   x = c*xi/(1 - xi)     xi in [0, 1]  ->  x in [0, inf]
 
-    kind is the map's name, "log" or "alg". A finite real c > 0 sets the
-    length scale: about half of all grid intervals land inside [0, c]; a
-    str or a bool raises TypeError.
+    kind is the map's name, "log" or "alg". A real c > 0 sets the length
+    scale: about half of all grid intervals land inside [0, c].
     """
 
     kind: str
@@ -67,10 +74,9 @@ class GridMap:
 
     def __post_init__(self) -> None:
         if self.kind not in MAP_KINDS:
-            raise ValueError(f"map kind must be 'log' or 'alg', got {self.kind!r}")
-        object.__setattr__(self, "c", _real(self.c, "map parameter c"))
-        if not 0.0 < self.c < np.inf:
-            raise ValueError(f"map parameter c must be positive and finite, got {self.c}")
+            raise ValueError(f"map kind must be {' or '.join(map(repr, MAP_KINDS))}, "
+                             f"got {self.kind!r}")
+        object.__setattr__(self, "c", _real(self.c, "map parameter c", positive=True))
 
     def values(self, xi) -> np.ndarray:
         """Vectorized map evaluation.

@@ -29,7 +29,7 @@ from .grids import QuasiUniformGrid, _integer, _real
 # counting tests) sees every call
 from .linsolve import SingularSystemError, linear_solve
 from .problems import BvpProblem, initial_field
-from .scheme import EvaluationError, assemble_jacobian, assemble_residual, prolong
+from .scheme import JACOBIAN_MODES, EvaluationError, assemble_jacobian, assemble_residual, prolong
 
 __all__ = [
     "SolverConfig",
@@ -52,11 +52,10 @@ _COARSE_START_N = 1280
 class SolverConfig:
     """Newton iteration controls.
 
-    tol is a real number (a string or a bool raises TypeError) and
-    max_iter an integer (a float, a string or a bool raises TypeError).
-    jacobian_mode is "analytic" or "fd", passed as is to
-    assemble_jacobian, whose docstring says where each derivative comes
-    from. The last-interval rule is the grid's: see
+    tol is a real number > 0 and max_iter an integer >= 1, read by
+    grids._real and grids._integer. jacobian_mode is "analytic" or "fd",
+    passed as is to assemble_jacobian, whose docstring says where each
+    derivative comes from. The last-interval rule is the grid's: see
     build_grid(..., continuation=).
     """
 
@@ -65,11 +64,9 @@ class SolverConfig:
     jacobian_mode: str = "analytic"
 
     def __post_init__(self) -> None:
-        if not 0.0 < _real(self.tol, "tolerance") < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-        if _integer(self.max_iter, "max_iter") < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.jacobian_mode not in ("analytic", "fd"):
+        _real(self.tol, "tolerance", positive=True)
+        _integer(self.max_iter, "max_iter", least=1)
+        if self.jacobian_mode not in JACOBIAN_MODES:
             raise ValueError(f"unknown jacobian mode {self.jacobian_mode!r}")
 
 

@@ -73,9 +73,7 @@ class BvpProblem:
     limits: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        d = _integer(self.d, "component count d")
-        if d < 1:
-            raise ValueError(f"component count d must be at least 1, got {d}")
+        d = _integer(self.d, "component count d", least=1)
         limits = range(d) if self.limits is None else (
             _integer(i, "limits entry") for i in self.limits)
         limits = tuple(sorted(set(limits)))
@@ -83,7 +81,12 @@ class BvpProblem:
             raise ValueError(f"limits must name components in 0..{d - 1}, got {self.limits!r}")
         ends, reports = {(0, i) for i in range(d)} | {(-1, i) for i in limits}, {}
         for name, entry in self.reports.items():
-            reports[name] = tuple(_integer(i, f"report {name!r} entry") for i in entry)
+            try:
+                pair = tuple(entry)
+            except TypeError:
+                raise TypeError(f"report {name!r} must be a (node, component) pair, "
+                                f"got {type(entry).__name__}") from None
+            reports[name] = tuple(_integer(i, f"report {name!r} entry") for i in pair)
             if reports[name] not in ends:
                 raise ValueError(f"report {name!r} must be (0, i) with i in 0..{d - 1} or "
                                  f"(-1, i) with i in limits {limits}, got {entry!r}")
@@ -111,8 +114,6 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
     discrete solutions for P <= 0 and on the alg map.
     """
     P = _real(P, "pressure-gradient parameter P")
-    if not np.isfinite(P):
-        raise ValueError(f"pressure-gradient parameter P must be finite, got {P}")
 
     def f(x, u):
         return np.array([u[1], u[2], -u[0] * u[2] - P * (1.0 - u[1] * u[1])])
@@ -157,12 +158,8 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
     a = P3 / (2 b^3), with u2..u4 its derivatives and 0 at the infinity
     node.
     """
-    P1, P2, P3 = (_real(value, f"pile parameter {name}")
+    P1, P2, P3 = (_real(value, f"pile parameter {name}", positive=name != "P3")
                   for name, value in (("P1", P1), ("P2", P2), ("P3", P3)))
-    if not (0.0 < P1 < np.inf and 0.0 < P2 < np.inf):
-        raise ValueError("soil reaction constants P1 and P2 must be positive and finite")
-    if not np.isfinite(P3):
-        raise ValueError(f"pile shear P3 must be finite, got {P3}")
 
     def f(x, u):
         return np.array([u[1], u[2], u[3], -P1 * (1.0 - np.exp(-P2 * u[0]))])

@@ -31,11 +31,11 @@ def observed_order(t_coarse: float, t_fine: float, t_ref: float) -> float:
 
     Degenerate agreement is encoded in the extended reals: +inf when only
     the fine value hits the reference, -inf when only the coarse one
-    does, nan when both do.
+    does, nan when both do or when either error is nan.
     """
     e_coarse = abs(t_coarse - t_ref)
     e_fine = abs(t_fine - t_ref)
-    if e_coarse == 0.0 and e_fine == 0.0:
+    if math.isnan(e_coarse) or math.isnan(e_fine) or e_coarse == e_fine == 0.0:
         return math.nan
     if e_fine == 0.0:
         return math.inf

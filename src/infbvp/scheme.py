@@ -31,6 +31,9 @@ __all__ = [
     "prolong",
 ]
 
+# The Jacobian modes by name, in the order the CLI offers them
+JACOBIAN_MODES = ("analytic", "fd")
+
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
@@ -150,7 +153,7 @@ def assemble_jacobian(problem, grid: QuasiUniformGrid, U,
     forward-differenced: df/du from d+1 batched calls of f, dg from 2d+1
     calls of g.
     """
-    if mode not in ("analytic", "fd"):
+    if mode not in JACOBIAN_MODES:
         raise ValueError(f"unknown jacobian mode {mode!r}")
     U, a, b, c_w, x_mid, u_mid = _midpoints(problem, grid, U)
     N, d = u_mid.shape

@@ -449,10 +449,10 @@ def test_a_grid_too_large_for_memory_is_a_usage_error(monkeypatch, capsys):
     (["--problem", "falkner-skan", "--P", "inf"],
      "pressure-gradient parameter P must be finite, got inf"),
     (["--problem", "pile", "--P1", "inf"],
-     "soil reaction constants P1 and P2 must be positive and finite"),
+     "pile parameter P1 must be positive and finite, got inf"),
     (["--problem", "pile", "--P2", "nan"],
-     "soil reaction constants P1 and P2 must be positive and finite"),
-    (["--problem", "pile", "--P3", "nan"], "pile shear P3 must be finite, got nan"),
+     "pile parameter P2 must be positive and finite, got nan"),
+    (["--problem", "pile", "--P3", "nan"], "pile parameter P3 must be finite, got nan"),
     (["--problem", "falkner-skan", "--P1", "3"],
      "problem falkner-skan takes no --P1; its options: --P"),
     (["--problem", "pile", "--P", "0.3"],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from infbvp import GridMap, QuasiUniformGrid, build_grid
+from infbvp.grids import _integer, _real
 
 
 def fractional_nodes(grid_map, N, alpha):
@@ -61,6 +62,10 @@ def test_map_validation():
         GridMap("log", -1.0)
     with pytest.raises(ValueError):
         GridMap("spline", 1.0)
+    for c in (0, 0.0, -1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^map parameter c must be positive and finite, "
+                                             f"got {float(c)}$"):
+            GridMap("alg", c)
 
 
 def test_map_scale_refuses_strings_and_bools():
@@ -70,6 +75,24 @@ def test_map_scale_refuses_strings_and_bools():
             GridMap("log", c)
     for c in (5, np.float64(5.0), np.int64(5)):
         assert GridMap("alg", c).c == 5.0 and type(GridMap("alg", c).c) is float
+
+
+def test_number_helpers_check_the_range_they_are_given():
+    # least is inclusive; positive refuses zero of either sign but takes
+    # the smallest subnormal
+    assert _integer(np.int64(1), "n", least=1) == 1 and _integer(-5, "n") == -5
+    with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
+        _integer(1, "n", least=2)
+    assert _real(5e-324, "x", positive=True) == 5e-324 and _real(-2, "x") == -2.0
+    with pytest.raises(ValueError, match="^x must be positive and finite, got -0.0$"):
+        _real(-0.0, "x", positive=True)
+    with pytest.raises(ValueError, match="^x must be finite, got nan$"):
+        _real(np.float32("nan"), "x")
+    # the type is checked before the range
+    with pytest.raises(TypeError, match="^n must be an integer, got bool$"):
+        _integer(False, "n", least=1)
+    with pytest.raises(TypeError, match="^x must be a real number, got str$"):
+        _real("-1", "x", positive=True)
 
 
 def test_map_domain_validation():

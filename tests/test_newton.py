@@ -561,11 +561,16 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1e-6)
-    for tol in (np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
+    # each refusal names its parameter and the value read
+    for tol in (0, 0.0, -1, -np.inf, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^tolerance must be positive and finite, "
+                                             f"got {float(tol)}$"):
             SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for max_iter in (0, -1, np.int64(-1)):
+        with pytest.raises(ValueError, match=f"^max_iter must be at least 1, got {max_iter}$"):
+            SolverConfig(max_iter=max_iter)
     for mode in ("symbolic", None):
         with pytest.raises(ValueError):
             SolverConfig(jacobian_mode=mode)

@@ -85,16 +85,27 @@ def test_pile_parameter_validation():
         pile(P1=0.0)
     with pytest.raises(ValueError):
         pile(P2=-0.5)
-    # P3 is a boundary datum, any real value is fine
-    assert isinstance(pile(P3=-2.0), BvpProblem)
+    for name in ("P1", "P2"):
+        for value in (0, 0.0, -1, -1e-300):
+            with pytest.raises(ValueError, match=f"^pile parameter {name} must be positive "
+                                                 f"and finite, got {float(value)}$"):
+                pile(**{name: value})
+    # P3 is a boundary datum, any real value is fine, and so is a
+    # pressure gradient P
+    assert isinstance(pile(P3=-2.0), BvpProblem) and isinstance(pile(P3=0), BvpProblem)
+    assert isinstance(falkner_skan(P=0), BvpProblem)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_problem_factories_refuse_non_finite_parameters(value):
-    with pytest.raises(ValueError, match="finite"):
+    # each refusal names its one parameter and the value read
+    with pytest.raises(ValueError, match=f"^pressure-gradient parameter P must be finite, "
+                                         f"got {value}$"):
         falkner_skan(P=value)
-    for name in ("P1", "P2", "P3"):
-        with pytest.raises(ValueError, match="finite"):
+    for name, rule in (("P1", "positive and finite"), ("P2", "positive and finite"),
+                       ("P3", "finite")):
+        with pytest.raises(ValueError, match=f"^pile parameter {name} must be {rule}, "
+                                             f"got {value}$"):
             pile(**{name: value})
 
 
@@ -132,6 +143,8 @@ def test_component_count_is_an_integer_of_at_least_one():
             dataclasses.replace(pile(), d=d, limits=None)
     with pytest.raises(ValueError, match="component count d must be at least 1, got 0"):
         dataclasses.replace(pile(), d=0, limits=None, reports={})
+    with pytest.raises(ValueError, match="^component count d must be at least 1, got -1$"):
+        dataclasses.replace(pile(), d=np.int64(-1), limits=None, reports={})
 
 
 def test_initial_field_evaluates_every_node():
@@ -255,7 +268,8 @@ NOT_AN_INTEGER = (TypeError, r"report 'q' entry must be an integer")
     ((0, True), NOT_AN_INTEGER),
     ((False, 2), NOT_AN_INTEGER),
     ("02", NOT_AN_INTEGER),
-    (lambda result: float(result.solution[0, 2]), (TypeError, "not iterable")),
+    (lambda result: float(result.solution[0, 2]),
+     (TypeError, r"report 'q' must be a \(node, component\) pair, got function$")),
 ], ids=["interior-node", "node-minus-2", "component-d", "component-minus-1",
         "infinity-without-a-limit", "three-entries", "one-entry", "float-component",
         "float-node", "bool-component", "bool-node", "string", "closure"])

@@ -43,6 +43,9 @@ def test_observed_order_degenerate_cases():
     assert observed_order(1.0, 2.0, 2.0) == math.inf
     assert observed_order(2.0, 1.0, 2.0) == -math.inf
     assert math.isnan(observed_order(2.0, 2.0, 2.0))
+    # a nan error agrees with nothing: no +-inf from the exact branches
+    assert math.isnan(observed_order(math.nan, 1.0, 1.0))
+    assert math.isnan(observed_order(1.0, math.nan, 1.0))
 
 
 def test_observed_order_recovers_exact_order():

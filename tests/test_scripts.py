@@ -101,7 +101,8 @@ class SolveResult:
     iterations: int = 0
     @property
     def final_increment(self): pass
-def build_grid(): pass
+    def value(self, name): pass
+def build_grid(N): pass
 """
 CHANGE_API = """
 import dataclasses
@@ -113,7 +114,8 @@ class SolveResult:
     solution: object
     increments: list
     iterations: int = 0
-def build_grid(): pass
+    def value(self, name, node=0): pass
+def build_grid(N, continuation=True): pass
 def sweep(): pass
 """
 
@@ -132,9 +134,15 @@ def test_compare_trees_reports_the_public_names_one_tree_lacks(twotrees, tmp_pat
         for name in [name for name in sys.modules if name.startswith("stub_")]:
             del sys.modules[name]
     # a field without a default is no class attribute, yet it is listed;
-    # the attributes of a class that only one tree exports are not
+    # the attributes of a class that only one tree exports are not. A
+    # function, constructor or method whose parameters differ is listed
+    # with both signatures
     assert compare_trees.api_differences(libs["parent"], libs["change"]) == ([
         "api: MapKind only in parent", "api: SolveResult.final_increment only in parent",
         "api: GridMap.values only in change", "api: SolveResult.increments only in change",
-        "api: sweep only in change"], 11)
-    assert compare_trees.api_differences(libs["change"], libs["change"]) == ([], 8)
+        "api: sweep only in change",
+        "api: SolveResult signature (solution: object, iterations: int = 0) -> None in parent, "
+        "(solution: object, increments: list, iterations: int = 0) -> None in change",
+        "api: SolveResult.value signature (self, name) in parent, (self, name, node=0) in change",
+        "api: build_grid signature (N) in parent, (N, continuation=True) in change"], 12)
+    assert compare_trees.api_differences(libs["change"], libs["change"]) == ([], 9)
