@@ -11,6 +11,7 @@ from one evaluation of the map.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -31,11 +32,15 @@ MAP_KINDS = ("log", "alg")
 def _real(value, name: str, *, positive: bool = False) -> float:
     """value as a float, for a real number only: a str or a bool raises
     TypeError rather than being parsed or read as 0 or 1, as sizes do
-    through _integer. nan, +-inf and, with positive=True, a value <= 0
-    raise ValueError."""
+    through _integer. nan, +-inf, a value beyond the double range, such
+    as the int 10**400, and, with positive=True, a value <= 0 raise
+    ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
     if not np.isfinite(number) or (positive and number <= 0.0):
         raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {number}")
     return number
@@ -88,7 +93,8 @@ class GridMap:
         """
         xi = np.asarray(xi, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            if not np.all((0.0 <= xi) & (xi <= 1.0)):  # NaN lies in no interval
+            # NaN lies in no interval
+            if not np.logical_and.reduce((0.0 <= xi) & (xi <= 1.0), axis=None):
                 raise ValueError("parameter must lie in [0, 1]")
             if self.kind == "log":
                 return -self.c * np.log1p(-xi)
@@ -147,7 +153,7 @@ def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> Quasi
     if not np.isfinite(x[4 * N - 1]):
         raise ValueError(f"map parameter c = {grid_map.c} overflows a grid of {N} intervals")
     nodes = x[0::4].copy()
-    if not np.all(np.diff(nodes) > 0.0):
+    if not np.logical_and.reduce(nodes[1:] > nodes[:-1]):
         raise ValueError("generating map produced a non-monotone grid")
     x_mid = x[2::4].copy()
     b = np.empty(N)

@@ -172,8 +172,8 @@ def _factor(jacobian: StructuredJacobian, r: np.ndarray):
         # leaves the shared node undetermined. Only a level's last node is
         # ever carried, so pair k of level l shares grid node (2k+1) 2^l.
         deficient = (np.abs(alphas) <= (2 * d * _EPS) * scale) & np.isfinite(scale)
-        if deficient.any():
-            pair = int(np.argmax(deficient.any(axis=0)))
+        if np.logical_or.reduce(deficient, axis=None):
+            pair = int(np.logical_or.reduce(deficient, axis=0).argmax())
             raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
                                       f"{(2 * pair + 1) << len(levels)}")
         levels.append((slab, alphas, scaled))
@@ -233,11 +233,11 @@ def _factor_groups(left: np.ndarray, right: np.ndarray, r: np.ndarray, levels: i
     Q, R = np.linalg.qr(interior, mode="complete")
     R = R[:, : (G - 1) * d]
     scale = np.sqrt(np.einsum("gij,gij->gj", interior, interior))
-    pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    pivots = np.abs(R.diagonal(axis1=1, axis2=2))
     deficient = (pivots <= (G * d * _EPS) * scale) & np.isfinite(scale)
-    if deficient.any():
-        group = int(np.argmax(deficient.any(axis=1)))
-        node = G * group + 1 + int(np.argmax(deficient[group])) // d
+    if np.logical_or.reduce(deficient, axis=None):
+        group = int(np.logical_or.reduce(deficient, axis=1).argmax())
+        node = G * group + 1 + int(deficient[group].argmax()) // d
         raise SingularSystemError("cyclic reduction hit a rank-deficient pair block at node "
                                   f"{node << levels}")
     QT = Q.transpose(0, 2, 1)

@@ -64,8 +64,8 @@ class SolverConfig:
     jacobian_mode: str = "analytic"
 
     def __post_init__(self) -> None:
-        _real(self.tol, "tolerance", positive=True)
-        _integer(self.max_iter, "max_iter", least=1)
+        object.__setattr__(self, "tol", _real(self.tol, "tolerance", positive=True))
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter", least=1))
         if self.jacobian_mode not in JACOBIAN_MODES:
             raise ValueError(f"unknown jacobian mode {self.jacobian_mode!r}")
 
@@ -91,6 +91,12 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return len(self.increments)
+
+
+def _mean_abs(x: np.ndarray) -> float:
+    """The mean absolute entry of x, the same double as np.mean(np.abs(x)),
+    from the reduction that np.mean calls, without its Python wrapper."""
+    return float(np.add.reduce(np.abs(x), axis=None) / x.size)
 
 
 def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
@@ -152,7 +158,7 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         U = initial_field(problem, grid)
     else:
         U = np.array(initial, dtype=float, copy=True)
-        if not np.all(np.isfinite(U)):
+        if not np.logical_and.reduce(np.isfinite(U), axis=None):
             raise ValueError("initial field must be finite")
 
     tol = config.tol
@@ -171,9 +177,8 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
                                          else (warm or len(increments) > 2)
                                          and increments[-1] ** 2 <= tol * increments[-2]):
                 delta = linear_solve(jacobian, -residual)
-                m = float(np.mean(np.abs(delta)))
-                far, last = (float(np.mean(np.abs(step[:, problem.limits])))
-                             for step in (delta, previous))
+                m = _mean_abs(delta)
+                far, last = (_mean_abs(step[:, problem.limits]) for step in (delta, previous))
                 theta = far / last if last > 0.0 else math.inf
                 if not (m <= tol and m * theta <= tol * tol):
                     delta = None
@@ -186,8 +191,9 @@ def newton_solve(problem: BvpProblem, grid: QuasiUniformGrid, initial=None,
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 update = U + delta
-                m = float(np.mean(np.abs(delta)))
-            failure = None if np.all(np.isfinite(update)) else "correction is not finite"
+                m = _mean_abs(delta)
+            failure = None if np.logical_and.reduce(np.isfinite(update), axis=None) \
+                else "correction is not finite"
         if failure is not None:
             increments.append(math.inf)
             reason = f"iteration {iteration}: {failure}"

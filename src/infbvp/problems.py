@@ -119,7 +119,7 @@ def falkner_skan(P: float = 1.0) -> BvpProblem:
         return np.array([u[1], u[2], -u[0] * u[2] - P * (1.0 - u[1] * u[1])])
 
     def df_du(x, u):
-        out = np.zeros((3, 3) + np.shape(u)[1:])
+        out = np.zeros((3, 3) + u.shape[1:])
         out[0, 1] = out[1, 2] = 1.0
         out[2] = -u[2], 2.0 * P * u[1], -u[0]
         return out
@@ -165,7 +165,7 @@ def pile(P1: float = 1.0, P2: float = 0.5, P3: float = 0.5) -> BvpProblem:
         return np.array([u[1], u[2], u[3], -P1 * (1.0 - np.exp(-P2 * u[0]))])
 
     def df_du(x, u):
-        out = np.zeros((4, 4) + np.shape(u)[1:])
+        out = np.zeros((4, 4) + u.shape[1:])
         out[0, 1] = out[1, 2] = out[2, 3] = 1.0
         out[3, 0] = -P1 * P2 * np.exp(-P2 * u[0])
         return out
@@ -202,10 +202,11 @@ def initial_field(problem: BvpProblem, grid) -> np.ndarray:
     if values.shape not in ((d,), (d, M)):
         raise ValueError(f"initial iterate produced shape {values.shape}, "
                          f"expected ({d}, {M}) or ({d},)")
-    values = np.broadcast_to(values.T, (M, d)).copy()
-    if not np.all(np.isfinite(values)):
+    field = np.empty((M, d))
+    field[...] = values.T
+    if not np.logical_and.reduce(np.isfinite(field), axis=None):
         raise ValueError("initial iterate must be finite at every node")
-    return values
+    return field
 
 
 def report_scalar(problem: BvpProblem, result, name: str) -> float:

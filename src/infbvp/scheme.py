@@ -57,9 +57,10 @@ def _eval_f(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
     fx = np.asarray(problem.f(x_mid, u_mid.T), dtype=float)
     if fx.shape != expected:
         raise ValueError(f"f returned shape {fx.shape}, expected {expected}")
-    bad = ~np.all(np.isfinite(fx), axis=0)
-    if bad.any():
-        n = int(np.argmax(bad))
+    finite = np.isfinite(fx)
+    if not np.logical_and.reduce(finite, axis=None):
+        # the first interval with a non-finite entry
+        n = int(np.logical_and.reduce(finite, axis=0).argmin())
         raise EvaluationError(f"non-finite right-hand side on interval {n}")
     return fx.T
 
@@ -68,7 +69,7 @@ def _eval_g(problem, u0: np.ndarray, u_inf: np.ndarray) -> np.ndarray:
     gv = np.asarray(problem.g(u0, u_inf), dtype=float)
     if gv.shape != (problem.d,):
         raise ValueError(f"g returned shape {gv.shape}, expected ({problem.d},)")
-    if not np.all(np.isfinite(gv)):
+    if not np.logical_and.reduce(np.isfinite(gv)):
         raise EvaluationError("non-finite boundary function value")
     return gv
 
@@ -130,14 +131,14 @@ def _forward_difference(fn, u: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 def _df_du_analytic(problem, x_mid: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
-    """problem.df_du at every midpoint in one call, as an (N, d, d)
-    view; a constant (d, d) answer is broadcast."""
+    """problem.df_du at every midpoint in one call: a (d, d, N) answer as
+    an (N, d, d) view, a constant (d, d) one as it is, which
+    assemble_jacobian's block formula broadcasts over the intervals."""
     N, d = u_mid.shape
     F = np.asarray(problem.df_du(x_mid, u_mid.T), dtype=float)
     if F.shape not in ((d, d), (d, d, N)):
         raise ValueError(f"df_du returned shape {F.shape}, expected ({d}, {d}, {N}) or ({d}, {d})")
-    # Transposed, (d, d, N) and (d, d) both broadcast to (N, d, d).
-    return np.broadcast_to(F.T, (N, d, d)).transpose(0, 2, 1)
+    return F if F.ndim == 2 else F.transpose(2, 0, 1)
 
 
 def assemble_jacobian(problem, grid: QuasiUniformGrid, U,
@@ -174,7 +175,8 @@ def assemble_jacobian(problem, grid: QuasiUniformGrid, U,
             g_base = _eval_g(problem, U[0], U[N])
             dg_0 = _forward_difference(lambda u: _eval_g(problem, u, U[N]), U[0], g_base)
             dg_N = _forward_difference(lambda u: _eval_g(problem, U[0], u), U[N], g_base)
-        eye = np.eye(d)
+        eye = np.zeros((d, d))
+        eye.flat[:: d + 1] = 1.0
         dU_n = -eye - (a * c_w)[:, None, None] * F
         dU_next = eye - (a * b)[:, None, None] * F
     return StructuredJacobian(dU_n=dU_n, dU_next=dU_next, dg_0=dg_0, dg_N=dg_N)

@@ -103,6 +103,10 @@ def test_map_domain_validation():
         m.values(1.1)
     with pytest.raises(ValueError, match="finite"):
         GridMap("log", math.inf)
+    # an int beyond the double range reads as an infinity, not as an
+    # OverflowError that names no parameter
+    with pytest.raises(ValueError, match="^map parameter c must be positive and finite, got inf$"):
+        GridMap("log", 10**400)
     # NaN fails both xi < 0 and xi > 1, yet lies in no interval
     for kind in ("log", "alg"):
         for xi in (np.nan, [0.5, np.nan]):

@@ -3,6 +3,8 @@ every failure reason, and sweeps."""
 
 import dataclasses
 import math
+import os
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -591,6 +593,14 @@ def test_config_validation():
         dataclasses.replace(config, max_iter=2.5)
 
 
+def test_config_stores_the_numbers_it_read():
+    # as GridMap.c and BvpProblem.d do: Newton's stop compares against a
+    # float, not against a float32
+    config = SolverConfig(tol=np.float32(1e-3), max_iter=np.int64(3))
+    assert type(config.tol) is float and config.tol == float(np.float32(1e-3))
+    assert type(config.max_iter) is int and config.max_iter == 3
+
+
 def test_config_tolerance_refuses_strings_and_bools():
     # True would run at tol = 1.0, "1e-8" at the parsed value
     for tol in ("1e-8", True):
@@ -608,3 +618,67 @@ def test_initial_field_validation():
     bad[2, 1] = np.nan
     with pytest.raises(ValueError):
         newton_solve(problem, grid, initial=bad)
+
+
+# numpy modules whose functions are Python wrappers around one ufunc,
+# reduction or C-level array method (np.mean, np.all, ndarray.any,
+# np.diff, np.broadcast_to, np.eye, ...), matched on the module's
+# __name__ so that numpy 1.x's paths match too
+_NUMPY_WRAPPERS = ("fromnumeric", "_methods", "function_base", "stride_tricks", "twodim_base")
+# Python-level numpy the solve path keeps, and why; what these call in
+# turn is numpy's own business
+_NUMPY_KEPT = {
+    "einsum": "np.einsum: the reduction's dot products; an add.reduce form of them changes bits",
+    "numpy.linalg": "np.linalg.qr and np.linalg.solve have no public C entry",
+    "_ufunc_config": "np.errstate, which keeps numpy warnings out of every solve",
+}
+
+
+def test_the_solve_path_calls_no_python_level_numpy_wrapper():
+    # Each wrapper costs a few microseconds of Python around one C call,
+    # on every Newton iteration. The solves cover cold starts (the coarse
+    # start at N = 1280), warm starts from a prolonged solution, both
+    # maps, both Jacobian modes and a sweep, all converging.
+    package = os.path.dirname(newton.__file__) + os.sep
+    called, wrapped = set(), set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event != "call" or not module.startswith("numpy"):
+            return
+        caller = frame.f_back
+        while caller is not None and not caller.f_code.co_filename.startswith(package):
+            if any(name in caller.f_globals.get("__name__", "") for name in _NUMPY_KEPT):
+                return
+            caller = caller.f_back
+        if caller is None:
+            return
+        called.add(module)
+        if any(name in module for name in _NUMPY_WRAPPERS):
+            wrapped.add(f"{module}.{frame.f_code.co_name} from "
+                        f"{os.path.basename(caller.f_code.co_filename)}:{caller.f_lineno}")
+
+    def solves():
+        for factory in (falkner_skan, pile):
+            for kind in ("log", "alg"):
+                for N in (40, 1280):
+                    for mode in ("analytic", "fd"):
+                        config = SolverConfig(jacobian_mode=mode)
+                        grid, coarse = (build_grid(GridMap(kind, 5.0), n) for n in (N, N // 2))
+                        start = newton_solve(factory(), coarse, config=config).solution
+                        yield newton_solve(factory(), grid, config=config)
+                        yield newton_solve(factory(), grid, initial=prolong(coarse, start),
+                                           config=config)
+        yield from newton.sweep(falkner_skan(), [build_grid(GridMap("log", 5.0), 20 << k)
+                                                 for k in range(4)])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        results = list(solves())
+    finally:
+        sys.setprofile(previous)
+    assert len(results) == 36 and all(result.converged for result in results)
+    # the profile saw the solves' numpy calls
+    assert any("numpy.linalg" in module for module in called)
+    assert sorted(wrapped) == []

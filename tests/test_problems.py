@@ -1,6 +1,7 @@
 """Built-in problem definitions and report plumbing."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -96,16 +97,19 @@ def test_pile_parameter_validation():
     assert isinstance(falkner_skan(P=0), BvpProblem)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="int 10**400"),
+                                   pytest.param(-10**400, id="int -10**400")])
 def test_problem_factories_refuse_non_finite_parameters(value):
-    # each refusal names its one parameter and the value read
+    # each refusal names its one parameter and the value read; an int
+    # beyond the double range reads as the infinity of its sign
+    read = value if isinstance(value, float) else math.inf if value > 0 else -math.inf
     with pytest.raises(ValueError, match=f"^pressure-gradient parameter P must be finite, "
-                                         f"got {value}$"):
+                                         f"got {read}$"):
         falkner_skan(P=value)
     for name, rule in (("P1", "positive and finite"), ("P2", "positive and finite"),
                        ("P3", "finite")):
         with pytest.raises(ValueError, match=f"^pile parameter {name} must be {rule}, "
-                                             f"got {value}$"):
+                                             f"got {read}$"):
             pile(**{name: value})
 
 
