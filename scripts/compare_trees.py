@@ -26,6 +26,10 @@ Both trees, loaded as twotrees.py describes, run on a fixed matrix:
   lacks, and the signatures that differ: of exported functions, of the
   constructors of exported classes and of their public methods.
 
+It also prints, for information only, each tree's src/infbvp line count
+and code-line count: lines that are not blank, not comment-only and not
+part of a module, class or function docstring.
+
 Every side runs in a fresh working directory holding the same input
 files, so paths in messages agree. Each differing (command, field) pair,
 case, public name, attribute and signature prints one line, then the
@@ -37,17 +41,19 @@ solutions, absolute and relative to max(1, |parent value|).
 
 from __future__ import annotations
 
+import ast
 import inspect
 import io
 import os
 import sys
 import tempfile
+import tokenize
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 # twotrees pins BLAS to one thread, so it is imported before numpy
-from twotrees import c5_grid, load_sides, parse_args
+from twotrees import ROOT, c5_grid, load_sides, parse_args
 
 import numpy as np
 
@@ -270,8 +276,37 @@ def api_differences(parent, change) -> tuple[list[str], int]:
     return lines, len(apis["parent"].keys() | apis["change"].keys())
 
 
+# tokens that make no line a code line
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+
+
+def source_lines(tree: Path) -> tuple[int, int]:
+    """(lines, code lines) of the tree's src/infbvp/*.py: a code line
+    holds a token other than a comment and lies in no module, class or
+    function docstring; each line of a multi-line string counts."""
+    lines = code = 0
+    for path in sorted((tree / "src" / "infbvp").glob("*.py")):
+        source = path.read_text()
+        docstrings = {line for node in ast.walk(ast.parse(source))
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and ast.get_docstring(node) is not None
+                      for line in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        code_lines = {line for token in tokens if token.type not in NOT_CODE
+                      for line in range(token.start[0], token.end[0] + 1)}
+        lines += len(source.splitlines())
+        code += len(code_lines - docstrings)
+    return lines, code
+
+
 def main() -> int:
-    parent, change = load_sides(parse_args(__doc__).parent).values()
+    args = parse_args(__doc__)
+    parent, change = load_sides(args.parent).values()
+    for side, tree in (("parent", args.parent), ("change", ROOT)):
+        print("source: {} src/infbvp has {} lines, {} of them code".format(
+            side, *source_lines(tree)))
 
     runs = list(USAGE)
     runs += [command + mode for command in COMMANDS for mode in OUTPUT_MODES]

@@ -136,17 +136,18 @@ class QuasiUniformGrid:
 
 def build_grid(grid_map: GridMap, N: int, *, continuation: bool = True) -> QuasiUniformGrid:
     """Grid with N intervals and N+1 nodes, the last at infinity.
-    Requires an integer N >= 2 (a float, a string or a bool raises TypeError),
-    a finite x_{N-1/4} and strict monotonicity.
-    continuation sets the grid's last-interval rule (see stencil_arrays),
-    which the residual, the Jacobian and prolong all follow.
+    N is read by _integer and must be at least 2; the map must give a
+    finite x_{N-1/4} and strict monotonicity.
+    continuation, a bool (anything else raises TypeError), sets the
+    grid's last-interval rule (see stencil_arrays), which the residual,
+    the Jacobian and prolong all follow.
 
     The map is evaluated once, at q/(4N) for q = 0..4N: x[4n + k] is
     x_{n+k/4}, the same double as the map at (n + k/4)/N, since both
     quotients round one rational."""
-    N = _integer(N, "grid size N")
-    if N < 2:
-        raise ValueError(f"need at least 2 intervals, got {N}")
+    N = _integer(N, "grid size N", least=2)
+    if not isinstance(continuation, (bool, np.bool_)):
+        raise TypeError(f"continuation must be a bool, got {type(continuation).__name__}")
     x = grid_map.values(np.arange(4 * N + 1) / (4 * N))
     # x_{N-1/4} is the largest coordinate the scheme reads; the map is
     # monotone, so every other fractional and finite node is below it.

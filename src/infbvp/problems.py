@@ -47,8 +47,9 @@ class BvpProblem:
     M points and silently gives a wrong answer. g stays pointwise: it
     consumes the first and last node values, each of shape (d,). dg is a
     pair of constant d x d matrices (the built-in boundary functions are
-    affine). Either derivative may be left out: assemble_jacobian's
-    docstring says how it then differences f or g.
+    affine); any other dg raises ValueError when the problem is built.
+    Either derivative may be left out: assemble_jacobian's docstring
+    says how it then differences f or g.
 
     limits names the components that have a finite limit at infinity, as
     indices into 0..d-1; None, the default, means every component. It
@@ -90,6 +91,9 @@ class BvpProblem:
             if reports[name] not in ends:
                 raise ValueError(f"report {name!r} must be (0, i) with i in 0..{d - 1} or "
                                  f"(-1, i) with i in limits {limits}, got {entry!r}")
+        if self.dg is not None and (len(self.dg) != 2 or any(
+                np.asarray(matrix).shape != (d, d) for matrix in self.dg)):
+            raise ValueError("dg must be a pair of d x d matrices")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "limits", limits)
         object.__setattr__(self, "reports", reports)

@@ -68,16 +68,15 @@ def extrapolate_table(ns, values, print_decimals: int = 6) -> ExtrapolationTable
     The input column is rounded to print_decimals first: extrapolating a
     published table means extrapolating the digits it shows. Later
     columns keep full precision internally; only the stopping comparisons
-    round again. print_decimals must be an integer; a float, a string
-    or a bool raises TypeError.
+    round again. Each grid size (at least 1) and print_decimals is read
+    by _integer, so a float, a string or a bool raises TypeError.
     """
     decimals = _integer(print_decimals, "print_decimals")
     if len(ns) != len(values):
         raise ValueError("ns and values must have equal length")
     if len(values) < 2:
         raise ValueError("need at least two sweep entries to extrapolate")
-    if min(ns) < 1:
-        raise ValueError(f"grid sizes must be at least 1, got {min(ns)}")
+    ns = [_integer(n, "grid sizes", least=1) for n in ns]
     for coarse, fine in zip(ns, ns[1:]):
         if fine != 2 * coarse:
             raise ValueError(f"grid family must double: {coarse} is followed by {fine}")

@@ -149,10 +149,10 @@ def assemble_jacobian(problem, grid: QuasiUniformGrid, U,
     dU_n = -I - a*c_w*F and dU_next = I - a*b*F, with F = df/du at the
     N midpoints. This function alone decides where each derivative comes
     from. Mode "analytic" takes F from one call of the problem's df_du
-    and the boundary blocks from its dg, each where the problem gives
-    it. A derivative the problem leaves out, and both in mode "fd", is
-    forward-differenced: df/du from d+1 batched calls of f, dg from 2d+1
-    calls of g.
+    and the boundary blocks from copies of its dg (checked when the
+    problem is built), each where the problem gives it. A derivative the
+    problem leaves out, and both in mode "fd", is forward-differenced:
+    df/du from d+1 batched calls of f, dg from 2d+1 calls of g.
     """
     if mode not in JACOBIAN_MODES:
         raise ValueError(f"unknown jacobian mode {mode!r}")
@@ -167,10 +167,8 @@ def assemble_jacobian(problem, grid: QuasiUniformGrid, U,
             F = _forward_difference(lambda u: _eval_f(problem, x_mid, u), u_mid,
                                     _eval_f(problem, x_mid, u_mid))
         if mode == "analytic" and problem.dg is not None:
-            dg_0 = np.array(problem.dg[0], dtype=float)
-            dg_N = np.array(problem.dg[1], dtype=float)
-            if dg_0.shape != (d, d) or dg_N.shape != (d, d):
-                raise ValueError("dg must be a pair of d x d matrices")
+            # copies: a fresh Jacobian's blocks stay writable
+            dg_0, dg_N = (np.array(matrix, dtype=float) for matrix in problem.dg)
         else:
             g_base = _eval_g(problem, U[0], U[N])
             dg_0 = _forward_difference(lambda u: _eval_g(problem, u, U[N]), U[0], g_base)

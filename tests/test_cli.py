@@ -375,6 +375,13 @@ def test_extrapolate_refuses_grid_sizes_below_one(tmp_path, capsys):
         2, "", "error: grid sizes must be at least 1, got 0\n")
 
 
+@pytest.mark.parametrize("command", [["solve", "--problem", "pile"], ["grid"]])
+def test_a_grid_of_one_interval_is_refused(capsys, command):
+    # the size is read by the library's integer reader, which names it
+    assert run_main(capsys, *command, "--N", "1") == (
+        2, "", "error: grid size N must be at least 2, got 1\n")
+
+
 def test_extrapolate_refuses_an_empty_file(tmp_path, capsys):
     source = tmp_path / "sweep.csv"
     source.write_text("")

@@ -126,7 +126,7 @@ def test_build_grid_semi_infinite():
 
 
 def test_build_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid size N must be at least 2, got 1$"):
         build_grid(GridMap("log", 5.0), 1)
     with pytest.raises(ValueError):
         build_grid(GridMap("log", 1e308), 4)
@@ -136,6 +136,15 @@ def test_build_grid_validation():
             build_grid(GridMap("log", 5.0), N)
     grid = build_grid(GridMap("log", 5.0), np.int64(12))
     assert type(grid.N) is int and grid.N == 12 and grid.nodes.shape == (13,)
+    # the last-interval rule is a bool, not read by truthiness
+    for continuation in ("False", None, 0, 1.0):
+        with pytest.raises(TypeError, match="^continuation must be a bool, got "
+                                            f"{type(continuation).__name__}$"):
+            build_grid(GridMap("log", 5.0), 12, continuation=continuation)
+    for continuation in (False, np.False_):
+        grid = build_grid(GridMap("log", 5.0), 12, continuation=continuation)
+        assert grid.continuation is False and grid.stencils[1][-1] == 0.0
+    assert build_grid(GridMap("log", 5.0), 12, continuation=np.True_).continuation is True
 
 
 def test_grid_nodes_are_read_only():

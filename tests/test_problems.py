@@ -11,6 +11,7 @@ from infbvp import (
     PROBLEMS,
     BvpProblem,
     GridMap,
+    assemble_jacobian,
     assemble_residual,
     build_grid,
     falkner_skan,
@@ -149,6 +150,32 @@ def test_component_count_is_an_integer_of_at_least_one():
         dataclasses.replace(pile(), d=0, limits=None, reports={})
     with pytest.raises(ValueError, match="^component count d must be at least 1, got -1$"):
         dataclasses.replace(pile(), d=np.int64(-1), limits=None, reports={})
+
+
+@pytest.mark.parametrize("dg", [
+    (np.eye(2),), np.eye(2), (np.eye(2),) * 3, (np.eye(2), np.eye(3)), (np.eye(3),) * 2,
+], ids=["one-matrix", "one-bare-matrix", "three-matrices", "wrong-shaped-pair", "d-plus-one"])
+def test_a_malformed_dg_is_refused_when_the_problem_is_built(dg):
+    # whatever Jacobian mode would solve it later: a one-matrix dg no
+    # longer reaches a solve to fail there with an IndexError
+    with pytest.raises(ValueError, match="^dg must be a pair of d x d matrices$"):
+        BvpProblem(name="wrong-dg", d=2, f=lambda x, u: np.zeros_like(u),
+                   g=lambda u0, u_inf: np.zeros(2), initial_iterate=lambda x: np.zeros(2),
+                   dg=dg)
+
+
+def test_a_dg_of_nested_lists_gives_the_same_boundary_blocks():
+    problem = pile()
+    listed = dataclasses.replace(problem, dg=[matrix.tolist() for matrix in problem.dg])
+    grid = build_grid(GridMap("log", 5.0), 8)
+    field = initial_field(problem, grid)
+    arrays, lists = (assemble_jacobian(p, grid, field) for p in (problem, listed))
+    for block in ("dg_0", "dg_N"):
+        got = getattr(lists, block)
+        assert got.dtype == float and got.tobytes() == getattr(arrays, block).tobytes()
+        # each Jacobian holds its own copy, not the problem's matrix
+        assert got.flags.writeable and not np.shares_memory(getattr(arrays, block),
+                                                            problem.dg[block == "dg_N"])
 
 
 def test_initial_field_evaluates_every_node():

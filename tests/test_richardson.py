@@ -64,8 +64,16 @@ def test_extrapolate_table_validation():
     # zero and negative sizes pass the doubling check but are no grids
     with pytest.raises(ValueError, match="at least 1, got 0"):
         extrapolate_table((0, 0, 0), (1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="at least 1, got -10"):
+    # each size is read in turn, so the first one below 1 is named
+    with pytest.raises(ValueError, match="at least 1, got -5"):
         extrapolate_table((-5, -10), (1.0, 2.0))
+    # a size that is not an integer is refused, not truncated or read as 1
+    for ns in ((True, 2), (1.5, 3.0), ("20", "40")):
+        with pytest.raises(TypeError, match="^grid sizes must be an integer, got "
+                                            f"{type(ns[0]).__name__}$"):
+            extrapolate_table(ns, (1.0, 2.0))
+    assert extrapolate_table(np.array([10, 20]), (1.0, 2.0)) == \
+        extrapolate_table([10, 20], (1.0, 2.0))
     table = extrapolate_table([10, 20], [1.0, 2.0])
     assert table.columns[0] == (1.0, 2.0)
     # a count of decimals that is not an integer is refused, not truncated

@@ -206,15 +206,15 @@ RIGHT_SHAPES = {"f": lambda x, u: np.zeros_like(u), "g": lambda u0, u_inf: np.ze
     ("g", lambda u0, u_inf: np.zeros(3), r"g returned shape \(3,\), expected \(2,\)"),
     ("df_du", lambda x, u: np.zeros((2, 3)),
      r"df_du returned shape \(2, 3\), expected \(2, 2, 4\) or \(2, 2\)"),
-    ("dg", (np.eye(2), np.eye(3)), "dg must be a pair of d x d matrices"),
-], ids=["f", "g", "df_du", "dg"])
+], ids=["f", "g", "df_du"])
 def test_wrong_f_shape_is_reported(callback, wrong, message):
     # every problem callback has its shape checked; f and g by the
-    # residual, df_du and dg by the analytic Jacobian
+    # residual, df_du by the analytic Jacobian (dg when the problem is
+    # built, in test_problems.py)
     problem = BvpProblem(name="wrong-shape", d=2, initial_iterate=lambda x: np.zeros(2),
                          **{**RIGHT_SHAPES, callback: wrong})
     grid = build_grid(GridMap("log", 1.0), 4)
-    assemble = assemble_residual if callback in ("f", "g") else assemble_jacobian
+    assemble = assemble_jacobian if callback == "df_du" else assemble_residual
     with pytest.raises(ValueError, match=message):
         assemble(problem, grid, np.zeros((5, 2)))
 

@@ -146,3 +146,37 @@ def test_compare_trees_reports_the_public_names_one_tree_lacks(twotrees, tmp_pat
         "api: SolveResult.value signature (self, name) in parent, (self, name, node=0) in change",
         "api: build_grid signature (N) in parent, (N, continuation=True) in change"], 12)
     assert compare_trees.api_differences(libs["change"], libs["change"]) == ([], 9)
+
+
+# 13 lines: 3 of docstrings, 3 blank, 2 comment-only and 5 of code, one
+# of them the second line of a multi-line string that is no docstring
+COUNTED = '''"""A module docstring
+over two lines."""
+import math  # a comment after code
+
+
+# a comment on its own line
+class Grid:
+    """A class docstring."""
+    # indented comment
+    def f(self):
+        return """not a
+docstring"""
+
+'''
+# 3 lines: 2 of code
+ONE_LINE = 'def g():\n    """Docstring."""\n    return 1\n'
+
+
+def test_compare_trees_counts_source_lines_and_code_lines(twotrees, tmp_path):
+    import compare_trees
+    trees = {"parent": {"a.py": COUNTED}, "change": {"a.py": COUNTED, "b.py": ONE_LINE}}
+    for side, files in trees.items():
+        package = tmp_path / side / "src" / "infbvp"
+        package.mkdir(parents=True)
+        for name, source in files.items():
+            (package / name).write_text(source)
+    # a file that is not python is not counted
+    (tmp_path / "change" / "src" / "infbvp" / "notes.txt").write_text("x = 1\n")
+    assert compare_trees.source_lines(tmp_path / "parent") == (13, 5)
+    assert compare_trees.source_lines(tmp_path / "change") == (16, 7)
